@@ -5,11 +5,18 @@ child slots of one node and costs a fixed single-qubit gate word (H swaps
 x and z, S swaps x and y, three-letter words cover the rest). A fork move
 conjugates by CZ(q1, q2), where q2 is the x-child of q1 with bare x and y
 slots; it detaches q2 from the x-branch and splices it into the y-branch,
-shortening x by one node. Draining a fork's x and z branches through fork
-moves and flushing the grown y-branch onto z with the S, H tail turns the
-fork into plain chain; doing that at every fork, deepest first, turns the
-whole tree into the z-chain whose path products are the Jordan-Wigner set
-up to qubit renaming and per-generator signs.
+shortening x by one node.
+
+Each fork first relabels its largest branch onto y, then drains the other
+two branches into it through fork moves and flushes the grown y-branch
+onto z with the S, H tail, which turns the fork into plain chain; doing
+that at every fork, deepest first, turns the whole tree into the z-chain
+whose path products are the Jordan-Wigner set up to qubit renaming and
+per-generator signs. A node moves only out of a branch no larger than
+the one it joins, so the fork subtree holding it more than doubles from
+one of its moves to the next: no node moves more than log2(m) times, and
+the circuit has at most m*ceil(log2 m) CZ gates (the heavy-path argument
+of Sleator and Tarjan).
 
 The emitted circuit acts on the original wire names. StraightenResult
 carries the renaming as the permutation pi (chain position i holds
@@ -35,10 +42,8 @@ from .tree import (
     XYZ,
     TernaryTree,
     jw_generator,
-    tree_leaves,
+    tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
 )
-
-_LABEL_CODE = {"x": 1, "y": 2, "z": 3}
 
 # Gate words per slot permutation, keyed by (source of new x, of new y,
 # of new z). Transpositions are the canonical one- and three-gate words;
@@ -109,24 +114,41 @@ def _emit_fork_move(kids, q1, emit) -> None:
     kids[q2 - 1] = [TERMINAL, TERMINAL, y1]
 
 
-def _emit_straighten_fork(kids, q1, emit) -> None:
-    x1, y1, _ = kids[q1 - 1]
-    if x1 == TERMINAL and y1 == TERMINAL:
-        return  # at most a bare z-chain already
+def _emit_bend(kids, q, emit) -> None:
+    """Rotate the one occupied slot of q onto z: H for x, S, H for y."""
+    x, y, _ = kids[q - 1]
+    if x != TERMINAL:
+        _emit_relabel(kids, q, ("z", "y", "x"), emit)
+    elif y != TERMINAL:
+        _emit_relabel(kids, q, ("z", "x", "y"), emit)
+
+
+def _emit_straighten_fork(kids, q1, sizes, emit) -> None:
+    """Collapse the chains below q1 onto its z slot.
+
+    sizes holds the node counts of q1's x, y and z branches. The largest
+    branch is relabeled onto y (ties keep y, then prefer x) and the other
+    two are drained into it, one fork move and so one CZ per node; the
+    S, H tail then swings y onto z. A node with a single occupied branch
+    only gets its bend word.
+    """
+    sx, sy, sz = sizes
+    if (sx > 0) + (sy > 0) + (sz > 0) < 2:
+        _emit_bend(kids, q1, emit)
+        return
+    if sx > sy and sx >= sz:
+        _emit_relabel(kids, q1, ("y", "x", "z"), emit)
+    elif sz > sy and sz > sx:
+        _emit_relabel(kids, q1, ("y", "z", "x"), emit)
     while True:
         x1, _, z1 = kids[q1 - 1]
         if x1 == TERMINAL and z1 == TERMINAL:
             break
         if x1 == TERMINAL:
             _emit_relabel(kids, q1, ("z", "y", "x"), emit)
-        q2 = kids[q1 - 1][0]
-        x2, y2, _ = kids[q2 - 1]
         # q2 sits on a chain, so it has at most one occupied slot; rotate
         # that occupant onto z before the move
-        if x2 != TERMINAL:
-            _emit_relabel(kids, q2, ("z", "y", "x"), emit)
-        elif y2 != TERMINAL:
-            _emit_relabel(kids, q2, ("x", "z", "y"), emit)
+        _emit_bend(kids, kids[q1 - 1][0], emit)
         _emit_fork_move(kids, q1, emit)
     _emit_relabel(kids, q1, ("z", "x", "y"), emit)
 
@@ -177,22 +199,26 @@ def fork_move(t: TernaryTree, q1: int) -> tuple[Gate, TernaryTree]:
 def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
     """Collapse everything below q1 onto its z slot.
 
-    Requires chains (no forks) strictly below q1. Emits the fork-move and
-    relabel gates, ending with the S, H tail that swings the accumulated
-    y-branch onto z; afterwards q1 carries a single z-chain.
+    Requires chains (no forks) strictly below q1. The largest branch is
+    relabeled onto y and the other two are drained into it by fork moves,
+    ending with the S, H tail that swings the accumulated y-branch onto z;
+    a node with a single occupied branch gets only its bend word (H for x,
+    S, H for y). Afterwards q1 carries a single z-chain.
     """
     _check_qubit(t, q1)
-    stack = [c for c in t.children[q1 - 1] if c != TERMINAL]
-    while stack:
-        q = stack.pop()
-        row = t.children[q - 1]
-        occupied = [c for c in row if c != TERMINAL]
-        if len(occupied) >= 2:
-            raise ValueError(f"fork at q{q} below q{q1}")
-        stack.extend(occupied)
+    sizes = []
+    for q in t.children[q1 - 1]:
+        n = 0
+        while q != TERMINAL:
+            n += 1
+            occupied = [c for c in t.children[q - 1] if c != TERMINAL]
+            if len(occupied) >= 2:
+                raise ValueError(f"fork at q{q} below q{q1}")
+            q = occupied[0] if occupied else TERMINAL
+        sizes.append(n)
     kids = [list(row) for row in t.children]
     out: list[Gate] = []
-    _emit_straighten_fork(kids, q1, out.append)
+    _emit_straighten_fork(kids, q1, sizes, out.append)
     return Circuit(t.num_qubits, tuple(out)), _freeze(t, kids)
 
 
@@ -200,33 +226,80 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
 # full reduction
 
 
-def _fork_schedule(kids, root) -> list[int]:
-    """Every fork of the tree, deepest first; ties go to the smallest id.
+def _subtree_sizes(kids, order) -> list[int]:
+    """Node count of every subtree, indexed by qubit id; size[TERMINAL] is 0.
+
+    order lists every node of the tree, each parent before its children.
+    """
+    size = [0] * (len(kids) + 1)
+    for q in reversed(order):
+        x, y, z = kids[q - 1]
+        size[q] = 1 + size[x] + size[y] + size[z]
+    return size
+
+
+def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
+    """Every fork of the tree, deepest first (ties to the smallest id), and
+    the subtree sizes of the input tree, indexed by qubit id.
 
     Straightening a fork rearranges only its own subtree, whose forks are
     all deeper and so already straightened; forks elsewhere keep their
     place and depth. The order read off the input tree therefore holds
     for the whole reduction, and each fork met in it has none below it.
+    For the same reason a fork's children, and so the node sets and sizes
+    of its branches, are still those of the input tree when its turn comes.
     """
     forks: list[tuple[int, int]] = []
+    order: list[int] = []
     stack = [(root, 0)]
     while stack:
         q, d = stack.pop()
+        order.append(q)
         occupied = [c for c in kids[q - 1] if c != TERMINAL]
         if len(occupied) >= 2:
             forks.append((-d, q))
         stack.extend((c, d + 1) for c in occupied)
     forks.sort()
-    return [q for _, q in forks]
+    return [q for _, q in forks], _subtree_sizes(kids, order)
+
+
+# Cells (one byte each) allowed in the (m, 2m+1) letter matrix that
+# certification conjugates; 2**28 admits m up to 11584 (256 MiB).
+MAX_LETTER_CELLS = 1 << 28
+
+
+def _check_letter_cells(m: int) -> None:
+    cells = m * (2 * m + 1)
+    if cells > MAX_LETTER_CELLS:
+        raise ValueError(
+            f"m={m} needs a {cells}-cell letter matrix, over the cap of"
+            f" {MAX_LETTER_CELLS} cells (MAX_LETTER_CELLS)"
+        )
 
 
 def _letters_matrix(t: TernaryTree) -> np.ndarray:
-    """(m, 2m+1) uint8 letter codes of the path products, one per column."""
-    leaves = tree_leaves(t)
-    letters = np.zeros((t.num_qubits, len(leaves)), dtype=np.uint8)
-    for j, path in enumerate(leaves):
-        for qid, label in path:
-            letters[qid - 1, j] = _LABEL_CODE[label]
+    """(m, 2m+1) uint8 letter codes of the path products, one per column.
+
+    In canonical leaf order every subtree covers a contiguous run of
+    columns, its x, y and z branches one after another, so each row is
+    three slice fills: x (1), y (2) and z (3) over the branches' leaves.
+    """
+    m = t.num_qubits
+    kids = t.children
+    order = [t.root]
+    for q in order:  # breadth first, so parents come before children
+        order.extend(c for c in kids[q - 1] if c != TERMINAL)
+    size = _subtree_sizes(kids, order)
+    letters = np.zeros((m, 2 * m + 1), dtype=np.uint8)
+    first = [0] * (m + 1)  # first leaf column of each subtree; [0] is scratch
+    for q in order:
+        row = letters[q - 1]
+        lo = first[q]
+        for code, c in enumerate(kids[q - 1], start=1):
+            hi = lo + 2 * size[c] + 1
+            row[lo:hi] = code
+            first[c] = lo
+            lo = hi
     return letters
 
 
@@ -257,6 +330,7 @@ def _decode_jw_batch(
 def _conjugated_images(
     t: TernaryTree, gates: Sequence[Gate], perm: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
+    _check_letter_cells(t.num_qubits)
     letters = _letters_matrix(t)
     phases = np.zeros(letters.shape[1], dtype=np.uint8)
     if gates:
@@ -276,21 +350,19 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     network realizing it is appended and the permutation is the identity.
     """
     m = t.num_qubits
+    _check_letter_cells(m)  # before any synthesis work
     kids = [list(row) for row in t.children]
     gates: list[Gate] = []
     emit = gates.append
-    for fork in _fork_schedule(kids, t.root):
-        _emit_straighten_fork(kids, fork, emit)
+    forks, size = _fork_schedule(kids, t.root)
+    for fork in forks:
+        _emit_straighten_fork(kids, fork, [size[c] for c in kids[fork - 1]], emit)
     # forks are gone; straighten the remaining single-branch bends
     chain: list[int] = []
     cur = t.root
     while cur != TERMINAL:
         chain.append(cur)
-        x, y, _ = kids[cur - 1]
-        if x != TERMINAL:
-            _emit_relabel(kids, cur, ("z", "y", "x"), emit)
-        elif y != TERMINAL:
-            _emit_relabel(kids, cur, ("z", "x", "y"), emit)
+        _emit_bend(kids, cur, emit)
         cur = kids[cur - 1][2]
     if len(chain) != m:
         raise RuntimeError(f"chain covers {len(chain)} of {m} qubits")

@@ -1,6 +1,6 @@
 import pytest
 
-from tern2jw import tree_parse
+from tern2jw import tree_augment, tree_parse
 
 # 7-qubit triple fork: two-node branches on all three slots of the root
 TRIPLE_FORK = "(q1 :x (q2 :z (q3)) :y (q4 :z (q5)) :z (q6 :z (q7)))"
@@ -17,3 +17,20 @@ def triple_fork():
 @pytest.fixture
 def binary3():
     return tree_parse(BINARY3)
+
+
+def comb(teeth, spine="z", tooth="x", length=1):
+    """A spine of `teeth` nodes linked on slot `spine`, each carrying a chain
+    of `length` nodes linked on slot `tooth`. length 0 is a plain chain and
+    length 1 a caterpillar; m = teeth * (1 + length)."""
+    assert spine != tooth
+    spec = {q: {} for q in range(1, teeth + 1)}
+    for q in range(1, teeth):
+        spec[q][spine] = q + 1
+    fresh = teeth + 1
+    for q in range(1, teeth + 1):
+        parent = q
+        for _ in range(length):
+            spec.setdefault(parent, {})[tooth] = fresh
+            parent, fresh = fresh, fresh + 1
+    return tree_augment(spec)

@@ -1,3 +1,4 @@
+import math
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from tern2jw import (
 )
 from tern2jw.cli import run_cli
 from tern2jw.pauli import PauliString
+from tern2jw.straighten import MAX_LETTER_CELLS
 
 from conftest import BINARY3, TRIPLE_FORK
 
@@ -178,6 +180,20 @@ def test_missing_file(capsys):
     code, _, err = _run(capsys, "generators", "/nonexistent/tree.txt")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_oversized_tree_exits_2(tmp_path, capsys):
+    m = math.isqrt(MAX_LETTER_CELLS // 2) + 1  # letter matrix just over the cap
+    tree = tmp_path / "chain.txt"
+    tree.write_text(tree_format(jw_chain(m)))
+    code, out, err = _run(capsys, "straighten", str(tree))
+    assert code == 2 and out == ""
+    assert f"m={m} " in err and f"cap of {MAX_LETTER_CELLS} cells" in err
+    cert = tmp_path / "cert.txt"
+    perm = " ".join(str(q) for q in range(1, m + 1))
+    cert.write_text(f"PERM {perm}\nSIGNS {' '.join('+' * (2 * m + 1))}\n")
+    code, out, err = _run(capsys, "verify", str(tree), str(cert))
+    assert code == 2 and out == "" and f"m={m} " in err
 
 
 def test_wrong_input_count(capsys):

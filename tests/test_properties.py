@@ -1,0 +1,87 @@
+"""Property tests over every tree shape, with m <= 40 and shuffled qubit ids.
+
+The strategy draws x-, y- and z-chains, caterpillars and combs on any
+spine/tooth slot pair, full ternary trees and random trees.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from tern2jw import (
+    Certificate,
+    TernaryTree,
+    fix_signs,
+    full_ternary,
+    oracle_check,
+    random_tree,
+    straighten,
+    tree_format,
+    tree_parse,
+    verify_transform,
+)
+from tern2jw.tree import TERMINAL
+
+from conftest import comb
+
+
+def _rename(t, ids):
+    """t with qubit q renamed ids[q-1]."""
+    new = [TERMINAL, *ids]
+    children = [None] * t.num_qubits
+    for q, row in enumerate(t.children, start=1):
+        children[new[q] - 1] = tuple(new[c] for c in row)
+    return TernaryTree(t.num_qubits, new[t.root], tuple(children))
+
+
+@st.composite
+def trees(draw, max_m=40):
+    kind = draw(st.sampled_from(("chain", "caterpillar", "comb", "full", "random")))
+    spine, tooth, _ = draw(st.permutations("xyz"))
+    if kind == "chain":
+        t = comb(draw(st.integers(1, max_m)), spine, tooth, length=0)
+    elif kind == "caterpillar":
+        t = comb(draw(st.integers(1, max_m // 2)), spine, tooth)
+    elif kind == "comb":
+        length = draw(st.integers(2, 4))
+        t = comb(draw(st.integers(1, max_m // (1 + length))), spine, tooth, length)
+    elif kind == "full":
+        depths = [d for d in (1, 2, 3) if (3 ** (d + 1) - 1) // 2 <= max_m]  # m = 4, 13, 40
+        t = full_ternary(draw(st.sampled_from(depths)))
+    else:
+        t = random_tree(draw(st.integers(1, max_m)), draw(st.integers(0, 2**32 - 1)))
+    return _rename(t, draw(st.permutations(range(1, t.num_qubits + 1))))
+
+
+def _certificate(r):
+    return Certificate(r.full_circuit(), r.permutation, r.signs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_straighten_certifies_within_cz_budget(t):
+    m = t.num_qubits
+    r = straighten(t)
+    assert verify_transform(t, _certificate(r)).ok
+    cz = sum(1 for g in r.circuit.gates if g.kind == "CZ")
+    assert cz <= m * (m - 1).bit_length()  # m * ceil(log2 m)
+    fx = fix_signs(r)
+    assert all(s == 1 for rank, s in zip(fx.ranks, fx.signs) if rank <= 2 * m)
+    assert verify_transform(t, _certificate(fx)).ok
+
+
+# The dense oracle costs about 0.8 s per check at m=8, so it gets fewer
+# draws and checks only the sign-fixed certificate, whose circuit is the
+# straighten circuit plus the Pauli layer.
+@settings(max_examples=12, deadline=None)
+@given(trees(max_m=8))
+def test_oracle_accepts_small_certificates(t):
+    assert oracle_check(t, fix_signs(straighten(t))).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_format_parse_round_trip(t):
+    assert tree_parse(tree_format(t)) == t
