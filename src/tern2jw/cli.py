@@ -22,6 +22,7 @@ from .clifford import circuit_format, peephole_cancel
 from .oracle import oracle_check
 from .pauli import pauli_mul, pauli_weight
 from .straighten import (
+    TransformReport,
     certificate_format,
     certificate_parse,
     fix_signs,
@@ -148,23 +149,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{cert_name}: PERM lists {len(cert.permutation)} qubits,"
             f" tree has {t.num_qubits}"
         )
-    failed = False
-    report = verify_transform(t, cert)
-    if report.ok:
-        print("engine pass")
-    else:
-        failed = True
-        print("engine fail " + " ".join(f"e{j}" for j in report.failed_ranks))
+    ok = _print_report("engine", verify_transform(t, cert))
     if t.num_qubits <= args.oracle_cap:
-        oracle = oracle_check(t, cert, cap=args.oracle_cap)
-        if oracle.ok:
-            print("oracle pass")
-        else:
-            failed = True
-            print("oracle fail " + " ".join(f"e{j}" for j in oracle.failed_ranks))
+        ok = _print_report("oracle", oracle_check(t, cert, cap=args.oracle_cap)) and ok
     else:
         print(f"oracle skip m={t.num_qubits} cap={args.oracle_cap}")
-    return 1 if failed else 0
+    return 0 if ok else 1
+
+
+def _print_report(check: str, report: TransformReport) -> bool:
+    """Print one check's verdict line; True when it passed."""
+    if report.ok:
+        print(f"{check} pass")
+    else:
+        print(f"{check} fail " + " ".join(f"e{j}" for j in report.failed_ranks))
+    return report.ok
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

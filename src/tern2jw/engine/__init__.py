@@ -1,60 +1,25 @@
-"""Batch conjugation engine with a compiled kernel and a numpy fallback.
+"""Batch conjugation of Pauli letter matrices through Clifford gates.
 
-Both backends implement the same in-place contract (see _fallback) and are
-selected at import: the Cython kernel when its extension built, else numpy.
-Set TERN2JW_ENGINE=kernel|fallback to force one; forcing a kernel that is
-not built raises ImportError when this module is imported. force_backend()
-switches at runtime (used by tests and the benchmark).
+A batch is a uint8 (m, n) letter matrix, one column per string and one row
+per qubit, with a uint8 (n,) vector of phase exponents mod 4. Gates are
+encoded once as an int32 (L, 3) op array; each op then rewrites one or two
+whole rows by a lookup in the frozen letter/phase tables of the tables
+module, so a circuit costs L numpy row operations whatever n is.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _fallback
-from .tables import GATE_CODES, N_SINGLE
-
-try:
-    from . import _kernel
-except ImportError:
-    _kernel = None
-
-_BACKENDS = {"fallback": _fallback.conjugate_inplace}
-if _kernel is not None:
-    _BACKENDS["kernel"] = _kernel.conjugate_inplace
-
-
-def _pick_default() -> str:
-    forced = os.environ.get("TERN2JW_ENGINE")
-    if forced:
-        if forced not in ("kernel", "fallback"):
-            raise ValueError(f"TERN2JW_ENGINE must be kernel or fallback, got {forced!r}")
-        if forced not in _BACKENDS:
-            raise ImportError("TERN2JW_ENGINE=kernel but the compiled kernel is not built")
-        return forced
-    return "kernel" if "kernel" in _BACKENDS else "fallback"
-
-
-_active = _pick_default()
-
-
-def backend_name() -> str:
-    """Name of the active backend: 'kernel' or 'fallback'."""
-    return _active
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def force_backend(name: str) -> None:
-    """Switch the active backend; raises if the requested one is unavailable."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"backend {name!r} unavailable; have {available_backends()}")
-    _active = name
+from .tables import (
+    GATE_CODES,
+    N_SINGLE,
+    PAIR_LETTER_A,
+    PAIR_LETTER_B,
+    PAIR_PHASE,
+    SINGLE_LETTER,
+    SINGLE_PHASE,
+)
 
 
 def encode_gates(gates, num_qubits: int) -> np.ndarray:
@@ -69,5 +34,21 @@ def encode_gates(gates, num_qubits: int) -> np.ndarray:
 
 
 def conjugate_inplace(letters: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
-    """Conjugate the letter batch through the encoded ops, in place."""
-    _BACKENDS[_active](letters, phases, ops)
+    """Conjugate the letter batch through the encoded ops, in place.
+
+    letters: uint8 (m, n), phases: uint8 (n,) with exponents mod 4,
+    ops: int32 (L, 3) rows (gate code, row a, row b); b is ignored for
+    single-qubit codes. Gates act in listed order.
+    """
+    for code, a, b in ops:
+        if code < N_SINGLE:
+            row = letters[a]
+            np.add(phases, SINGLE_PHASE[code][row], out=phases)
+            letters[a] = SINGLE_LETTER[code][row]
+        else:
+            k = code - N_SINGLE
+            idx = (letters[a] << 2) | letters[b]
+            np.add(phases, PAIR_PHASE[k][idx], out=phases)
+            letters[a] = PAIR_LETTER_A[k][idx]
+            letters[b] = PAIR_LETTER_B[k][idx]
+    phases &= 3

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import Circuit, Gate
-from .pauli import LETTERS, PauliString
+from .pauli import PauliString
+from .straighten import TransformReport, certify
 
 DEFAULT_CAP = 8
 
@@ -234,50 +235,23 @@ def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> Paul
     return decode_pauli(mat, p.num_qubits)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Rank-wise pass/fail of a straightening certificate under the oracle."""
-
-    results: tuple[bool, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(self.results)
-
-    @property
-    def failed_ranks(self) -> tuple[int, ...]:
-        return tuple(j + 1 for j, good in enumerate(self.results) if not good)
-
-
-def oracle_check(tree, result, cap: int = DEFAULT_CAP) -> OracleReport:
+def oracle_check(tree, result, cap: int = DEFAULT_CAP) -> TransformReport:
     """Certify a straighten result: every generator must land on its signed
     JW image under the recorded permutation.
 
     `tree` is a TernaryTree and `result` anything with circuit, permutation
-    and signs attributes; the generator images and their JW ranks are
-    re-derived here from the matrices alone.
+    and signs attributes; the generator images are re-derived here from the
+    matrices alone and then matched by the same certify as the engine's.
     """
-    from .tree import jw_match, tree_generators
+    from .tree import tree_generators
 
-    m = tree.num_qubits
-    _check_cap(m, cap)
-    gens = tree_generators(tree)
+    _check_cap(tree.num_qubits, cap)
     circ = result.circuit
     extra = getattr(result, "signfix", None)
     if extra:
         circ = Circuit(circ.num_qubits, tuple(circ.gates) + tuple(extra))
-    results = []
-    seen_ranks = set()
-    for j, p in enumerate(gens.strings):
-        img = oracle_conjugate(circ, p, cap)
-        renamed = [0] * m
-        for i, qid in enumerate(result.permutation):
-            renamed[i] = img.letters[qid - 1]
-        match = jw_match(PauliString(tuple(renamed), img.phase))
-        good = match is not None
-        if good:
-            rank, sign = match
-            good = sign == result.signs[j] and rank not in seen_ranks
-            seen_ranks.add(rank)
-        results.append(good)
-    return OracleReport(tuple(results))
+    images = [oracle_conjugate(circ, p, cap) for p in tree_generators(tree).strings]
+    letters = np.array([img.letters for img in images], dtype=np.uint8).T
+    phases = np.array([img.phase for img in images], dtype=np.uint8)
+    perm_idx = np.asarray(result.permutation, dtype=np.int64) - 1
+    return certify(letters[perm_idx], phases, result.signs)

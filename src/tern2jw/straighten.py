@@ -30,17 +30,17 @@ batch; fix_signs appends a single-qubit Pauli layer that forces ranks
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .clifford import Circuit, Gate, invert_circuit
 from .engine import conjugate_inplace, encode_gates
-from .pauli import PauliString
 from .tree import (
     TERMINAL,
     XYZ,
     TernaryTree,
+    jw_decode,
     jw_generator,
     tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
 )
@@ -303,30 +303,6 @@ def _letters_matrix(t: TernaryTree) -> np.ndarray:
     return letters
 
 
-def _decode_jw_batch(
-    renamed: np.ndarray, phases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-wise match against signed JW generators.
-
-    Returns (ranks, signs, ok); columns failing the JW shape or carrying
-    an imaginary phase get ok=False and an unspecified rank.
-    """
-    m, n = renamed.shape
-    non_z = renamed != 3
-    lead = non_z.argmax(axis=0)  # first non-Z row; 0 when all Z
-    has_lead = non_z.any(axis=0)
-    lead_letter = renamed[lead, np.arange(n)]
-    support = (renamed != 0).sum(axis=0)
-    # valid X/Y columns look like Z^lead, letter, I^(m-lead-1)
-    xy_ok = has_lead & ((lead_letter == 1) | (lead_letter == 2)) & (support == lead + 1)
-    ranks = np.where(
-        ~has_lead, 2 * m + 1, 2 * (lead + 1) - (lead_letter == 1).astype(np.int64)
-    )
-    ok = (xy_ok | ~has_lead) & ((phases == 0) | (phases == 2))
-    signs = np.where(phases == 0, 1, -1)
-    return ranks, signs, ok
-
-
 def _conjugated_images(
     t: TernaryTree, gates: Sequence[Gate], perm: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -386,15 +362,14 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
                 emit(Gate("SWAP", (a, b)))
         chain = list(range(1, m + 1))
 
-    renamed, phases = _conjugated_images(t, gates, chain)
-    ranks, signs, ok = _decode_jw_batch(renamed, phases)
-    if not ok.all() or sorted(ranks.tolist()) != list(range(1, 2 * m + 2)):
+    report = certify(*_conjugated_images(t, gates, chain))
+    if not report.ok:
         raise RuntimeError("conjugated generators left the signed JW set")
     return StraightenResult(
         circuit=Circuit(m, tuple(gates)),
         permutation=tuple(chain),
-        signs=tuple(int(s) for s in signs),
-        ranks=tuple(int(r) for r in ranks),
+        signs=report.signs,
+        ranks=report.ranks,
     )
 
 
@@ -551,9 +526,17 @@ def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Rank-wise verdicts from re-deriving a certificate's generator map."""
+    """Verdicts from matching generator images against signed JW generators.
+
+    results[j] is True when the image of generator j+1 is the declared sign
+    times a JW generator whose rank no earlier passing image took. ranks[j]
+    and signs[j] are what that image decodes as (both 0 when it is no
+    signed JW generator).
+    """
 
     results: tuple[bool, ...]
+    ranks: tuple[int, ...]
+    signs: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
@@ -562,6 +545,27 @@ class TransformReport:
     @property
     def failed_ranks(self) -> tuple[int, ...]:
         return tuple(j + 1 for j, good in enumerate(self.results) if not good)
+
+
+def certify(
+    renamed: np.ndarray, phases: np.ndarray, signs: Sequence[int] | None = None
+) -> TransformReport:
+    """Check generator images, already renamed into chain order, against JW.
+
+    renamed holds one (m,) letter column per generator and phases their
+    phase exponents. Image j passes when it decodes as a signed JW generator
+    whose sign is signs[j] (any sign when signs is None) and whose rank no
+    earlier passing image took. All 2m+1 images pass exactly when the
+    matched ranks cover 1..2m+1.
+    """
+    ranks, decoded = jw_decode(renamed, phases)
+    good = np.flatnonzero(ranks if signs is None else decoded == np.asarray(signs))
+    _, first = np.unique(ranks[good], return_index=True)
+    results = np.zeros(len(ranks), dtype=bool)
+    results[good[first]] = True
+    return TransformReport(
+        tuple(results.tolist()), tuple(ranks.tolist()), tuple(decoded.tolist())
+    )
 
 
 def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
@@ -576,14 +580,4 @@ def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
             f"tree has {t.num_qubits} qubits, certificate {len(cert.permutation)}"
         )
     renamed, phases = _conjugated_images(t, cert.circuit.gates, cert.permutation)
-    ranks, signs, ok = _decode_jw_batch(renamed, phases)
-    seen: set[int] = set()
-    results = []
-    for j in range(renamed.shape[1]):
-        good = bool(ok[j]) and int(signs[j]) == cert.signs[j]
-        if good:
-            rank = int(ranks[j])
-            good = rank not in seen
-            seen.add(rank)
-        results.append(good)
-    return TransformReport(tuple(results))
+    return certify(renamed, phases, cert.signs)

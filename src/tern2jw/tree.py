@@ -25,7 +25,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .pauli import PauliString, pauli_identity, pauli_mul
+import numpy as np
+
+from .pauli import PauliString, pauli_commutes, pauli_identity, pauli_mul
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
@@ -442,12 +444,7 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
     anti_failures = []
     for i in range(len(strings)):
         for j in range(i + 1, len(strings)):
-            clashes = sum(
-                1
-                for la, lb in zip(strings[i].letters, strings[j].letters)
-                if la and lb and la != lb
-            )
-            if clashes % 2 == 0:
+            if pauli_commutes(strings[i], strings[j]):
                 anti_failures.append((i + 1, j + 1))
 
     square_failures = []
@@ -481,20 +478,39 @@ def jw_generator(m: int, rank: int) -> PauliString:
     return PauliString(tuple(letters))
 
 
+def jw_decode(letters: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Match each column of a letter batch against the signed JW generators.
+
+    letters is a (m, n) array of letter codes, one string per column, and
+    phases its (n,) phase exponents. Returns int64 (ranks, signs): column j
+    is signs[j] times the JW generator at rank ranks[j]. Columns that are
+    not of the form Z^(k-1) X I..., Z^(k-1) Y I... or all Z, or whose phase
+    is not a plain sign, get rank 0 and sign 0.
+    """
+    m, n = letters.shape
+    non_z = letters != 3
+    lead = non_z.argmax(axis=0)  # first non-Z row; 0 when all Z
+    has_lead = non_z.any(axis=0)
+    lead_letter = letters[lead, np.arange(n)]
+    support = (letters != 0).sum(axis=0)
+    # valid X/Y columns look like Z^lead, letter, I^(m-lead-1)
+    xy_ok = has_lead & ((lead_letter == 1) | (lead_letter == 2)) & (support == lead + 1)
+    ok = (xy_ok | ~has_lead) & ((phases == 0) | (phases == 2))
+    ranks = np.where(
+        ~has_lead, 2 * m + 1, 2 * (lead + 1) - (lead_letter == 1).astype(np.int64)
+    )
+    signs = 1 - phases.astype(np.int64)  # exponent 0 -> +1, 2 -> -1
+    return np.where(ok, ranks, 0), np.where(ok, signs, 0)
+
+
 def jw_match(p: PauliString) -> tuple[int, int] | None:
     """Decode a string as sign * (JW generator): (rank, sign), or None.
 
     Matches Z^(k-1) X I... (rank 2k-1), Z^(k-1) Y I... (rank 2k) and the
     all-z product (rank 2m+1); the phase must be a plain sign.
     """
-    if p.phase not in (0, 2):
-        return None
-    sign = 1 if p.phase == 0 else -1
-    m = p.num_qubits
-    for i, letter in enumerate(p.letters):
-        if letter == 3:
-            continue
-        if letter == 0 or any(p.letters[i + 1 :]):
-            return None
-        return (2 * (i + 1) - 1, sign) if letter == 1 else (2 * (i + 1), sign)
-    return (2 * m + 1, sign)
+    ranks, signs = jw_decode(
+        np.array(p.letters, dtype=np.uint8)[:, None], np.array([p.phase], dtype=np.uint8)
+    )
+    rank, sign = int(ranks[0]), int(signs[0])
+    return (rank, sign) if rank else None

@@ -1,6 +1,7 @@
 import pytest
 
-from tern2jw import tree_augment, tree_parse
+from tern2jw import TernaryTree, tree_augment, tree_parse
+from tern2jw.tree import TERMINAL
 
 # 7-qubit triple fork: two-node branches on all three slots of the root
 TRIPLE_FORK = "(q1 :x (q2 :z (q3)) :y (q4 :z (q5)) :z (q6 :z (q7)))"
@@ -34,3 +35,12 @@ def comb(teeth, spine="z", tooth="x", length=1):
             spec.setdefault(parent, {})[tooth] = fresh
             parent, fresh = fresh, fresh + 1
     return tree_augment(spec)
+
+
+def rename(t, ids):
+    """t with qubit q renamed ids[q-1]."""
+    new = [TERMINAL, *ids]
+    children = [None] * t.num_qubits
+    for q, row in enumerate(t.children, start=1):
+        children[new[q] - 1] = tuple(new[c] for c in row)
+    return TernaryTree(t.num_qubits, new[t.root], tuple(children))

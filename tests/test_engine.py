@@ -1,19 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from tern2jw import Circuit, Gate, conjugate_circuit
-from tern2jw.engine import (
-    available_backends,
-    backend_name,
-    conjugate_inplace,
-    encode_gates,
-    force_backend,
-)
+from tern2jw.engine import conjugate_inplace, encode_gates
 from tern2jw.pauli import PauliString
 
 SINGLE = ("H", "S", "SDG", "X", "Y", "Z")
@@ -47,17 +37,6 @@ def _run_engine(circuit, letters, phases):
     return out_letters, out_phases
 
 
-def test_kernel_backend_is_built():
-    pytest.importorskip("tern2jw.engine._kernel")
-    assert "fallback" in available_backends()
-    assert "kernel" in available_backends()
-    assert backend_name() in available_backends()
-    # a built kernel is the default when TERN2JW_ENGINE is unset
-    proc = _spawn(None)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "kernel"
-
-
 def test_encode_gates_layout():
     ops = encode_gates([("H", (2,)), ("CZ", (1, 3)), ("SWAP", (4, 2))], 4)
     assert ops.dtype == np.int32
@@ -78,31 +57,6 @@ def test_engine_matches_conjugate_circuit():
             img = conjugate_circuit(c, p)
             assert tuple(int(v) for v in out_letters[:, j]) == img.letters
             assert int(out_phases[j]) == img.phase
-
-
-def test_backends_agree():
-    pytest.importorskip("tern2jw.engine._kernel")
-    rng = random.Random(41)
-    saved = backend_name()
-    try:
-        for _ in range(40):
-            m = rng.randint(1, 8)
-            n = rng.randint(1, 20)
-            c = _random_circuit(rng, m, rng.randint(0, 40))
-            letters, phases = _random_letters(rng, m, n)
-            results = {}
-            for name in ("kernel", "fallback"):
-                force_backend(name)
-                results[name] = _run_engine(c, letters, phases)
-            assert np.array_equal(results["kernel"][0], results["fallback"][0])
-            assert np.array_equal(results["kernel"][1], results["fallback"][1])
-    finally:
-        force_backend(saved)
-
-
-def test_force_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unavailable"):
-        force_backend("turbo")
 
 
 def test_phase_accumulation_wraps_safely():
@@ -126,37 +80,3 @@ def test_long_s_cycle_wraps_to_identity():
     out_letters, out_phases = _run_engine(c, letters, phases)
     assert out_letters[0, 0] == 1
     assert out_phases[0] == 0
-
-
-def _spawn(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("TERN2JW_ENGINE", None)
-    else:
-        env["TERN2JW_ENGINE"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import tern2jw.engine as e; print(e.backend_name())"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-
-
-def test_env_override_selects_backend():
-    proc = _spawn("fallback")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "fallback"
-    proc = _spawn("kernel")
-    if "kernel" in available_backends():
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "kernel"
-    else:
-        # forcing a kernel that is not built fails at import
-        assert proc.returncode != 0
-        assert "compiled kernel is not built" in proc.stderr
-
-
-def test_env_override_rejects_garbage():
-    proc = _spawn("turbo")
-    assert proc.returncode != 0
-    assert "TERN2JW_ENGINE" in proc.stderr

@@ -12,6 +12,7 @@ from tern2jw import (
     pauli_parse,
     random_tree,
     straighten,
+    verify_transform,
 )
 from tern2jw.oracle import (
     ExactMatrix,
@@ -23,6 +24,8 @@ from tern2jw.oracle import (
     oracle_check,
     oracle_conjugate,
 )
+
+from conftest import rename
 
 
 def test_dense_pauli_single_qubit_goldens():
@@ -201,3 +204,31 @@ def test_oracle_check_works_on_certificates():
     r = fix_signs(straighten(t, swaps=True))
     cert = Certificate(r.full_circuit(), r.permutation, r.signs)
     assert oracle_check(t, cert).ok
+
+
+def _tampered(cert):
+    """Every certificate one deleted gate or one flipped SIGNS entry away."""
+    gates = cert.circuit.gates
+    for i in range(len(gates)):
+        circuit = Circuit(cert.circuit.num_qubits, gates[:i] + gates[i + 1 :])
+        yield f"gate {i + 1} deleted", Certificate(circuit, cert.permutation, cert.signs)
+    for j in range(len(cert.signs)):
+        signs = cert.signs[:j] + (-cert.signs[j],) + cert.signs[j + 1 :]
+        yield f"sign {j + 1} flipped", Certificate(cert.circuit, cert.permutation, signs)
+
+
+def test_tampered_certificates_fail_both_checks():
+    # the 2m generators span the Pauli group, so no gate drops out of the
+    # map they define and every single deletion must change some image
+    rng = random.Random(29)
+    for seed in range(8):
+        m = 1 + seed % 4
+        ids = rng.sample(range(1, m + 1), m)
+        t = rename(random_tree(m, seed=seed), ids)
+        for r in (straighten(t), straighten(t, swaps=True), fix_signs(straighten(t))):
+            cert = Certificate(r.full_circuit(), r.permutation, r.signs)
+            assert verify_transform(t, cert) == oracle_check(t, cert)
+            for what, bad in _tampered(cert):
+                engine = verify_transform(t, bad)
+                assert not engine.ok, what
+                assert oracle_check(t, bad) == engine, what

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from tern2jw import (
     Certificate,
-    TernaryTree,
     fix_signs,
     full_ternary,
     oracle_check,
@@ -22,18 +21,7 @@ from tern2jw import (
     tree_parse,
     verify_transform,
 )
-from tern2jw.tree import TERMINAL
-
-from conftest import comb
-
-
-def _rename(t, ids):
-    """t with qubit q renamed ids[q-1]."""
-    new = [TERMINAL, *ids]
-    children = [None] * t.num_qubits
-    for q, row in enumerate(t.children, start=1):
-        children[new[q] - 1] = tuple(new[c] for c in row)
-    return TernaryTree(t.num_qubits, new[t.root], tuple(children))
+from conftest import comb, rename
 
 
 @st.composite
@@ -52,7 +40,7 @@ def trees(draw, max_m=40):
         t = full_ternary(draw(st.sampled_from(depths)))
     else:
         t = random_tree(draw(st.integers(1, max_m)), draw(st.integers(0, 2**32 - 1)))
-    return _rename(t, draw(st.permutations(range(1, t.num_qubits + 1))))
+    return rename(t, draw(st.permutations(range(1, t.num_qubits + 1))))
 
 
 def _certificate(r):

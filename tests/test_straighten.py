@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from tern2jw import (
@@ -10,6 +11,7 @@ from tern2jw import (
     StraightenResult,
     certificate_format,
     certificate_parse,
+    certify,
     conjugate_circuit,
     fix_signs,
     fork_move,
@@ -376,6 +378,25 @@ def test_verify_transform_rejects_corruption(triple_fork):
     assert not verify_transform(
         triple_fork, Certificate(r.circuit, tuple(perm), r.signs)
     ).ok
+
+
+def test_certify_reports_ranks_signs_and_duplicates():
+    # m=2 columns: +XI (rank 1), -ZY (rank 4), +ZZ (rank 5), +XI again,
+    # +iXI (imaginary phase) and +IX (not of JW shape)
+    letters = np.array([[1, 3, 3, 1, 1, 0], [0, 2, 3, 0, 0, 1]], dtype=np.uint8)
+    phases = np.array([0, 2, 0, 0, 1, 0], dtype=np.uint8)
+    report = certify(letters, phases, (1, -1, 1, 1, 1, 1))
+    assert report.results == (True, True, True, False, False, False)
+    assert report.failed_ranks == (4, 5, 6)
+    assert report.ranks == (1, 4, 5, 1, 0, 0)
+    assert report.signs == (1, -1, 1, 1, 0, 0)
+    # a wrong declared sign fails that column only, and frees its rank
+    # for the later duplicate
+    assert certify(letters, phases, (-1, -1, 1, 1, 1, 1)).results[:4] == (
+        False, True, True, True,
+    )
+    # without declared signs any plain sign passes
+    assert certify(letters, phases).results == report.results
 
 
 def test_verify_transform_size_mismatch(triple_fork):
