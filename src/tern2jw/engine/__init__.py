@@ -22,7 +22,7 @@ from .tables import (
 )
 
 
-def encode_gates(gates, num_qubits: int) -> np.ndarray:
+def encode_gates(gates) -> np.ndarray:
     """Encode (kind, targets) gate pairs as the int32 (L, 3) op array."""
     ops = np.zeros((len(gates), 3), dtype=np.int32)
     for i, (kind, targets) in enumerate(gates):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .clifford import Circuit, Gate
 from .pauli import PauliString
-from .straighten import TransformReport, certify
+from .straighten import Certificate, TransformReport, certify, check_certificate_span
+from .tree import TernaryTree
 
 DEFAULT_CAP = 8
 
@@ -38,9 +39,6 @@ class ExactMatrix:
     @property
     def dim(self) -> int:
         return self.re.shape[0]
-
-    def conj_t(self) -> "ExactMatrix":
-        return ExactMatrix(self.re.T.copy(), -self.im.T)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         re = self.re @ other.re - self.im @ other.im
@@ -235,23 +233,22 @@ def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> Paul
     return decode_pauli(mat, p.num_qubits)
 
 
-def oracle_check(tree, result, cap: int = DEFAULT_CAP) -> TransformReport:
-    """Certify a straighten result: every generator must land on its signed
-    JW image under the recorded permutation.
+def oracle_check(
+    tree: TernaryTree, cert: Certificate, cap: int = DEFAULT_CAP
+) -> TransformReport:
+    """Certify a certificate (a StraightenResult is one): every generator
+    must land on its signed JW image under the recorded permutation.
 
-    `tree` is a TernaryTree and `result` anything with circuit, permutation
-    and signs attributes; the generator images are re-derived here from the
-    matrices alone and then matched by the same certify as the engine's.
+    The generator images are re-derived here from the matrices alone and
+    then matched by the same certify as the engine's.
     """
     from .tree import tree_generators
 
+    check_certificate_span(tree, cert)
     _check_cap(tree.num_qubits, cap)
-    circ = result.circuit
-    extra = getattr(result, "signfix", None)
-    if extra:
-        circ = Circuit(circ.num_qubits, tuple(circ.gates) + tuple(extra))
-    images = [oracle_conjugate(circ, p, cap) for p in tree_generators(tree).strings]
+    gens = tree_generators(tree).strings
+    images = [oracle_conjugate(cert.circuit, p, cap) for p in gens]
     letters = np.array([img.letters for img in images], dtype=np.uint8).T
     phases = np.array([img.phase for img in images], dtype=np.uint8)
-    perm_idx = np.asarray(result.permutation, dtype=np.int64) - 1
-    return certify(letters[perm_idx], phases, result.signs)
+    perm_idx = np.asarray(cert.permutation, dtype=np.int64) - 1
+    return certify(letters[perm_idx], phases, cert.signs)

@@ -61,31 +61,35 @@ _SLOT = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True)
-class StraightenResult:
-    """Certificate of one tree-to-chain reduction.
+class Certificate:
+    """A claimed tree-to-chain transform: circuit, PERM and SIGNS.
 
-    circuit acts on the original wires, first-listed gate first. For every
-    original leaf rank j, conjugating generator j through the circuit and
-    renaming wire permutation[i] to i gives signs[j] times the JW generator
-    at rank ranks[j]. signfix, when present, is the Pauli layer appended by
-    fix_signs; signs describe the circuit with that layer included.
+    circuit acts on the original wires, first-listed gate first. The claim
+    is that conjugating generator j through the circuit and renaming wire
+    permutation[i] to i gives signs[j] times a JW generator, a different
+    one for every j.
     """
 
     circuit: Circuit
     permutation: tuple[int, ...]
     signs: tuple[int, ...]
-    ranks: tuple[int, ...]
-    signfix: tuple[Gate, ...] | None = None
 
     @property
     def num_qubits(self) -> int:
         return self.circuit.num_qubits
 
-    def full_circuit(self) -> Circuit:
-        """The circuit with the sign-fix layer (if any) appended."""
-        if not self.signfix:
-            return self.circuit
-        return Circuit(self.circuit.num_qubits, self.circuit.gates + self.signfix)
+
+@dataclass(frozen=True)
+class StraightenResult(Certificate):
+    """Certificate of one tree-to-chain reduction, with the ranks it hits.
+
+    Generator j lands on the JW generator at rank ranks[j]. signfix, when
+    present, is the Pauli layer fix_signs appended; it is already the tail
+    of circuit and is kept only as a record of that layer.
+    """
+
+    ranks: tuple[int, ...]
+    signfix: tuple[Gate, ...] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +314,7 @@ def _conjugated_images(
     letters = _letters_matrix(t)
     phases = np.zeros(letters.shape[1], dtype=np.uint8)
     if gates:
-        ops = encode_gates([(g.kind, g.targets) for g in gates], t.num_qubits)
+        ops = encode_gates([(g.kind, g.targets) for g in gates])
         conjugate_inplace(letters, phases, ops)
     perm_idx = np.asarray(perm, dtype=np.int64) - 1
     return letters[perm_idx, :], phases
@@ -374,7 +378,7 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
 
 
 def fix_signs(r: StraightenResult) -> StraightenResult:
-    """Append a Pauli layer making every rank up to 2m positive.
+    """Append a Pauli layer to the circuit making every rank up to 2m positive.
 
     The flipped ranks F (never including 2m+1) are cleared by conjugating
     with the product of the JW generators over F when |F| is even, or over
@@ -426,7 +430,8 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
         new_signs.append(-s if clashes % 2 else s)
     if any(s != 1 for rank, s in zip(r.ranks, new_signs) if rank <= 2 * m):
         raise RuntimeError("sign correction failed to clear ranks 1..2m")
-    return replace(r, signs=tuple(new_signs), signfix=signfix)
+    circuit = Circuit(m, r.circuit.gates + signfix)
+    return replace(r, circuit=circuit, signs=tuple(new_signs), signfix=signfix)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +483,20 @@ def map_between(a: TernaryTree, b: TernaryTree) -> MapResult:
 # certificates: circuit text plus PERM and SIGNS directives
 
 
-@dataclass(frozen=True)
-class Certificate:
-    circuit: Circuit
-    permutation: tuple[int, ...]
-    signs: tuple[int, ...]
-
-
-def certificate_format(r: StraightenResult) -> str:
-    """Full certificate text: gates (sign-fix layer included), PERM, SIGNS."""
+def certificate_format(cert: Certificate) -> str:
+    """Full certificate text: gates, PERM, SIGNS."""
     from .clifford import circuit_format
 
-    perm = " ".join(str(q) for q in r.permutation)
-    signs = " ".join("+" if s == 1 else "-" for s in r.signs)
-    return f"{circuit_format(r.full_circuit())}PERM {perm}\nSIGNS {signs}\n"
+    perm = " ".join(str(q) for q in cert.permutation)
+    signs = " ".join("+" if s == 1 else "-" for s in cert.signs)
+    return f"{circuit_format(cert.circuit)}PERM {perm}\nSIGNS {signs}\n"
 
 
 def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
-    """Parse certificate text; PERM and SIGNS are required."""
+    """Parse certificate text; PERM and SIGNS are required.
+
+    With num_qubits given, PERM must list exactly that many qubits.
+    """
     from .clifford import circuit_parse
 
     circuit, found = circuit_parse(text, num_qubits, directives=("PERM", "SIGNS"))
@@ -507,6 +508,8 @@ def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
     except ValueError:
         raise ValueError(f"bad PERM entries: {' '.join(found['PERM'])!r}") from None
     m = len(perm)
+    if num_qubits is not None and m != num_qubits:
+        raise ValueError(f"PERM lists {m} qubits, expected {num_qubits}")
     if sorted(perm) != list(range(1, m + 1)):
         raise ValueError(f"PERM is not a permutation of 1..{m}")
     if circuit.num_qubits > m:
@@ -568,6 +571,16 @@ def certify(
     )
 
 
+def check_certificate_span(t: TernaryTree, cert: Certificate) -> None:
+    """Raise ValueError unless PERM and the circuit both span exactly t's qubits."""
+    m = t.num_qubits
+    if sorted(cert.permutation) != list(range(1, m + 1)) or cert.num_qubits != m:
+        raise ValueError(
+            f"certificate PERM ({len(cert.permutation)} entries) and circuit"
+            f" ({cert.num_qubits} qubits) must both span exactly the tree's {m} qubits"
+        )
+
+
 def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
     """Engine-level check that the certificate maps t onto the JW chain.
 
@@ -575,9 +588,6 @@ def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
     declared sign times a JW generator, and the matched ranks must cover
     all of 1..2m+1.
     """
-    if len(cert.permutation) != t.num_qubits:
-        raise ValueError(
-            f"tree has {t.num_qubits} qubits, certificate {len(cert.permutation)}"
-        )
+    check_certificate_span(t, cert)
     renamed, phases = _conjugated_images(t, cert.circuit.gates, cert.permutation)
     return certify(renamed, phases, cert.signs)

@@ -78,10 +78,6 @@ class TernaryTree:
             missing = sorted(set(range(1, m + 1)) - reached)
             raise ValueError(f"unreachable qubit ids: {missing}")
 
-    def child(self, qid: int, label: str) -> int:
-        """Child (or TERMINAL) of qid at slot label."""
-        return self.children[qid - 1][XYZ.index(label)]
-
     def __str__(self) -> str:
         return tree_format(self)
 
@@ -403,24 +399,22 @@ def path_product(t: TernaryTree, path: LeafPath) -> PauliString:
     return PauliString(tuple(letters))
 
 
-# Pairwise validation cost grows as (2m+1)^2 * m; above this size it only
-# runs on request, keeping large straightenings inside their time budget.
+# Pairwise validation cost grows as (2m+1)^2 * m; above this size it is
+# skipped, keeping large generator sets inside their time budget.
 VALIDATE_LIMIT = 64
 
 
-def tree_generators(t: TernaryTree, validate: bool | None = None) -> GeneratorSet:
+def tree_generators(t: TernaryTree) -> GeneratorSet:
     """All 2m+1 path products in canonical leaf order.
 
     Validation (pairwise anticommutation, unit squares, total product a
-    phase times identity) runs automatically for m <= VALIDATE_LIMIT; a
-    failure is a library bug and raises RuntimeError.
+    phase times identity) runs for m <= VALIDATE_LIMIT only; a failure is
+    a library bug and raises RuntimeError.
     """
     leaves = tree_leaves(t)
     entries = tuple((path, path_product(t, path)) for path in leaves)
     gens = GeneratorSet(t.num_qubits, entries)
-    if validate is None:
-        validate = t.num_qubits <= VALIDATE_LIMIT
-    if validate:
+    if t.num_qubits <= VALIDATE_LIMIT:
         report = check_generator_set(gens.strings)
         if not report.ok:
             raise RuntimeError(f"internal invariant violation: {report}")

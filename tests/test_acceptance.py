@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from tern2jw import (
-    Certificate,
     Circuit,
     Gate,
     check_generator_set,
@@ -166,8 +165,7 @@ def test_criterion_7_random_tree_properties(report):
         ok = ok and len(tree_leaves(t)) == 2 * m + 1
         ok = ok and check_generator_set(tree_generators(t).strings).ok
         r = straighten(t)
-        cert = Certificate(r.circuit, r.permutation, r.signs)
-        ok = ok and verify_transform(t, cert).ok
+        ok = ok and verify_transform(t, r).ok
         fx = fix_signs(r)
         ok = ok and all(
             s == 1 for rank, s in zip(fx.ranks, fx.signs) if rank <= 2 * m
@@ -190,7 +188,7 @@ def test_criterion_8_engine_oracle_agreement(report):
     ok = True
     for g in _exhaustive_gate_list():
         circuit = Circuit(2, (g,))
-        ops = encode_gates([(g.kind, g.targets)], 2)
+        ops = encode_gates([(g.kind, g.targets)])
         for a in range(4):
             for b in range(4):
                 for phase in range(4):

@@ -30,7 +30,7 @@ def _random_letters(rng, m, n):
 
 
 def _run_engine(circuit, letters, phases):
-    ops = encode_gates([(g.kind, g.targets) for g in circuit.gates], circuit.num_qubits)
+    ops = encode_gates([(g.kind, g.targets) for g in circuit.gates])
     out_letters = letters.copy()
     out_phases = phases.copy()
     conjugate_inplace(out_letters, out_phases, ops)
@@ -38,10 +38,10 @@ def _run_engine(circuit, letters, phases):
 
 
 def test_encode_gates_layout():
-    ops = encode_gates([("H", (2,)), ("CZ", (1, 3)), ("SWAP", (4, 2))], 4)
+    ops = encode_gates([("H", (2,)), ("CZ", (1, 3)), ("SWAP", (4, 2))])
     assert ops.dtype == np.int32
     assert ops.tolist() == [[0, 1, 0], [6, 0, 2], [8, 3, 1]]
-    assert encode_gates([], 4).shape == (0, 3)
+    assert encode_gates([]).shape == (0, 3)
 
 
 def test_engine_matches_conjugate_circuit():

@@ -8,19 +8,21 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tern2jw import (
-    Certificate,
     fix_signs,
     full_ternary,
     oracle_check,
     random_tree,
     straighten,
     tree_format,
+    tree_generators,
     tree_parse,
     verify_transform,
 )
+from tern2jw.straighten import _letters_matrix
 from conftest import comb, rename
 
 
@@ -43,21 +45,17 @@ def trees(draw, max_m=40):
     return rename(t, draw(st.permutations(range(1, t.num_qubits + 1))))
 
 
-def _certificate(r):
-    return Certificate(r.full_circuit(), r.permutation, r.signs)
-
-
 @settings(max_examples=150, deadline=None)
 @given(trees())
 def test_straighten_certifies_within_cz_budget(t):
     m = t.num_qubits
     r = straighten(t)
-    assert verify_transform(t, _certificate(r)).ok
+    assert verify_transform(t, r).ok
     cz = sum(1 for g in r.circuit.gates if g.kind == "CZ")
     assert cz <= m * (m - 1).bit_length()  # m * ceil(log2 m)
     fx = fix_signs(r)
     assert all(s == 1 for rank, s in zip(fx.ranks, fx.signs) if rank <= 2 * m)
-    assert verify_transform(t, _certificate(fx)).ok
+    assert verify_transform(t, fx).ok
 
 
 # The dense oracle costs about 0.8 s per check at m=8, so it gets fewer
@@ -67,6 +65,17 @@ def test_straighten_certifies_within_cz_budget(t):
 @given(trees(max_m=8))
 def test_oracle_accepts_small_certificates(t):
     assert oracle_check(t, fix_signs(straighten(t))).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
+def test_letters_matrix_matches_tree_generators(t):
+    # the engine's slice-filled letter matrix and the path products of
+    # tree_generators are two derivations of the same generators
+    gens = tree_generators(t).strings
+    assert all(p.phase == 0 for p in gens)
+    stacked = np.array([p.letters for p in gens], dtype=np.uint8).T
+    assert np.array_equal(_letters_matrix(t), stacked)
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,6 +19,7 @@ from tern2jw import (
     jw_chain,
     jw_generator,
     map_between,
+    oracle_check,
     peephole_cancel,
     random_tree,
     relabel,
@@ -181,8 +182,7 @@ def test_straighten_fixed_point():
 def test_straighten_certifies_itself(triple_fork):
     r = straighten(triple_fork)
     assert r.permutation == (1, 7, 6, 3, 2, 4, 5)
-    cert = Certificate(r.circuit, r.permutation, r.signs)
-    assert verify_transform(triple_fork, cert).ok
+    assert verify_transform(triple_fork, r).ok
 
 
 def test_straighten_images_match_recorded_data(triple_fork):
@@ -203,8 +203,7 @@ def test_straighten_swaps_mode(triple_fork):
     r = straighten(triple_fork, swaps=True)
     assert r.permutation == tuple(range(1, 8))
     assert any(g.kind == "SWAP" for g in r.circuit.gates)
-    cert = Certificate(r.circuit, r.permutation, r.signs)
-    assert verify_transform(triple_fork, cert).ok
+    assert verify_transform(triple_fork, r).ok
 
 
 def test_straighten_random_trees_engine_invariant():
@@ -215,8 +214,7 @@ def test_straighten_random_trees_engine_invariant():
         r = straighten(t, swaps=bool(trial % 2))
         assert sorted(r.permutation) == list(range(1, m + 1))
         assert sorted(r.ranks) == list(range(1, 2 * m + 2))
-        cert = Certificate(r.circuit, r.permutation, r.signs)
-        assert verify_transform(t, cert).ok
+        assert verify_transform(t, r).ok
 
 
 def test_fix_signs_documented_two_flip_case():
@@ -230,6 +228,7 @@ def test_fix_signs_documented_two_flip_case():
     )
     fx = fix_signs(r)
     assert fx.signfix == (Gate("Z", (1,)),)
+    assert fx.circuit == Circuit(2, fx.signfix)
     assert fx.signs == (1, 1, 1, 1, 1)
 
 
@@ -252,8 +251,7 @@ def test_fix_signs_clears_all_movable_ranks():
         for rank, sign in zip(fx.ranks, fx.signs):
             if rank <= 2 * m:
                 assert sign == 1
-        cert = Certificate(fx.full_circuit(), fx.permutation, fx.signs)
-        assert verify_transform(t, cert).ok
+        assert verify_transform(t, fx).ok
 
 
 def test_fix_signs_last_rank_parity():
@@ -326,7 +324,8 @@ def test_certificate_round_trip(triple_fork):
     r = fix_signs(straighten(triple_fork))
     text = certificate_format(r)
     cert = certificate_parse(text)
-    assert cert.circuit == r.full_circuit()
+    assert cert.circuit == r.circuit
+    assert r.circuit.gates[-len(r.signfix) :] == r.signfix
     assert cert.permutation == r.permutation
     assert cert.signs == r.signs
     assert verify_transform(triple_fork, cert).ok
@@ -355,12 +354,13 @@ def test_certificate_parse_errors():
         certificate_parse("PERM 1 2\nSIGNS + + +\n")
     with pytest.raises(ValueError, match="touches qubit 3"):
         certificate_parse("H 3\nPERM 1 2\nSIGNS + + + + +\n")
+    with pytest.raises(ValueError, match="PERM lists 2 qubits, expected 3"):
+        certificate_parse("CZ 1 2\nPERM 1 2\nSIGNS + + + + +\n", num_qubits=3)
 
 
 def test_verify_transform_rejects_corruption(triple_fork):
     r = straighten(triple_fork)
-    good = Certificate(r.circuit, r.permutation, r.signs)
-    assert verify_transform(triple_fork, good).ok
+    assert verify_transform(triple_fork, r).ok
 
     dropped = Circuit(7, r.circuit.gates[:-1])
     assert not verify_transform(
@@ -400,9 +400,20 @@ def test_certify_reports_ranks_signs_and_duplicates():
 
 
 def test_verify_transform_size_mismatch(triple_fork):
-    cert = Certificate(Circuit(2, ()), (1, 2), (1, 1, 1, 1, 1))
-    with pytest.raises(ValueError, match="7 qubits"):
-        verify_transform(triple_fork, cert)
+    # both checks refuse, before any conjugation, a certificate whose PERM
+    # or circuit does not span exactly the tree's 7 qubits
+    signs = (1,) * 15
+    perm = tuple(range(1, 8))
+    for cert in (
+        Certificate(Circuit(2, ()), (1, 2), (1, 1, 1, 1, 1)),  # both narrow
+        Certificate(Circuit(7, ()), perm[:6], signs),  # short PERM
+        Certificate(Circuit(7, ()), (1,) + perm[:6], signs),  # PERM repeats q1
+        Certificate(Circuit(8, (Gate("H", (8,)),)), perm, signs),  # wide circuit
+        Certificate(Circuit(8, ()), perm + (8,), signs),  # both wide
+    ):
+        for check in (verify_transform, oracle_check):
+            with pytest.raises(ValueError, match="7 qubits"):
+                check(triple_fork, cert)
 
 
 def test_cz_budget_on_random_trees():
