@@ -8,8 +8,10 @@ Inputs come from repeated -e flags or file paths; inline texts are consumed
 first (they are invariably tree snippets, and the tree slots come first in
 every subcommand).
 
-Exit codes: 0 success, 1 verification failed, 2 parse or usage error, or a
-tree too large to certify (over MAX_LETTER_CELLS letter-matrix cells).
+Exit codes: 0 success, 1 verification failed, 2 parse or usage error, a
+tree too large to certify (over MAX_LETTER_CELLS letter-matrix cells), or
+a tree too large for the dense oracle (a 4^m-entry matrix over
+MAX_LETTER_CELLS bytes, i.e. m >= 13, whatever --oracle-cap says).
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ the per-gate conjugation divides that factor back out exactly (a conjugated
 signed Pauli matrix always keeps entries in {0, +-1, +-i}, so the division
 is exact and entries never grow).
 
-Intended for small qubit counts (default cap 8, i.e. 256x256); the symbolic
-engine is certified against this module, never the other way round.
+Intended for small qubit counts (default cap 8, i.e. 256x256); whatever the
+cap, m >= 13 is refused before any allocation, since its dense matrix would
+exceed MAX_LETTER_CELLS bytes. The symbolic engine is certified against this
+module, never the other way round.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ import numpy as np
 
 from .clifford import Circuit, Gate
 from .pauli import PauliString
-from .straighten import Certificate, TransformReport, certify, check_certificate_span
+from .straighten import (
+    MAX_LETTER_CELLS,
+    Certificate,
+    TransformReport,
+    certify,
+    check_certificate_span,
+)
 from .tree import TernaryTree
 
 DEFAULT_CAP = 8
@@ -103,6 +111,12 @@ def _scale_phase(m: ExactMatrix, k: int) -> ExactMatrix:
 def _check_cap(m: int, cap: int) -> None:
     if m > cap:
         raise ValueError(f"{m} qubits exceeds oracle cap {cap}")
+    dense_bytes = 16 << (2 * m)  # 4^m entries, int64 real and imaginary parts
+    if dense_bytes > MAX_LETTER_CELLS:
+        raise ValueError(
+            f"{m} qubits needs a {dense_bytes}-byte dense matrix, over the"
+            f" oracle's limit of {MAX_LETTER_CELLS} bytes (MAX_LETTER_CELLS)"
+        )
 
 
 def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
@@ -114,6 +128,25 @@ def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
     return _scale_phase(out, p.phase)
 
 
+def _on_rows(
+    gate: ExactMatrix, re: np.ndarray, im: np.ndarray, targets, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """gate . (re + i im), with gate embedded at its targets among the m row qubits.
+
+    Qubit 1 is the most significant bit of the row index. The target bits
+    are moved to the front of the row axes, so the cost is one small
+    matrix product over a (2^k, rest) view rather than a 2^m-square one.
+    """
+    k = len(targets)
+    axes = [t - 1 for t in targets]
+    shape = (2,) * m + (re.shape[1],)
+    back = (2,) * k + shape[k:]
+    r, i = (np.moveaxis(p.reshape(shape), axes, range(k)).reshape(1 << k, -1) for p in (re, im))
+    nr = gate.re @ r - gate.im @ i
+    ni = gate.re @ i + gate.im @ r
+    return tuple(np.moveaxis(p.reshape(back), range(k), axes).reshape(re.shape) for p in (nr, ni))
+
+
 def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     """Gate matrix embedded at its targets, identity on the other qubits.
 
@@ -122,59 +155,20 @@ def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     _check_cap(m, cap)
     if max(g.targets) > m:
         raise IndexError(f"gate {g} exceeds {m} qubits")
-    base = _GATE_MATS[g.kind]
-    dim = 1 << m
-    idx = np.arange(dim)
-    sub = np.zeros(dim, dtype=np.int64)
-    rest = idx.copy()
-    for t in g.targets:
-        bit = (idx >> (m - t)) & 1
-        sub = (sub << 1) | bit
-        rest &= ~(1 << (m - t))
-    same_rest = rest[:, None] == rest[None, :]
-    re = base.re[sub[:, None], sub[None, :]] * same_rest
-    im = base.im[sub[:, None], sub[None, :]] * same_rest
-    return ExactMatrix(re, im)
+    eye = _mat(np.eye(1 << m))
+    return ExactMatrix(*_on_rows(_GATE_MATS[g.kind], eye.re, eye.im, g.targets, m))
 
 
 def _apply_gate(mat: ExactMatrix, g: Gate, m: int) -> ExactMatrix:
     """Conjugate mat by the embedded gate: G . mat . G-dagger, rescaled for H.
 
-    Works on the tensor-reshaped matrix so the cost per gate is O(4^m)
-    rather than a full dense matrix product.
+    G-dagger acts on the columns as conj(G) acts on the rows of the
+    transpose: mat . G-dagger = (conj(G) . mat^T)^T.
     """
     base = _GATE_MATS[g.kind]
-    k = len(g.targets)
-    d = 1 << m
-    axes = [t - 1 for t in g.targets]
-
-    def left(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        shape = (2,) * m + (d,)
-        r = np.moveaxis(re.reshape(shape), axes, range(k)).reshape(1 << k, -1)
-        i = np.moveaxis(im.reshape(shape), axes, range(k)).reshape(1 << k, -1)
-        nr = base.re @ r - base.im @ i
-        ni = base.re @ i + base.im @ r
-        back = (2,) * k + tuple(s for j, s in enumerate(shape) if j not in axes)
-        nr = np.moveaxis(nr.reshape(back), range(k), axes).reshape(d, d)
-        ni = np.moveaxis(ni.reshape(back), range(k), axes).reshape(d, d)
-        return nr, ni
-
-    def right(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # mat . G-dagger with G-dagger = conj(G).T applied on the column axes
-        col_axes = [1 + a for a in axes]
-        shape = (d,) + (2,) * m
-        r = np.moveaxis(re.reshape(shape), col_axes, range(k)).reshape(1 << k, -1)
-        i = np.moveaxis(im.reshape(shape), col_axes, range(k)).reshape(1 << k, -1)
-        # (G-dagger)^T = conj(G), multiplied from the left on column blocks
-        nr = base.re @ r + base.im @ i
-        ni = base.re @ i - base.im @ r
-        back = (2,) * k + tuple(s for j, s in enumerate(shape) if j not in col_axes)
-        nr = np.moveaxis(nr.reshape(back), range(k), col_axes).reshape(d, d)
-        ni = np.moveaxis(ni.reshape(back), range(k), col_axes).reshape(d, d)
-        return nr, ni
-
-    re, im = left(mat.re, mat.im)
-    re, im = right(re, im)
+    re, im = _on_rows(base, mat.re, mat.im, g.targets, m)
+    re, im = _on_rows(ExactMatrix(base.re, -base.im), re.T, im.T, g.targets, m)
+    re, im = re.T, im.T
     if g.kind == "H":
         if (re & 1).any() or (im & 1).any():
             raise OracleError(f"inexact rescale after {g}")

@@ -24,7 +24,8 @@ original qubit pi(i)); with swaps=True a SWAP network realizing pi is
 appended instead and pi collapses to the identity. Signs are tracked
 exactly by conjugating all 2m+1 generators through the circuit in one
 batch; fix_signs appends a single-qubit Pauli layer that forces ranks
-1..2m positive (rank 2m+1 is pinned by the conserved total product).
+1..2m positive (rank 2m+1 is pinned by the conserved total product), and
+the same engine and matcher check the signs that layer leaves.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .tree import (
     TERMINAL,
     XYZ,
     TernaryTree,
+    jw_chain,
     jw_decode,
-    jw_generator,
     tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
 )
 
@@ -386,52 +387,39 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     chain coordinates and emitted as one Pauli gate per non-identity
     letter, back on the original wires. Rank 2m+1 ends up flipped exactly
     when |F| is odd: the total product is conserved, so that sign is
-    reported rather than forced. Already-positive results pass through
-    unchanged.
+    reported rather than forced. The engine conjugates the JW generators
+    through the layer and certify checks these signs. Already-positive
+    results pass through unchanged.
     """
     m = r.num_qubits
-    flipped = sorted(
-        rank for rank, s in zip(r.ranks, r.signs) if s == -1 and rank <= 2 * m
-    )
+    flipped = [rank for rank, s in zip(r.ranks, r.signs) if s == -1 and rank <= 2 * m]
     if not flipped:
         return r
-    if len(flipped) % 2 == 0:
-        chosen = flipped
-    else:
-        out = set(flipped)
-        chosen = [k for k in range(1, 2 * m + 1) if k not in out]
-    correction = [0] * m
-    for k in chosen:
-        g = jw_generator(m, k)
-        for i, letter in enumerate(g.letters):
-            correction[i] ^= letter
-    signfix = tuple(
-        Gate("IXYZ"[letter], (r.permutation[i],))
-        for i, letter in enumerate(correction)
-        if letter
-    )
-    if not signfix:
-        raise RuntimeError("sign correction collapsed to the identity")
+    _check_letter_cells(m)
+    jw = _letters_matrix(jw_chain(m))  # column k-1: the JW generator at rank k
+    chosen = np.zeros(2 * m + 1, dtype=bool)
+    chosen[np.asarray(flipped) - 1] = True
+    odd = len(flipped) % 2
+    if odd:
+        chosen[: 2 * m] = ~chosen[: 2 * m]
+    correction = np.bitwise_xor.reduce(jw, axis=1, where=chosen, initial=0)
+    layer = [(i, "IXYZ"[letter]) for i, letter in enumerate(correction.tolist()) if letter]
 
-    # recompute signs: generator at rank k flips iff the correction
-    # anticommutes with the JW generator at k (one prefix count suffices)
-    xy_prefix = [0]
-    for letter in correction:
-        xy_prefix.append(xy_prefix[-1] + (letter in (1, 2)))
-    new_signs = []
-    for rank, s in zip(r.ranks, r.signs):
-        if rank == 2 * m + 1:
-            clashes = xy_prefix[m]
-        else:
-            k = (rank + 1) // 2
-            own = 1 if rank % 2 else 2  # X on odd ranks, Y on even
-            here = correction[k - 1]
-            clashes = xy_prefix[k - 1] + (1 if here and here != own else 0)
-        new_signs.append(-s if clashes % 2 else s)
-    if any(s != 1 for rank, s in zip(r.ranks, new_signs) if rank <= 2 * m):
+    # conjugate the JW generators, in rank order and with their current
+    # signs, through the layer in chain coordinates
+    phases = np.zeros(2 * m + 1, dtype=np.uint8)
+    phases[np.asarray(r.ranks) - 1] = 1 - np.asarray(r.signs)
+    conjugate_inplace(jw, phases, encode_gates([(kind, (i + 1,)) for i, kind in layer]))
+    expected = [1] * (2 * m + 1)
+    last = r.signs[r.ranks.index(2 * m + 1)]
+    expected[2 * m] = -last if odd else last
+    report = certify(jw, phases, expected)
+    if not report.ok:
         raise RuntimeError("sign correction failed to clear ranks 1..2m")
+    signfix = tuple(Gate(kind, (r.permutation[i],)) for i, kind in layer)
     circuit = Circuit(m, r.circuit.gates + signfix)
-    return replace(r, circuit=circuit, signs=tuple(new_signs), signfix=signfix)
+    signs = tuple(report.signs[rank - 1] for rank in r.ranks)
+    return replace(r, circuit=circuit, signs=signs, signfix=signfix)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,21 @@ def test_verify_oracle_skip(tmp_path, capsys):
     assert out == "engine pass\noracle skip m=7 cap=5\n"
 
 
+def test_verify_refuses_oracle_over_dense_limit(tmp_path, capsys):
+    # 13 qubits need a 4^13-entry dense matrix at 16 bytes an entry, over
+    # the MAX_LETTER_CELLS budget whatever --oracle-cap allows
+    tree = tree_format(jw_chain(13))
+    code, cert, _ = _run(capsys, "straighten", "-e", tree)
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text(cert)
+    code, out, err = _run(
+        capsys, "verify", "--oracle-cap", "40", "-e", tree, str(cert_file)
+    )
+    assert code == 2
+    assert out == "engine pass\n"
+    assert err.startswith("error:") and f"limit of {MAX_LETTER_CELLS} bytes" in err
+
+
 def test_verify_malformed_certificate(tmp_path, capsys):
     cert_file = tmp_path / "nonsense.txt"
     cert_file.write_text("PERM 1 2\n")

@@ -110,6 +110,8 @@ def test_oracle_cap_enforced():
     assert dense_pauli(big, cap=9).dim == 512
     with pytest.raises(ValueError, match="exceeds oracle cap"):
         oracle_conjugate(Circuit(9, ()), big)
+    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+        dense_pauli(pauli_parse("I" * 13, 13), cap=40)
 
 
 def test_oracle_conjugate_frozen_rows():

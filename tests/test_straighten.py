@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations
 
@@ -30,6 +31,7 @@ from tern2jw import (
     verify_transform,
 )
 from tern2jw.pauli import PauliString
+from tern2jw.straighten import MAX_LETTER_CELLS
 
 from conftest import comb
 
@@ -244,14 +246,31 @@ def test_fix_signs_idempotent(triple_fork):
 
 def test_fix_signs_clears_all_movable_ranks():
     rng = random.Random(31)
-    for trial in range(40):
-        m = rng.randint(1, 8)
-        t = random_tree(m, seed=500 + trial)
+    trees = [random_tree(rng.randint(1, 8), seed=500 + trial) for trial in range(40)]
+    # large inputs with hundreds of flipped ranks: two random trees and a
+    # 400-node z-spine caterpillar
+    trees += [random_tree(600, seed) for seed in (3, 17)] + [comb(200, "z", "x")]
+    for t in trees:
+        m = t.num_qubits
         fx = fix_signs(straighten(t))
         for rank, sign in zip(fx.ranks, fx.signs):
             if rank <= 2 * m:
                 assert sign == 1
         assert verify_transform(t, fx).ok
+
+
+def test_fix_signs_refuses_oversized_result():
+    # one flipped rank is enough to need the JW letter matrix, which is
+    # refused before it is allocated
+    m = math.isqrt(MAX_LETTER_CELLS // 2) + 1
+    r = StraightenResult(
+        circuit=Circuit(m, ()),
+        permutation=tuple(range(1, m + 1)),
+        signs=(-1,) + (1,) * (2 * m),
+        ranks=tuple(range(1, 2 * m + 2)),
+    )
+    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+        fix_signs(r)
 
 
 def test_fix_signs_last_rank_parity():

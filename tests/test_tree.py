@@ -20,6 +20,7 @@ from tern2jw import (
     tree_leaves,
     tree_parse,
 )
+from tern2jw.straighten import _letters_matrix
 
 
 def test_parse_basic(binary3):
@@ -184,10 +185,14 @@ def test_jw_chain_generators_match_construction():
 
 
 def test_jw_generator_agrees_with_chain():
+    # fix_signs reads the JW generator at rank k off column k-1 of the
+    # chain's letter matrix
     for m in (1, 3, 5):
         strings = tree_generators(jw_chain(m)).strings
+        letters = _letters_matrix(jw_chain(m))
         for rank in range(1, 2 * m + 2):
             assert jw_generator(m, rank) == strings[rank - 1]
+            assert tuple(letters[:, rank - 1].tolist()) == jw_generator(m, rank).letters
     with pytest.raises(IndexError):
         jw_generator(2, 6)
 
