@@ -12,24 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine.tables import (
-    GATE_CODES,
-    PAIR_GATES,
-    PAIR_LETTER_A,
-    PAIR_LETTER_B,
-    PAIR_PHASE,
-    SINGLE_GATES,
-    SINGLE_LETTER,
-    SINGLE_PHASE,
-)
+from .engine import GATE_CODES, PAIR_GATES, SINGLE_GATES, conjugate_rows
 from .pauli import PauliString
-
-# Code-indexed copies of the frozen tables for single-string conjugation.
-_S_LET = tuple(tuple(row) for row in SINGLE_LETTER.tolist())
-_S_PH = tuple(tuple(row) for row in SINGLE_PHASE.tolist())
-_P_LET_A = tuple(tuple(row) for row in PAIR_LETTER_A.tolist())
-_P_LET_B = tuple(tuple(row) for row in PAIR_LETTER_B.tolist())
-_P_PH = tuple(tuple(row) for row in PAIR_PHASE.tolist())
 
 _INVERSE_KIND = {name: name for name in SINGLE_GATES + PAIR_GATES}
 _INVERSE_KIND["S"] = "SDG"
@@ -94,24 +78,17 @@ class Circuit:
 
 
 def conjugate_gate(g: Gate, p: PauliString) -> PauliString:
-    """Exact adjoint action g p g-dagger, including phase."""
+    """Exact adjoint action g p g-dagger, including phase, by the engine rules."""
     if max(g.targets) > p.num_qubits:
         raise IndexError(f"gate {g} exceeds {p.num_qubits} qubits")
-    code = GATE_CODES[g.kind]
+    rows = [t - 1 for t in g.targets]
+    z = [p.letters[r] >> 1 for r in rows]
+    x = [(p.letters[r] ^ zr) & 1 for r, zr in zip(rows, z)]
+    flip = conjugate_rows(GATE_CODES[g.kind], x, z, 0, len(rows) - 1)
     letters = list(p.letters)
-    if len(g.targets) == 1:
-        a = g.targets[0] - 1
-        la = letters[a]
-        phase = (p.phase + _S_PH[code][la]) & 3
-        letters[a] = _S_LET[code][la]
-    else:
-        k = code - len(SINGLE_GATES)
-        a, b = g.targets[0] - 1, g.targets[1] - 1
-        idx = (letters[a] << 2) | letters[b]
-        phase = (p.phase + _P_PH[k][idx]) & 3
-        letters[a] = _P_LET_A[k][idx]
-        letters[b] = _P_LET_B[k][idx]
-    return PauliString(tuple(letters), phase)
+    for r, xr, zr in zip(rows, x, z):
+        letters[r] = (xr ^ zr) | (zr << 1)
+    return PauliString(tuple(letters), p.phase ^ (flip << 1))
 
 
 def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
@@ -143,11 +120,11 @@ def peephole_cancel(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, tuple(stack))
 
 
-def circuit_format(c: Circuit, header: bool = True) -> str:
-    """Text form: optional `QUBITS m` header, then one gate per line."""
-    lines = [f"QUBITS {c.num_qubits}"] if header else []
+def circuit_format(c: Circuit) -> str:
+    """Text form: a `QUBITS m` header, then one gate per line."""
+    lines = [f"QUBITS {c.num_qubits}"]
     lines.extend(str(g) for g in c.gates)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_gate_line(tokens: list[str], lineno: int) -> Gate:

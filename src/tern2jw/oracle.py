@@ -22,13 +22,12 @@ import numpy as np
 from .clifford import Circuit, Gate
 from .pauli import PauliString
 from .straighten import (
-    MAX_LETTER_CELLS,
     Certificate,
     TransformReport,
     certify,
     check_certificate_span,
 )
-from .tree import TernaryTree
+from .tree import MAX_LETTER_CELLS, TernaryTree
 
 DEFAULT_CAP = 8
 

@@ -38,9 +38,11 @@ import numpy as np
 from .clifford import Circuit, Gate, invert_circuit
 from .engine import conjugate_inplace, encode_gates
 from .tree import (
+    MAX_LETTER_CELLS,  # noqa: F401 -- re-exported, the cap straighten enforces
     TERMINAL,
     XYZ,
     TernaryTree,
+    _check_letter_cells,
     jw_chain,
     jw_decode,
     tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
@@ -268,20 +270,6 @@ def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
     return [q for _, q in forks], _subtree_sizes(kids, order)
 
 
-# Cells (one byte each) allowed in the (m, 2m+1) letter matrix that
-# certification conjugates; 2**28 admits m up to 11584 (256 MiB).
-MAX_LETTER_CELLS = 1 << 28
-
-
-def _check_letter_cells(m: int) -> None:
-    cells = m * (2 * m + 1)
-    if cells > MAX_LETTER_CELLS:
-        raise ValueError(
-            f"m={m} needs a {cells}-cell letter matrix, over the cap of"
-            f" {MAX_LETTER_CELLS} cells (MAX_LETTER_CELLS)"
-        )
-
-
 def _letters_matrix(t: TernaryTree) -> np.ndarray:
     """(m, 2m+1) uint8 letter codes of the path products, one per column.
 
@@ -314,9 +302,7 @@ def _conjugated_images(
     _check_letter_cells(t.num_qubits)
     letters = _letters_matrix(t)
     phases = np.zeros(letters.shape[1], dtype=np.uint8)
-    if gates:
-        ops = encode_gates([(g.kind, g.targets) for g in gates])
-        conjugate_inplace(letters, phases, ops)
+    conjugate_inplace(letters, phases, encode_gates([(g.kind, g.targets) for g in gates]))
     perm_idx = np.asarray(perm, dtype=np.int64) - 1
     return letters[perm_idx, :], phases
 

@@ -409,8 +409,10 @@ def tree_generators(t: TernaryTree) -> GeneratorSet:
 
     Validation (pairwise anticommutation, unit squares, total product a
     phase times identity) runs for m <= VALIDATE_LIMIT only; a failure is
-    a library bug and raises RuntimeError.
+    a library bug and raises RuntimeError. Trees over MAX_LETTER_CELLS
+    raise ValueError before any string is built.
     """
+    _check_letter_cells(t.num_qubits)
     leaves = tree_leaves(t)
     entries = tuple((path, path_product(t, path)) for path in leaves)
     gens = GeneratorSet(t.num_qubits, entries)
@@ -470,6 +472,25 @@ def jw_generator(m: int, rank: int) -> PauliString:
     k = (rank + 1) // 2
     letters = [3] * (k - 1) + [1 if rank % 2 else 2] + [0] * (m - k)
     return PauliString(tuple(letters))
+
+
+# Cells (one byte each) allowed in the (m, 2m+1) letter matrix that
+# certification conjugates; 2**28 admits m up to 11584. The measured
+# tracemalloc peak of straighten and verify_transform is about 3.1x the
+# matrix (7.0-7.6 MiB for the 2.28 MiB matrix of full_ternary(6), 92-95 MiB
+# for the 30.5 MiB one at m=4000), because jw_decode holds three full-size
+# arrays at once: the renamed matrix, its non-Z mask and argmax's axis-0
+# copy. At the cap that is about 0.8 GiB.
+MAX_LETTER_CELLS = 1 << 28
+
+
+def _check_letter_cells(m: int) -> None:
+    cells = m * (2 * m + 1)
+    if cells > MAX_LETTER_CELLS:
+        raise ValueError(
+            f"m={m} needs a {cells}-cell letter matrix, over the cap of"
+            f" {MAX_LETTER_CELLS} cells (MAX_LETTER_CELLS)"
+        )
 
 
 def jw_decode(letters: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

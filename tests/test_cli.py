@@ -201,9 +201,10 @@ def test_oversized_tree_exits_2(tmp_path, capsys):
     m = math.isqrt(MAX_LETTER_CELLS // 2) + 1  # letter matrix just over the cap
     tree = tmp_path / "chain.txt"
     tree.write_text(tree_format(jw_chain(m)))
-    code, out, err = _run(capsys, "straighten", str(tree))
-    assert code == 2 and out == ""
-    assert f"m={m} " in err and f"cap of {MAX_LETTER_CELLS} cells" in err
+    for command in ("straighten", "generators", "stats"):
+        code, out, err = _run(capsys, command, str(tree))
+        assert code == 2 and out == "", command
+        assert f"m={m} " in err and f"cap of {MAX_LETTER_CELLS} cells" in err, command
     cert = tmp_path / "cert.txt"
     perm = " ".join(str(q) for q in range(1, m + 1))
     cert.write_text(f"PERM {perm}\nSIGNS {' '.join('+' * (2 * m + 1))}\n")

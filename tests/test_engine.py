@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import numpy as np
 
-from tern2jw import Circuit, Gate, conjugate_circuit
+from tern2jw import Circuit, Gate, conjugate_circuit, oracle_conjugate
 from tern2jw.engine import conjugate_inplace, encode_gates
 from tern2jw.pauli import PauliString
 
@@ -42,6 +43,35 @@ def test_encode_gates_layout():
     assert ops.dtype == np.int32
     assert ops.tolist() == [[0, 1, 0], [6, 0, 2], [8, 3, 1]]
     assert encode_gates([]).shape == (0, 3)
+    letters = np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.uint8)
+    phases = np.array([0, 1, 2, 3], dtype=np.uint8)
+    out_letters, out_phases = letters.copy(), phases.copy()
+    conjugate_inplace(out_letters, out_phases, encode_gates([]))
+    assert np.array_equal(out_letters, letters) and np.array_equal(out_phases, phases)
+
+
+def _check_batch_against_oracle(g, m):
+    # one column per (letters, phase): every input of the gate in one batch
+    cols = list(itertools.product(*[range(4)] * m, range(4)))
+    letters = np.array([c[:m] for c in cols], dtype=np.uint8).T.copy()
+    phases = np.array([c[m] for c in cols], dtype=np.uint8)
+    circuit = Circuit(m, (g,))
+    out_letters, out_phases = _run_engine(circuit, letters, phases)
+    for j, col in enumerate(cols):
+        want = oracle_conjugate(circuit, PauliString(col[:m], col[m]))
+        got = PauliString(tuple(int(v) for v in out_letters[:, j]), int(out_phases[j]))
+        assert got == want, (str(g), col)
+
+
+def test_single_gate_batches_match_oracle():
+    for kind in SINGLE:
+        _check_batch_against_oracle(Gate(kind, (1,)), 1)
+
+
+def test_pair_gate_batches_match_oracle():
+    for kind in PAIR:
+        for targets in ((1, 2), (2, 1)):
+            _check_batch_against_oracle(Gate(kind, targets), 2)
 
 
 def test_engine_matches_conjugate_circuit():
