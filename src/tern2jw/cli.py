@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from .clifford import circuit_format, peephole_cancel
 from .oracle import oracle_check
-from .pauli import pauli_mul, pauli_weight
+from .pauli import LETTERS
 from .straighten import (
     TransformReport,
     certificate_format,
@@ -33,7 +33,7 @@ from .straighten import (
     straighten,
     verify_transform,
 )
-from .tree import TernaryTree, tree_format, tree_generators, tree_parse
+from .tree import TernaryTree, _batch_product, tree_format, tree_generators, tree_parse
 
 _NEEDS = {
     "generators": ("TREE",),
@@ -43,6 +43,7 @@ _NEEDS = {
     "stats": ("TREE",),
     "augment": ("TREE",),
 }
+_LETTER_BYTES = bytes.maketrans(bytes(range(4)), LETTERS.encode())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,11 +117,9 @@ def _parse_tree(name: str, text: str) -> TernaryTree:
 def _cmd_generators(args: argparse.Namespace) -> int:
     (name, text), = _gather_inputs(args)
     gens = tree_generators(_parse_tree(name, text))
-    product = None
-    for j, p in enumerate(gens.strings, start=1):
-        print(f"e{j} {p}")
-        product = p if product is None else pauli_mul(product, p)
-    print(f"product {product}")
+    for j, column in enumerate(gens.letters.T, start=1):  # each of phase +1
+        print(f"e{j} +{column.tobytes().translate(_LETTER_BYTES).decode()}")
+    print(f"product {_batch_product(gens.letters, 0)}")
     return 0
 
 
@@ -167,7 +166,7 @@ def _print_report(check: str, report: TransformReport) -> bool:
 def _cmd_stats(args: argparse.Namespace) -> int:
     (name, text), = _gather_inputs(args)
     gens = tree_generators(_parse_tree(name, text))
-    weights = [pauli_weight(p) for p in gens.strings]
+    weights = (gens.letters != 0).sum(axis=0).tolist()
     hist = Counter(weights)
     for w in sorted(hist):
         print(f"weight {w} {hist[w]}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import GATE_CODES, PAIR_GATES, SINGLE_GATES, conjugate_rows
+import numpy as np
+
+from .engine import GATE_CODES, PAIR_GATES, SINGLE_GATES, conjugate_inplace, encode_gates
 from .pauli import PauliString
 
 _INVERSE_KIND = {name: name for name in SINGLE_GATES + PAIR_GATES}
@@ -79,25 +81,17 @@ class Circuit:
 
 def conjugate_gate(g: Gate, p: PauliString) -> PauliString:
     """Exact adjoint action g p g-dagger, including phase, by the engine rules."""
-    if max(g.targets) > p.num_qubits:
-        raise IndexError(f"gate {g} exceeds {p.num_qubits} qubits")
-    rows = [t - 1 for t in g.targets]
-    z = [p.letters[r] >> 1 for r in rows]
-    x = [(p.letters[r] ^ zr) & 1 for r, zr in zip(rows, z)]
-    flip = conjugate_rows(GATE_CODES[g.kind], x, z, 0, len(rows) - 1)
-    letters = list(p.letters)
-    for r, xr, zr in zip(rows, x, z):
-        letters[r] = (xr ^ zr) | (zr << 1)
-    return PauliString(tuple(letters), p.phase ^ (flip << 1))
+    return conjugate_circuit(Circuit(p.num_qubits, (g,)), p)
 
 
 def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
-    """Fold conjugate_gate over the circuit in listed order."""
+    """Conjugate p through the circuit in listed order, as a one-column batch."""
     if c.num_qubits != p.num_qubits:
         raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
-    for g in c.gates:
-        p = conjugate_gate(g, p)
-    return p
+    letters = np.array(p.letters, dtype=np.uint8)[:, None]
+    phases = np.array([p.phase], dtype=np.uint8)
+    conjugate_inplace(letters, phases, encode_gates([(g.kind, g.targets) for g in c.gates]))
+    return PauliString(tuple(letters[:, 0].tolist()), int(phases[0]))
 
 
 def invert_circuit(c: Circuit) -> Circuit:

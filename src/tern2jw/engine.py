@@ -1,14 +1,14 @@
-"""Clifford conjugation of Pauli strings on their x and z bits.
+"""Clifford conjugation of batches of Pauli strings on their x and z bits.
 
-A letter code (I=0, X=1, Y=2, Z=3, as in the pauli module) splits into
-z = code >> 1 and x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1) and
-Z = (0, 1); (x ^ z) | (z << 1) is the code again. conjugate_rows holds
-every gate's action on those bits as a few AND, XOR and NOT operations,
-with the sign rules of Aaronson and Gottesman (quant-ph/0406196): each
-flip adds 2 to the phase exponent. It only indexes and combines bits, so
-it conjugates one string held as Python ints (clifford.conjugate_gate)
-and a batch held as uint8 x and z planes, one column per string
-(conjugate_inplace), at a few numpy row operations per gate.
+A batch is a uint8 (m, n) letter matrix (codes I=0, X=1, Y=2, Z=3, as in
+the pauli module), one string per column, with an (n,) phase row. Only
+this module splits a code into z = code >> 1 and x = (code ^ z) & 1, so
+X = (x 1, z 0), Y = (1, 1), Z = (0, 1); (x ^ z) | (z << 1) is the code
+again. conjugate_rows holds every gate's action on whole rows of the x and
+z planes as a few AND, XOR and NOT operations, with the sign rules of
+Aaronson and Gottesman (quant-ph/0406196): each flip adds 2 to the phase
+exponent. conjugate_inplace runs them at a few numpy row operations per
+gate; one string (clifford.conjugate_circuit) is a one-column batch.
 
 The test suite re-derives every rule from the dense oracle for every
 letter, letter pair and phase: acceptance criterion 8 one string at a
@@ -28,20 +28,16 @@ _H, _S, _SDG, _X, _Y, _Z, _CZ, _CX, _SWAP = range(len(GATE_CODES))
 
 
 def conjugate_rows(code: int, x, z, a: int, b: int):
-    """Conjugate qubit rows a and b of the x and z bits through one gate.
+    """Conjugate qubit rows a and b of the x and z planes through one gate.
 
-    x and z are indexed by qubit: lists of 0/1 ints for one string, or
-    uint8 (m, n) planes for a batch, updated in place. b is ignored by
-    single-qubit gates; for CX, a is the control. Returns the sign flips
-    (0 or 1, per column), computed from the bits before the update.
+    x and z are uint8 (m, n) planes of 0/1 bits, one column per string,
+    updated in place. b is ignored by single-qubit gates; for CX, a is the
+    control. Returns the (n,) sign flips (0 or 1), computed from the bits
+    before the update.
     """
     if code == _H:
         flip = x[a] & z[a]
-        # swap by three XORs: a tuple swap of numpy row views would copy
-        # one row over the other
-        x[a] ^= z[a]
-        z[a] ^= x[a]
-        x[a] ^= z[a]
+        x[a], z[a] = z[a].copy(), x[a].copy()
     elif code == _S:
         flip = x[a] & z[a]
         z[a] ^= x[a]
@@ -64,11 +60,15 @@ def conjugate_rows(code: int, x, z, a: int, b: int):
         z[a] ^= z[b]
     else:  # SWAP
         flip = 0
-        for plane in (x, z):
-            plane[a] ^= plane[b]
-            plane[b] ^= plane[a]
-            plane[a] ^= plane[b]
+        x[[a, b]] = x[[b, a]]
+        z[[a, b]] = z[[b, a]]
     return flip
+
+
+def xz_planes(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bit planes of a letter array, as new uint8 arrays."""
+    z = letters >> 1
+    return (letters ^ z) & 1, z
 
 
 def encode_gates(gates) -> np.ndarray:

@@ -43,6 +43,8 @@ from .tree import (
     XYZ,
     TernaryTree,
     _check_letter_cells,
+    _letters_matrix,
+    _subtree_sizes,
     jw_chain,
     jw_decode,
     tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
@@ -233,18 +235,6 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
 # full reduction
 
 
-def _subtree_sizes(kids, order) -> list[int]:
-    """Node count of every subtree, indexed by qubit id; size[TERMINAL] is 0.
-
-    order lists every node of the tree, each parent before its children.
-    """
-    size = [0] * (len(kids) + 1)
-    for q in reversed(order):
-        x, y, z = kids[q - 1]
-        size[q] = 1 + size[x] + size[y] + size[z]
-    return size
-
-
 def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
     """Every fork of the tree, deepest first (ties to the smallest id), and
     the subtree sizes of the input tree, indexed by qubit id.
@@ -270,36 +260,9 @@ def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
     return [q for _, q in forks], _subtree_sizes(kids, order)
 
 
-def _letters_matrix(t: TernaryTree) -> np.ndarray:
-    """(m, 2m+1) uint8 letter codes of the path products, one per column.
-
-    In canonical leaf order every subtree covers a contiguous run of
-    columns, its x, y and z branches one after another, so each row is
-    three slice fills: x (1), y (2) and z (3) over the branches' leaves.
-    """
-    m = t.num_qubits
-    kids = t.children
-    order = [t.root]
-    for q in order:  # breadth first, so parents come before children
-        order.extend(c for c in kids[q - 1] if c != TERMINAL)
-    size = _subtree_sizes(kids, order)
-    letters = np.zeros((m, 2 * m + 1), dtype=np.uint8)
-    first = [0] * (m + 1)  # first leaf column of each subtree; [0] is scratch
-    for q in order:
-        row = letters[q - 1]
-        lo = first[q]
-        for code, c in enumerate(kids[q - 1], start=1):
-            hi = lo + 2 * size[c] + 1
-            row[lo:hi] = code
-            first[c] = lo
-            lo = hi
-    return letters
-
-
 def _conjugated_images(
     t: TernaryTree, gates: Sequence[Gate], perm: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    _check_letter_cells(t.num_qubits)
     letters = _letters_matrix(t)
     phases = np.zeros(letters.shape[1], dtype=np.uint8)
     conjugate_inplace(letters, phases, encode_gates([(g.kind, g.targets) for g in gates]))
@@ -381,7 +344,6 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     flipped = [rank for rank, s in zip(r.ranks, r.signs) if s == -1 and rank <= 2 * m]
     if not flipped:
         return r
-    _check_letter_cells(m)
     jw = _letters_matrix(jw_chain(m))  # column k-1: the JW generator at rank k
     chosen = np.zeros(2 * m + 1, dtype=bool)
     chosen[np.asarray(flipped) - 1] = True

@@ -2,6 +2,7 @@ import math
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,14 @@ from tern2jw import (
     conjugate_circuit,
     full_ternary,
     jw_chain,
+    path_product,
+    pauli_format,
+    pauli_mul,
+    pauli_weight,
+    random_tree,
     tree_format,
     tree_generators,
+    tree_leaves,
     tree_parse,
 )
 from tern2jw.cli import run_cli
@@ -182,6 +189,52 @@ def test_stats_binary_tree_golden(capsys):
     code, out, _ = _run(capsys, "stats", "-e", BINARY3)
     assert code == 0
     assert out == "weight 1 1\nweight 2 6\nmax 2\nmean 1.8571\n"
+
+
+def _path_products(t):
+    return [path_product(t, path) for path in tree_leaves(t)]
+
+
+def _generators_text(t):
+    strings = _path_products(t)
+    product = strings[0]
+    for p in strings[1:]:
+        product = pauli_mul(product, p)
+    lines = [f"e{j} {pauli_format(p)}" for j, p in enumerate(strings, start=1)]
+    return "\n".join(lines + [f"product {pauli_format(product)}"]) + "\n"
+
+
+def _stats_text(t):
+    weights = [pauli_weight(p) for p in _path_products(t)]
+    hist = Counter(weights)
+    lines = [f"weight {w} {hist[w]}" for w in sorted(hist)]
+    lines += [f"max {max(weights)}", f"mean {sum(weights) / len(weights):.4f}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_generators_and_stats_match_path_products(capsys, seed):
+    for m in range(1, 41):
+        t = random_tree(m, seed)
+        text = tree_format(t)
+        assert _run(capsys, "generators", "-e", text) == (0, _generators_text(t), "")
+        assert _run(capsys, "stats", "-e", text) == (0, _stats_text(t), "")
+
+
+def test_generators_and_stats_on_long_chain(capsys):
+    m = 1500
+    text = tree_format(jw_chain(m))
+    code, out, _ = _run(capsys, "generators", "-e", text)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2 * m + 2
+    # the pair at node k multiplies to i Z_k, and the last generator is the
+    # all-Z string, so the JW set multiplies to i^m times identity
+    assert lines[-1] == "product " + pauli_format(PauliString((0,) * m, m % 4))
+    code, out, _ = _run(capsys, "stats", "-e", text)
+    # ranks 2k-1 and 2k have weight k, rank 2m+1 has weight m
+    hist = [f"weight {k} 2" for k in range(1, m)] + [f"weight {m} 3"]
+    mean = f"mean {m * (m + 2) / (2 * m + 1):.4f}"
+    assert code == 0 and out.splitlines() == hist + [f"max {m}", mean]
 
 
 def test_augment_canonicalizes(capsys):

@@ -223,6 +223,13 @@ def test_circuit_parse_errors_carry_line_numbers():
         circuit_parse("H 5\n", num_qubits=2)
 
 
+def test_conjugation_rejects_size_mismatches():
+    with pytest.raises(IndexError, match="exceeds 2 qubits"):
+        conjugate_gate(Gate("CZ", (1, 3)), pauli_parse("+XY"))
+    with pytest.raises(ValueError, match="size mismatch: circuit 3, string 2"):
+        conjugate_circuit(Circuit(3, ()), pauli_parse("+XY"))
+
+
 def test_circuit_rejects_out_of_range_targets():
     with pytest.raises(IndexError, match="exceeds 2 qubits"):
         Circuit(2, (Gate("H", (3,)),))

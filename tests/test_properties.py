@@ -15,14 +15,16 @@ from tern2jw import (
     fix_signs,
     full_ternary,
     oracle_check,
+    path_product,
     random_tree,
     straighten,
     tree_format,
     tree_generators,
+    tree_leaves,
     tree_parse,
     verify_transform,
 )
-from tern2jw.straighten import _letters_matrix
+from tern2jw.tree import _letters_matrix
 from conftest import comb, rename
 
 
@@ -69,13 +71,14 @@ def test_oracle_accepts_small_certificates(t):
 
 @settings(max_examples=150, deadline=None)
 @given(trees())
-def test_letters_matrix_matches_tree_generators(t):
-    # the engine's slice-filled letter matrix and the path products of
-    # tree_generators are two derivations of the same generators
-    gens = tree_generators(t).strings
+def test_letters_matrix_matches_path_products(t):
+    # the slice-filled letter matrix that tree_generators returns, against
+    # the paper's definition: one path product per leaf, in canonical order
+    gens = [path_product(t, path) for path in tree_leaves(t)]
     assert all(p.phase == 0 for p in gens)
     stacked = np.array([p.letters for p in gens], dtype=np.uint8).T
     assert np.array_equal(_letters_matrix(t), stacked)
+    assert np.array_equal(tree_generators(t).letters, stacked)
 
 
 @settings(max_examples=150, deadline=None)

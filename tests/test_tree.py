@@ -6,12 +6,16 @@ from tern2jw import (
     TERMINAL,
     PauliString,
     TernaryTree,
+    ValidationReport,
     check_generator_set,
     full_ternary,
     jw_chain,
     jw_generator,
     jw_match,
     path_product,
+    pauli_commutes,
+    pauli_identity,
+    pauli_mul,
     pauli_parse,
     random_tree,
     tree_augment,
@@ -20,7 +24,7 @@ from tern2jw import (
     tree_leaves,
     tree_parse,
 )
-from tern2jw.straighten import _letters_matrix
+from tern2jw.tree import _letters_matrix
 
 
 def test_parse_basic(binary3):
@@ -170,7 +174,7 @@ def test_generators_of_augmented_binary_tree(binary3):
         "+ZII",
     ]
     assert len(gens) == 7
-    assert gens.paths == tree_leaves(binary3)
+    assert not gens.letters.flags.writeable
 
 
 def test_jw_chain_generators_match_construction():
@@ -252,6 +256,55 @@ def test_check_generator_set_partial_family():
     assert report.unit_squares
     assert not report.product_is_identity
     assert not report.ok
+
+
+def test_check_generator_set_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
+        check_generator_set([pauli_parse("+XI"), pauli_parse("+IX"), pauli_parse("+XYZ")])
+
+
+def _pairwise_report(strings):
+    """check_generator_set's fields, pair by pair and by a pauli_mul fold."""
+    n = len(strings)
+    anti = tuple(
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if pauli_commutes(strings[i], strings[j])
+    )
+    identity = pauli_identity(strings[0].num_qubits)
+    squares = tuple(i + 1 for i, p in enumerate(strings) if pauli_mul(p, p) != identity)
+    product = identity
+    for p in strings:
+        product = pauli_mul(product, p)
+    return ValidationReport(
+        not anti, anti, not squares, squares, product, product.letters == identity.letters
+    )
+
+
+def test_check_generator_set_matches_pairwise_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 10)
+        strings = [
+            PauliString(tuple(rng.randint(0, 3) for _ in range(m)), rng.randint(0, 3))
+            for _ in range(n)
+        ]
+        assert check_generator_set(strings) == _pairwise_report(strings)
+    trees = [random_tree(m, s) for m in range(1, 25) for s in range(3)]
+    for t in trees + [full_ternary(1), full_ternary(2)]:
+        gens = tree_generators(t)
+        want = _pairwise_report(gens.strings)
+        assert want.ok
+        assert check_generator_set(gens) == want
+        assert check_generator_set(gens.strings) == want
+        # one string with a wrong phase or letter breaks the set
+        strings = list(gens.strings)
+        j = rng.randrange(len(strings))
+        strings[j] = PauliString(
+            strings[j].letters[:-1] + (rng.randint(0, 3),), rng.randint(0, 3)
+        )
+        assert check_generator_set(strings) == _pairwise_report(strings)
 
 
 def test_jw_match():
