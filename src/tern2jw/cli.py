@@ -22,7 +22,7 @@ from collections import Counter
 from typing import Callable, Sequence
 
 from .clifford import circuit_format, peephole_cancel
-from .oracle import oracle_check
+from .oracle import DEFAULT_CAP, oracle_check
 from .pauli import LETTERS
 from .straighten import (
     TransformReport,
@@ -84,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     vf.add_argument(
         "--oracle-cap",
         type=int,
-        default=8,
+        default=DEFAULT_CAP,
         metavar="N",
-        help="largest m checked against the dense matrix oracle (default 8)",
+        help=f"largest m checked against the dense matrix oracle (default {DEFAULT_CAP})",
     )
     add("stats", "print the generator weight histogram")
     add("augment", "print the completed tree in canonical form")

@@ -1,17 +1,18 @@
 """Exact dense-matrix ground truth for Pauli strings and Clifford circuits.
 
-All matrices carry Gaussian-integer entries held as separate int64 real and
-imaginary parts; nothing here ever touches floating point. H is stored
-unnormalized as [[1,1],[1,-1]], so conjugating by it scales a matrix by 2;
-the per-gate conjugation divides that factor back out exactly (a conjugated
-signed Pauli matrix always keeps entries in {0, +-1, +-i}, so the division
-is exact and entries never grow).
+Matrices hold Gaussian integers as int64 real and imaginary parts; nothing
+here touches floating point. One primitive, _on_rows, applies a gate to the
+row bits of its targets: dense_gate and dense_pauli apply it to the
+identity, and conjugation applies the doubled gate G (x) conj(G) to the row
+and column bits of the vectorized matrix. H is stored unnormalized as
+[[1,1],[1,-1]], so conjugating by it scales a matrix by 2, which each
+conjugation divides back out exactly (a conjugated signed Pauli matrix
+keeps entries in {0, +-1, +-i}, so entries never grow).
 
 Intended for small qubit counts (default cap 8, i.e. 256x256); whatever the
 cap, m >= 13 is refused before any allocation, since its dense matrix would
 exceed MAX_LETTER_CELLS bytes. The symbolic engine is certified against this
-module, never the other way round.
-"""
+module, never the other way round."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import Circuit, Gate
-from .pauli import PauliString
+from .pauli import PauliString, pauli_identity
 from .straighten import (
     Certificate,
     TransformReport,
@@ -76,41 +77,37 @@ def gkron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(re, im)
 
 
-_PAULI_MATS = (
-    _mat([[1, 0], [0, 1]]),
-    _mat([[0, 1], [1, 0]]),
-    _mat([[0, 0], [0, 0]], [[0, -1], [1, 0]]),
-    _mat([[1, 0], [0, -1]]),
-)
-
 _GATE_MATS = {
     "H": _mat([[1, 1], [1, -1]]),
     "S": _mat([[1, 0], [0, 0]], [[0, 0], [0, 1]]),
     "SDG": _mat([[1, 0], [0, 0]], [[0, 0], [0, -1]]),
-    "X": _PAULI_MATS[1],
-    "Y": _PAULI_MATS[2],
-    "Z": _PAULI_MATS[3],
+    "X": _mat([[0, 1], [1, 0]]),
+    "Y": _mat([[0, 0], [0, 0]], [[0, -1], [1, 0]]),
+    "Z": _mat([[1, 0], [0, -1]]),
     "CZ": _mat(np.diag([1, 1, 1, -1])),
     "CX": _mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
     "SWAP": _mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
 }
 
-# i^k applied to (re, im): k=1 maps a+bi -> -b+ai, etc.
-def _scale_phase(m: ExactMatrix, k: int) -> ExactMatrix:
-    k &= 3
-    if k == 0:
-        return m
-    if k == 1:
-        return ExactMatrix(-m.im, m.re)
-    if k == 2:
-        return ExactMatrix(-m.re, -m.im)
-    return ExactMatrix(m.im, -m.re)
+
+def _real(g: ExactMatrix) -> np.ndarray:
+    """g as a real matrix on its input's stacked parts: [[re, -im], [im, re]]."""
+    return np.block([[g.re, -g.im], [g.im, g.re]])
+
+
+# A gate on the rows of a matrix, and the same gate doubled, G (x) conj(G),
+# which conjugates the matrix through its row-major (4^m, 1) view.
+_ROW_GATES = {kind: _real(g) for kind, g in _GATE_MATS.items()}
+_CONJ_GATES = {kind: _real(gkron(g, ExactMatrix(g.re, -g.im))) for kind, g in _GATE_MATS.items()}
 
 
 def _check_cap(m: int, cap: int) -> None:
     if m > cap:
         raise ValueError(f"{m} qubits exceeds oracle cap {cap}")
-    dense_bytes = 16 << (2 * m)  # 4^m entries, int64 real and imaginary parts
+    # 4^m int64 real and imaginary parts; oracle_conjugate's tracemalloc peak
+    # is 4.0 times that (decode_pauli holds the image while dense_pauli runs):
+    # 4, 16 and 64 MiB at m = 8, 9 and 10, about 1 GiB at m = 12.
+    dense_bytes = 16 << (2 * m)
     if dense_bytes > MAX_LETTER_CELLS:
         raise ValueError(
             f"{m} qubits needs a {dense_bytes}-byte dense matrix, over the"
@@ -118,62 +115,64 @@ def _check_cap(m: int, cap: int) -> None:
         )
 
 
-def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
-    """Kronecker product of the letters (qubit 1 leftmost) times i^phase."""
-    _check_cap(p.num_qubits, cap)
-    out = _PAULI_MATS[p.letters[0]]
-    for code in p.letters[1:]:
-        out = gkron(out, _PAULI_MATS[code])
-    return _scale_phase(out, p.phase)
+def _on_rows(gate: np.ndarray, a: np.ndarray, targets) -> np.ndarray:
+    """Apply a k-qubit gate to the row bits of its targets in a (2, 2^m, cols) array.
 
-
-def _on_rows(
-    gate: ExactMatrix, re: np.ndarray, im: np.ndarray, targets, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """gate . (re + i im), with gate embedded at its targets among the m row qubits.
-
-    Qubit 1 is the most significant bit of the row index. The target bits
-    are moved to the front of the row axes, so the cost is one small
-    matrix product over a (2^k, rest) view rather than a 2^m-square one.
+    a stacks the real and imaginary parts and the gate is in real form
+    (_real), so the imaginary unit is one more bit: a is viewed as m+1 axes
+    of size 2, the unit on axis 0 and qubit q on axis q (qubit 1 the most
+    significant), then its columns. Moving the k+1 gate axes last makes the
+    cost one product of a (rest, 2^(k+1)) view, over contiguous rows, with
+    the small gate.
     """
-    k = len(targets)
-    axes = [t - 1 for t in targets]
-    shape = (2,) * m + (re.shape[1],)
-    back = (2,) * k + shape[k:]
-    r, i = (np.moveaxis(p.reshape(shape), axes, range(k)).reshape(1 << k, -1) for p in (re, im))
-    nr = gate.re @ r - gate.im @ i
-    ni = gate.re @ i + gate.im @ r
-    return tuple(np.moveaxis(p.reshape(back), range(k), axes).reshape(re.shape) for p in (nr, ni))
+    axes = (0, *targets)
+    last = range(-len(axes), 0)
+    moved = np.moveaxis(a.reshape((2,) * a.shape[1].bit_length() + (-1,)), axes, last)
+    out = moved.reshape(-1, len(gate)) @ gate.T
+    return np.moveaxis(out.reshape(moved.shape), last, axes).reshape(a.shape)
+
+
+def _pauli_parts(p: PauliString) -> np.ndarray:
+    """dense_pauli's matrix as one (2, 2^m, 2^m) array of stacked parts."""
+    dim = 1 << p.num_qubits
+    a = np.zeros((2, dim, dim), dtype=np.int64)
+    a[p.phase & 1].flat[:: dim + 1] = 1 - (p.phase & 2)
+    for q, code in enumerate(p.letters, start=1):
+        if code:
+            a = _on_rows(_ROW_GATES["IXYZ"[code]], a, (q,))
+    return a
+
+
+def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
+    """i^phase times the identity, with each letter applied at its qubit
+    (qubit 1 is the most significant bit of the row/column index)."""
+    _check_cap(p.num_qubits, cap)
+    return ExactMatrix(*_pauli_parts(p))
 
 
 def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
-    """Gate matrix embedded at its targets, identity on the other qubits.
-
-    Qubit 1 is the most significant bit of the row/column index.
-    """
+    """Gate matrix embedded at its targets, identity on the other qubits
+    (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(m, cap)
     if max(g.targets) > m:
         raise IndexError(f"gate {g} exceeds {m} qubits")
-    eye = _mat(np.eye(1 << m))
-    return ExactMatrix(*_on_rows(_GATE_MATS[g.kind], eye.re, eye.im, g.targets, m))
+    return ExactMatrix(*_on_rows(_ROW_GATES[g.kind], _pauli_parts(pauli_identity(m)), g.targets))
 
 
-def _apply_gate(mat: ExactMatrix, g: Gate, m: int) -> ExactMatrix:
-    """Conjugate mat by the embedded gate: G . mat . G-dagger, rescaled for H.
+def _apply_gate(a: np.ndarray, g: Gate, m: int) -> np.ndarray:
+    """Conjugate the stacked matrix a by the embedded gate, rescaled for H.
 
-    G-dagger acts on the columns as conj(G) acts on the rows of the
-    transpose: mat . G-dagger = (conj(G) . mat^T)^T.
+    In row-major order vec(G M G-dagger) = (G (x) conj G) vec(M), so the
+    doubled gate acts on the row bits t and the column bits m + t of M's
+    (4^m, 1) view.
     """
-    base = _GATE_MATS[g.kind]
-    re, im = _on_rows(base, mat.re, mat.im, g.targets, m)
-    re, im = _on_rows(ExactMatrix(base.re, -base.im), re.T, im.T, g.targets, m)
-    re, im = re.T, im.T
+    targets = g.targets + tuple(m + t for t in g.targets)
+    out = _on_rows(_CONJ_GATES[g.kind], a.reshape(2, -1, 1), targets).reshape(a.shape)
     if g.kind == "H":
-        if (re & 1).any() or (im & 1).any():
+        if (out & 1).any():
             raise OracleError(f"inexact rescale after {g}")
-        re >>= 1
-        im >>= 1
-    return ExactMatrix(re, im)
+        out >>= 1
+    return out
 
 
 def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
@@ -220,10 +219,10 @@ def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> Paul
     if c.num_qubits != p.num_qubits:
         raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
     _check_cap(p.num_qubits, cap)
-    mat = dense_pauli(p, cap)
+    a = _pauli_parts(p)
     for g in c.gates:
-        mat = _apply_gate(mat, g, p.num_qubits)
-    return decode_pauli(mat, p.num_qubits)
+        a = _apply_gate(a, g, p.num_qubits)
+    return decode_pauli(ExactMatrix(*a), p.num_qubits)
 
 
 def oracle_check(

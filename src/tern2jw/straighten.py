@@ -508,12 +508,15 @@ def certify(
 
 
 def check_certificate_span(t: TernaryTree, cert: Certificate) -> None:
-    """Raise ValueError unless PERM and the circuit both span exactly t's qubits."""
+    """Raise ValueError unless PERM and the circuit both span exactly t's
+    qubits and SIGNS has one entry per generator."""
     m = t.num_qubits
-    if sorted(cert.permutation) != list(range(1, m + 1)) or cert.num_qubits != m:
+    perm_ok = sorted(cert.permutation) == list(range(1, m + 1))
+    if not perm_ok or cert.num_qubits != m or len(cert.signs) != 2 * m + 1:
         raise ValueError(
             f"certificate PERM ({len(cert.permutation)} entries) and circuit"
-            f" ({cert.num_qubits} qubits) must both span exactly the tree's {m} qubits"
+            f" ({cert.num_qubits} qubits) must both span exactly the tree's {m} qubits,"
+            f" and SIGNS ({len(cert.signs)} entries) must have {2 * m + 1}"
         )
 
 

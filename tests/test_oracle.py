@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from tern2jw import (
     Certificate,
     Circuit,
     Gate,
+    PauliString,
     fix_signs,
     pauli_mul,
     pauli_parse,
@@ -14,6 +16,7 @@ from tern2jw import (
     straighten,
     verify_transform,
 )
+from tern2jw.engine import PAIR_GATES, SINGLE_GATES
 from tern2jw.oracle import (
     ExactMatrix,
     OracleError,
@@ -67,11 +70,27 @@ def test_dense_pauli_is_multiplicative():
         assert dense_pauli(a) @ dense_pauli(b) == dense_pauli(pauli_mul(a, b))
 
 
+def _exact(re, im=((0, 0), (0, 0))):
+    return ExactMatrix(np.array(re, dtype=np.int64), np.array(im, dtype=np.int64))
+
+
 def test_dense_pauli_kron_consistency():
-    a = pauli_parse("XZ")
-    assert dense_pauli(a) == gkron(
-        dense_pauli(pauli_parse("X")), dense_pauli(pauli_parse("Z"))
+    # the Kronecker fold of the letter matrices (qubit 1 leftmost), times
+    # i^phase as a 1x1 factor, for every string on 1..3 qubits
+    letter = (
+        _exact([[1, 0], [0, 1]]),
+        _exact([[0, 1], [1, 0]]),
+        _exact([[0, 0], [0, 0]], [[0, -1], [1, 0]]),
+        _exact([[1, 0], [0, -1]]),
     )
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    for m in range(1, 4):
+        for codes in itertools.product(range(4), repeat=m):
+            for phase, (re, im) in enumerate(units):
+                want = _exact([[re]], [[im]])
+                for code in codes:
+                    want = gkron(want, letter[code])
+                assert dense_pauli(PauliString(codes, phase)) == want, (codes, phase)
 
 
 def test_dense_gate_goldens():
@@ -127,6 +146,24 @@ def test_oracle_conjugate_frozen_rows():
     h = Circuit(1, (Gate("H", (1,)),))
     assert oracle_conjugate(h, pauli_parse("X")) == pauli_parse("Z")
     assert oracle_conjugate(h, pauli_parse("Y")) == pauli_parse("-Y")
+
+
+def test_oracle_conjugate_matches_matrix_products():
+    # G . P . G-dagger from dense_gate, dense_pauli and ExactMatrix products
+    # (the image doubled for the unnormalized H), for every gate and target
+    # order on 2 qubits and every letter pair and phase
+    gates = [Gate(k, (q,)) for k in SINGLE_GATES for q in (1, 2)]
+    gates += [Gate(k, t) for k in PAIR_GATES for t in ((1, 2), (2, 1))]
+    for g in gates:
+        u = dense_gate(g, 2)
+        u_dag = ExactMatrix(u.re.T, -u.im.T)
+        for codes in itertools.product(range(4), repeat=2):
+            for phase in range(4):
+                p = PauliString(codes, phase)
+                got = dense_pauli(oracle_conjugate(Circuit(2, (g,)), p))
+                scale = 2 if g.kind == "H" else 1
+                want = u @ dense_pauli(p) @ u_dag
+                assert ExactMatrix(scale * got.re, scale * got.im) == want, (g, p)
 
 
 def test_oracle_conjugate_empty_circuit():

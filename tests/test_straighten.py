@@ -420,7 +420,8 @@ def test_certify_reports_ranks_signs_and_duplicates():
 
 def test_verify_transform_size_mismatch(triple_fork):
     # both checks refuse, before any conjugation, a certificate whose PERM
-    # or circuit does not span exactly the tree's 7 qubits
+    # or circuit does not span exactly the tree's 7 qubits, or whose SIGNS
+    # does not have 15 entries (one would broadcast, 14 or 16 would not)
     signs = (1,) * 15
     perm = tuple(range(1, 8))
     for cert in (
@@ -429,6 +430,9 @@ def test_verify_transform_size_mismatch(triple_fork):
         Certificate(Circuit(7, ()), (1,) + perm[:6], signs),  # PERM repeats q1
         Certificate(Circuit(8, (Gate("H", (8,)),)), perm, signs),  # wide circuit
         Certificate(Circuit(8, ()), perm + (8,), signs),  # both wide
+        Certificate(Circuit(7, ()), perm, (1,)),  # one sign
+        Certificate(Circuit(7, ()), perm, signs[:14]),  # 2m signs
+        Certificate(Circuit(7, ()), perm, signs + (1,)),  # 2m+2 signs
     ):
         for check in (verify_transform, oracle_check):
             with pytest.raises(ValueError, match="7 qubits"):
