@@ -16,6 +16,7 @@ module, never the other way round."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,15 @@ def _real(g: ExactMatrix) -> np.ndarray:
     return np.block([[g.re, -g.im], [g.im, g.re]])
 
 
-# A gate on the rows of a matrix, and the same gate doubled, G (x) conj(G),
-# which conjugates the matrix through its row-major (4^m, 1) view.
-_ROW_GATES = {kind: _real(g) for kind, g in _GATE_MATS.items()}
-_CONJ_GATES = {kind: _real(gkron(g, ExactMatrix(g.re, -g.im))) for kind, g in _GATE_MATS.items()}
+@functools.cache
+def _gate_action(kind: str, doubled: bool = False) -> np.ndarray:
+    """A gate in real form for _on_rows, built on first use and read-only,
+    since every caller shares it. Doubled, it is G (x) conj(G), which
+    conjugates a matrix through its row-major (4^m, 1) view."""
+    g = _GATE_MATS[kind]
+    action = _real(gkron(g, ExactMatrix(g.re, -g.im)) if doubled else g)
+    action.setflags(write=False)
+    return action
 
 
 def _check_cap(m: int, cap: int) -> None:
@@ -139,7 +145,7 @@ def _pauli_parts(p: PauliString) -> np.ndarray:
     a[p.phase & 1].flat[:: dim + 1] = 1 - (p.phase & 2)
     for q, code in enumerate(p.letters, start=1):
         if code:
-            a = _on_rows(_ROW_GATES["IXYZ"[code]], a, (q,))
+            a = _on_rows(_gate_action("IXYZ"[code]), a, (q,))
     return a
 
 
@@ -156,7 +162,7 @@ def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     _check_cap(m, cap)
     if max(g.targets) > m:
         raise IndexError(f"gate {g} exceeds {m} qubits")
-    return ExactMatrix(*_on_rows(_ROW_GATES[g.kind], _pauli_parts(pauli_identity(m)), g.targets))
+    return ExactMatrix(*_on_rows(_gate_action(g.kind), _pauli_parts(pauli_identity(m)), g.targets))
 
 
 def _apply_gate(a: np.ndarray, g: Gate, m: int) -> np.ndarray:
@@ -167,7 +173,7 @@ def _apply_gate(a: np.ndarray, g: Gate, m: int) -> np.ndarray:
     (4^m, 1) view.
     """
     targets = g.targets + tuple(m + t for t in g.targets)
-    out = _on_rows(_CONJ_GATES[g.kind], a.reshape(2, -1, 1), targets).reshape(a.shape)
+    out = _on_rows(_gate_action(g.kind, True), a.reshape(2, -1, 1), targets).reshape(a.shape)
     if g.kind == "H":
         if (out & 1).any():
             raise OracleError(f"inexact rescale after {g}")

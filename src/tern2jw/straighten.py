@@ -45,6 +45,7 @@ from .tree import (
     _check_letter_cells,
     _letters_matrix,
     _subtree_sizes,
+    _walk,
     jw_chain,
     jw_decode,
     tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
@@ -72,12 +73,26 @@ class Certificate:
     circuit acts on the original wires, first-listed gate first. The claim
     is that conjugating generator j through the circuit and renaming wire
     permutation[i] to i gives signs[j] times a JW generator, a different
-    one for every j.
+    one for every j. Building one checks its shape and raises ValueError
+    unless PERM is a permutation of 1..m, the circuit spans exactly m
+    wires and SIGNS holds 2m+1 entries of +1 or -1.
     """
 
     circuit: Circuit
     permutation: tuple[int, ...]
     signs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        m = len(self.permutation)
+        if sorted(self.permutation) != list(range(1, m + 1)):
+            raise ValueError(f"PERM is not a permutation of 1..{m}")
+        if self.circuit.num_qubits != m:
+            raise ValueError(f"circuit spans {self.circuit.num_qubits} qubits but PERM lists {m}")
+        if len(self.signs) != 2 * m + 1:
+            raise ValueError(f"SIGNS lists {len(self.signs)} entries, need {2 * m + 1}")
+        bad = set(self.signs) - {1, -1}
+        if bad:
+            raise ValueError(f"SIGNS entries must be +1 or -1, got {', '.join(map(repr, bad))}")
 
     @property
     def num_qubits(self) -> int:
@@ -215,19 +230,13 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
     S, H for y). Afterwards q1 carries a single z-chain.
     """
     _check_qubit(t, q1)
-    sizes = []
-    for q in t.children[q1 - 1]:
-        n = 0
-        while q != TERMINAL:
-            n += 1
-            occupied = [c for c in t.children[q - 1] if c != TERMINAL]
-            if len(occupied) >= 2:
-                raise ValueError(f"fork at q{q} below q{q1}")
-            q = occupied[0] if occupied else TERMINAL
-        sizes.append(n)
+    forks, size = _fork_schedule(t.children, q1)
+    below = [q for q in forks if q != q1]
+    if below:
+        raise ValueError(f"fork at q{below[0]} below q{q1}")
     kids = [list(row) for row in t.children]
     out: list[Gate] = []
-    _emit_straighten_fork(kids, q1, sizes, out.append)
+    _emit_straighten_fork(kids, q1, [size[c] for c in kids[q1 - 1]], out.append)
     return Circuit(t.num_qubits, tuple(out)), _freeze(t, kids)
 
 
@@ -236,8 +245,9 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
 
 
 def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
-    """Every fork of the tree, deepest first (ties to the smallest id), and
-    the subtree sizes of the input tree, indexed by qubit id.
+    """Every fork at or below root, deepest first (ties to the smallest id),
+    and the subtree sizes of the input tree, indexed by qubit id; both are
+    read along one breadth-first walk.
 
     Straightening a fork rearranges only its own subtree, whose forks are
     all deeper and so already straightened; forks elsewhere keep their
@@ -246,16 +256,15 @@ def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
     For the same reason a fork's children, and so the node sets and sizes
     of its branches, are still those of the input tree when its turn comes.
     """
+    order = _walk(kids, root)
+    depth = [0] * (len(kids) + 1)
     forks: list[tuple[int, int]] = []
-    order: list[int] = []
-    stack = [(root, 0)]
-    while stack:
-        q, d = stack.pop()
-        order.append(q)
+    for q in order:
         occupied = [c for c in kids[q - 1] if c != TERMINAL]
+        for c in occupied:
+            depth[c] = depth[q] + 1
         if len(occupied) >= 2:
-            forks.append((-d, q))
-        stack.extend((c, d + 1) for c in occupied)
+            forks.append((-depth[q], q))
     forks.sort()
     return [q for _, q in forks], _subtree_sizes(kids, order)
 
@@ -431,7 +440,9 @@ def certificate_format(cert: Certificate) -> str:
 def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
     """Parse certificate text; PERM and SIGNS are required.
 
-    With num_qubits given, PERM must list exactly that many qubits.
+    With num_qubits given, PERM must list exactly that many qubits. A
+    circuit narrower than PERM is widened to it; Certificate checks the
+    rest of the shape.
     """
     from .clifford import circuit_parse
 
@@ -446,20 +457,16 @@ def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
     m = len(perm)
     if num_qubits is not None and m != num_qubits:
         raise ValueError(f"PERM lists {m} qubits, expected {num_qubits}")
-    if sorted(perm) != list(range(1, m + 1)):
-        raise ValueError(f"PERM is not a permutation of 1..{m}")
     if circuit.num_qubits > m:
         raise ValueError(
             f"circuit touches qubit {circuit.num_qubits} but PERM lists only {m}"
         )
-    if circuit.num_qubits != m:
-        circuit = Circuit(m, circuit.gates)
     bad = [tok for tok in found["SIGNS"] if tok not in ("+", "-")]
     if bad:
         raise ValueError(f"bad SIGNS entries: {' '.join(bad)!r}")
+    if circuit.num_qubits != m:
+        circuit = Circuit(m, circuit.gates)
     signs = tuple(1 if tok == "+" else -1 for tok in found["SIGNS"])
-    if len(signs) != 2 * m + 1:
-        raise ValueError(f"SIGNS lists {len(signs)} entries, need {2 * m + 1}")
     return Certificate(circuit, perm, signs)
 
 
@@ -508,15 +515,11 @@ def certify(
 
 
 def check_certificate_span(t: TernaryTree, cert: Certificate) -> None:
-    """Raise ValueError unless PERM and the circuit both span exactly t's
-    qubits and SIGNS has one entry per generator."""
-    m = t.num_qubits
-    perm_ok = sorted(cert.permutation) == list(range(1, m + 1))
-    if not perm_ok or cert.num_qubits != m or len(cert.signs) != 2 * m + 1:
+    """Raise ValueError unless the certificate spans exactly t's qubits;
+    its own shape (PERM, circuit, SIGNS) is checked when it is built."""
+    if cert.num_qubits != t.num_qubits:
         raise ValueError(
-            f"certificate PERM ({len(cert.permutation)} entries) and circuit"
-            f" ({cert.num_qubits} qubits) must both span exactly the tree's {m} qubits,"
-            f" and SIGNS ({len(cert.signs)} entries) must have {2 * m + 1}"
+            f"certificate spans {cert.num_qubits} qubits but the tree has {t.num_qubits} qubits"
         )
 
 

@@ -69,15 +69,10 @@ class TernaryTree:
                 if c == self.root:
                     raise ValueError(f"root {self.root} cannot be a child (of {qid})")
                 seen_child[c] = qid
-        reached = {self.root}
-        stack = [self.root]
-        while stack:
-            for c in self.children[stack.pop() - 1]:
-                if c != TERMINAL and c not in reached:
-                    reached.add(c)
-                    stack.append(c)
+        # no node has two parents and the root has none, so the walk ends
+        reached = _walk(self.children, self.root)
         if len(reached) != m:
-            missing = sorted(set(range(1, m + 1)) - reached)
+            missing = sorted(set(range(1, m + 1)) - set(reached))
             raise ValueError(f"unreachable qubit ids: {missing}")
 
     def __str__(self) -> str:
@@ -396,6 +391,15 @@ def path_product(t: TernaryTree, path: LeafPath) -> PauliString:
     return PauliString(tuple(letters))
 
 
+def _walk(kids, root) -> list[int]:
+    """The nodes below root, root included, breadth first, so each parent
+    comes before its children."""
+    order = [root]
+    for q in order:
+        order.extend(c for c in kids[q - 1] if c != TERMINAL)
+    return order
+
+
 def _subtree_sizes(kids, order) -> list[int]:
     """Node count of every subtree, indexed by qubit id; size[TERMINAL] is 0.
 
@@ -418,9 +422,7 @@ def _letters_matrix(t: TernaryTree) -> np.ndarray:
     m = t.num_qubits
     _check_letter_cells(m)
     kids = t.children
-    order = [t.root]
-    for q in order:  # breadth first, so parents come before children
-        order.extend(c for c in kids[q - 1] if c != TERMINAL)
+    order = _walk(kids, t.root)
     size = _subtree_sizes(kids, order)
     letters = np.zeros((m, 2 * m + 1), dtype=np.uint8)
     first = [0] * (m + 1)  # first leaf column of each subtree; [0] is scratch

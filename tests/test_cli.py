@@ -1,4 +1,5 @@
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from tern2jw import (
     tree_leaves,
     tree_parse,
 )
+from tern2jw import cli
 from tern2jw.cli import run_cli
 from tern2jw.pauli import PauliString
 from tern2jw.straighten import MAX_LETTER_CELLS
@@ -29,12 +31,20 @@ from tern2jw.straighten import MAX_LETTER_CELLS
 from conftest import BINARY3, TRIPLE_FORK
 
 JW4 = "(q1 :z (q2 :z (q3 :z (q4))))"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _fresh(*argv):
+    """Run a Python interpreter with this checkout's src/ on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
 
 
 def test_generators_golden(capsys):
@@ -64,6 +74,23 @@ def test_straighten_fixed_point_golden(capsys):
     code, out, err = _run(capsys, "straighten", "-e", JW4)
     assert code == 0 and err == ""
     assert out == "QUBITS 4\nPERM 1 2 3 4\nSIGNS + + + + + + + + +\n"
+
+
+def test_straighten_golden_same_depth_forks(capsys):
+    # forks q4 and q5 share depth 1, so the smaller id goes first, then the
+    # root; the gate order pins the fork schedule
+    tree = "(q1 :x (q5 :x (q2) :y (q6)) :y (q3) :z (q4 :y (q7) :z (q8)))"
+    code, out, err = _run(capsys, "straighten", "-e", tree)
+    assert code == 0 and err == ""
+    assert out == (
+        "QUBITS 8\n"
+        "H 4\nCZ 4 8\nS 4\nH 4\n"
+        "CZ 2 5\nS 5\nH 5\n"
+        "S 1\nCZ 1 3\nH 1\nCZ 1 4\nCZ 1 8\nCZ 1 7\nS 1\nH 1\n"
+        "PERM 1 7 8 4 3 5 2 6\n"
+        "SIGNS - + - - - - + - + - - - + - - - -\n"
+    )
+    assert _run(capsys, "verify", "-e", tree, "-e", out) == (0, "engine pass\noracle pass\n", "")
 
 
 def test_straighten_output_feeds_verify(tmp_path, capsys):
@@ -296,12 +323,29 @@ def test_inline_text_fills_first_slot(tmp_path, capsys):
     assert "engine pass" in out
 
 
+def test_calls_in_one_process_match_fresh_interpreters(capsys):
+    # the parser is built once and reused: flags, -e lists and the oracle
+    # cap of one call must not leak into the next
+    _, cert, _ = _run(capsys, "straighten", "-e", TRIPLE_FORK)
+    calls = [
+        ("straighten", "--fix-signs", "--swaps", "-e", TRIPLE_FORK),
+        ("straighten", "-e", TRIPLE_FORK),
+        ("verify", "-e", TRIPLE_FORK, "-e", cert),
+        ("generators", "-e", BINARY3),
+        ("verify", "--oracle-cap", "3", "-e", TRIPLE_FORK, "-e", cert),
+        ("verify", "-e", TRIPLE_FORK, "-e", cert),
+    ]
+    expected = []
+    for argv in calls:
+        proc = _fresh("-m", "tern2jw", *argv)
+        expected.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [_run(capsys, *argv) for argv in calls] == expected
+    assert expected[1][1] == cert and expected[4][1] == "engine pass\noracle skip m=7 cap=3\n"
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "tern2jw", "generators", "-e", BINARY3],
-        capture_output=True,
-        text=True,
-    )
+    proc = _fresh("-m", "tern2jw", "generators", "-e", BINARY3)
     assert proc.returncode == 0
     assert proc.stdout.endswith("product -iIII\n")
 
@@ -316,17 +360,8 @@ def test_console_script_entry_point():
     # run the entry point pyproject.toml declares the way an installed
     # wrapper script does: import it and exit with what it returns
     module, func = _declared_entry_point().split(":")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            f"import sys; from {module} import {func}; sys.exit({func}())",
-            "stats",
-            "-e",
-            BINARY3,
-        ],
-        capture_output=True,
-        text=True,
+    proc = _fresh(
+        "-c", f"import sys; from {module} import {func}; sys.exit({func}())", "stats", "-e", BINARY3
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("weight 1 1\n")

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -419,24 +420,50 @@ def test_certify_reports_ranks_signs_and_duplicates():
 
 
 def test_verify_transform_size_mismatch(triple_fork):
-    # both checks refuse, before any conjugation, a certificate whose PERM
-    # or circuit does not span exactly the tree's 7 qubits, or whose SIGNS
-    # does not have 15 entries (one would broadcast, 14 or 16 would not)
+    # a certificate whose PERM, circuit and SIGNS disagree on m cannot be
+    # built; a well-formed one on another qubit count is refused by both
+    # checks before any conjugation
     signs = (1,) * 15
     perm = tuple(range(1, 8))
+    for args, match in (
+        ((Circuit(7, ()), perm[:6], signs), "spans 7 qubits but PERM lists 6"),  # short PERM
+        ((Circuit(7, ()), (1,) + perm[:6], signs), "not a permutation of 1..7"),  # PERM repeats q1
+        ((Circuit(8, (Gate("H", (8,)),)), perm, signs), "spans 8 qubits but PERM lists 7"),  # wide circuit
+        ((Circuit(8, ()), perm + (8,), signs), "SIGNS lists 15 entries, need 17"),  # both wide
+        ((Circuit(7, ()), perm, (1,)), "SIGNS lists 1 entries"),  # one sign
+        ((Circuit(7, ()), perm, signs[:14]), "SIGNS lists 14 entries"),  # 2m signs
+        ((Circuit(7, ()), perm, signs + (1,)), "SIGNS lists 16 entries"),  # 2m+2 signs
+    ):
+        with pytest.raises(ValueError, match=match):
+            Certificate(*args)
     for cert in (
-        Certificate(Circuit(2, ()), (1, 2), (1, 1, 1, 1, 1)),  # both narrow
-        Certificate(Circuit(7, ()), perm[:6], signs),  # short PERM
-        Certificate(Circuit(7, ()), (1,) + perm[:6], signs),  # PERM repeats q1
-        Certificate(Circuit(8, (Gate("H", (8,)),)), perm, signs),  # wide circuit
-        Certificate(Circuit(8, ()), perm + (8,), signs),  # both wide
-        Certificate(Circuit(7, ()), perm, (1,)),  # one sign
-        Certificate(Circuit(7, ()), perm, signs[:14]),  # 2m signs
-        Certificate(Circuit(7, ()), perm, signs + (1,)),  # 2m+2 signs
+        Certificate(Circuit(2, ()), (1, 2), (1,) * 5),  # both narrow
+        Certificate(Circuit(8, ()), perm + (8,), (1,) * 17),  # both wide
     ):
         for check in (verify_transform, oracle_check):
             with pytest.raises(ValueError, match="7 qubits"):
                 check(triple_fork, cert)
+
+
+def test_certificate_refuses_malformed_shapes(triple_fork):
+    circuit = Circuit(3, (Gate("H", (1,)),))
+    # the shape rules test_verify_transform_size_mismatch leaves out
+    for perm, signs, match in (
+        ((1, 2, 4), (1,) * 7, "not a permutation of 1..3"),
+        ((0, 1, 2), (1,) * 7, "not a permutation of 1..3"),
+        ((3, 1, 2), (1,) * 6 + (0,), r"must be \+1 or -1, got 0"),
+        ((3, 1, 2), (1, -1, 2, 1, 1, 1, 1), r"must be \+1 or -1, got 2"),
+        ((3, 1, 2), ("+",) * 7, r"must be \+1 or -1, got '\+'"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Certificate(circuit, perm, signs)
+    assert Certificate(circuit, (3, 1, 2), (1, -1) * 3 + (-1,)).num_qubits == 3
+    # a StraightenResult is a Certificate, so editing one is checked too
+    r = straighten(triple_fork)
+    with pytest.raises(ValueError, match="SIGNS lists 14"):
+        replace(r, signs=r.signs[:-1])
+    with pytest.raises(ValueError, match="not a permutation"):
+        replace(r, permutation=(1,) * 7)
 
 
 def test_cz_budget_on_random_trees():
