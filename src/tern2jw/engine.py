@@ -8,7 +8,9 @@ again. conjugate_rows holds every gate's action on whole rows of the x and
 z planes as a few AND, XOR and NOT operations, with the sign rules of
 Aaronson and Gottesman (quant-ph/0406196): each flip adds 2 to the phase
 exponent. conjugate_inplace runs them at a few numpy row operations per
-gate; one string (clifford.conjugate_circuit) is a one-column batch.
+gate; one string (clifford.conjugate_circuit) is a one-column batch. The
+int32 (L, 3) op array they read is the only stored form of a circuit
+(clifford.Circuit.ops); encode_gates builds one from (kind, targets) pairs.
 
 The test suite re-derives every rule from the dense oracle for every
 letter, letter pair and phase: acceptance criterion 8 one string at a

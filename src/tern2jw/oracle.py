@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Circuit, Gate
+from .clifford import Circuit, Gate, _kind_targets
 from .pauli import PauliString, pauli_identity
 from .straighten import (
     Certificate,
@@ -160,23 +160,22 @@ def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     """Gate matrix embedded at its targets, identity on the other qubits
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(m, cap)
-    if max(g.targets) > m:
-        raise IndexError(f"gate {g} exceeds {m} qubits")
+    Circuit(m, (g,))  # raises IndexError for a target beyond m
     return ExactMatrix(*_on_rows(_gate_action(g.kind), _pauli_parts(pauli_identity(m)), g.targets))
 
 
-def _apply_gate(a: np.ndarray, g: Gate, m: int) -> np.ndarray:
+def _apply_gate(a: np.ndarray, kind: str, targets: tuple[int, ...], m: int) -> np.ndarray:
     """Conjugate the stacked matrix a by the embedded gate, rescaled for H.
 
     In row-major order vec(G M G-dagger) = (G (x) conj G) vec(M), so the
     doubled gate acts on the row bits t and the column bits m + t of M's
     (4^m, 1) view.
     """
-    targets = g.targets + tuple(m + t for t in g.targets)
-    out = _on_rows(_gate_action(g.kind, True), a.reshape(2, -1, 1), targets).reshape(a.shape)
-    if g.kind == "H":
+    bits = targets + tuple(m + t for t in targets)
+    out = _on_rows(_gate_action(kind, True), a.reshape(2, -1, 1), bits).reshape(a.shape)
+    if kind == "H":
         if (out & 1).any():
-            raise OracleError(f"inexact rescale after {g}")
+            raise OracleError(f"inexact rescale after H {targets[0]}")
         out >>= 1
     return out
 
@@ -226,8 +225,8 @@ def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> Paul
         raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
     _check_cap(p.num_qubits, cap)
     a = _pauli_parts(p)
-    for g in c.gates:
-        a = _apply_gate(a, g, p.num_qubits)
+    for kind, targets in map(_kind_targets, c.ops.tolist()):
+        a = _apply_gate(a, kind, targets, p.num_qubits)
     return decode_pauli(ExactMatrix(*a), p.num_qubits)
 
 

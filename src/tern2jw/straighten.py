@@ -18,7 +18,9 @@ one of its moves to the next: no node moves more than log2(m) times, and
 the circuit has at most m*ceil(log2 m) CZ gates (the heavy-path argument
 of Sleator and Tarjan).
 
-The emitted circuit acts on the original wire names. StraightenResult
+The surgeries emit op rows (gate code, row a, row b), the engine's form
+of a circuit, and the emitted circuit acts on the original wire names; the
+self-check conjugates through those rows as they are. StraightenResult
 carries the renaming as the permutation pi (chain position i holds
 original qubit pi(i)); with swaps=True a SWAP network realizing pi is
 appended instead and pi collapses to the identity. Signs are tracked
@@ -36,7 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clifford import Circuit, Gate, invert_circuit
-from .engine import conjugate_inplace, encode_gates
+from .engine import GATE_CODES, SINGLE_GATES, conjugate_inplace
+from .engine import encode_gates  # noqa: F401 -- perfbench's engine.encode_s probe binds it
 from .tree import (
     MAX_LETTER_CELLS,  # noqa: F401 -- re-exported, the cap straighten enforces
     TERMINAL,
@@ -113,14 +116,15 @@ class StraightenResult(Certificate):
 
 
 # ---------------------------------------------------------------------------
-# the two surgeries, on mutable child tables
+# the two surgeries, on mutable child tables; emit takes one op row
+# (gate code, row a, row b) with 0-based target rows
 
 
 def _emit_relabel(kids, q, key, emit) -> None:
     row = kids[q - 1]
     kids[q - 1] = [row[_SLOT[key[0]]], row[_SLOT[key[1]]], row[_SLOT[key[2]]]]
     for name in _RELABEL_GATES[key]:
-        emit(Gate(name, (q,)))
+        emit((GATE_CODES[name], q - 1, 0))
 
 
 def _emit_fork_move(kids, q1, emit) -> None:
@@ -133,7 +137,7 @@ def _emit_fork_move(kids, q1, emit) -> None:
         raise ValueError(f"fork move at q{q1}: x slot of q{q2} holds q{x2}")
     if y2 != TERMINAL:
         raise ValueError(f"fork move at q{q1}: y slot of q{q2} holds q{y2}")
-    emit(Gate("CZ", (q1, q2)))
+    emit((GATE_CODES["CZ"], q1 - 1, q2 - 1))
     kids[q1 - 1] = [z2, q2, z1]
     kids[q2 - 1] = [TERMINAL, TERMINAL, y1]
 
@@ -182,8 +186,14 @@ def _check_qubit(t: TernaryTree, q: int) -> None:
         raise ValueError(f"unknown qubit q{q} (tree has 1..{t.num_qubits})")
 
 
-def _freeze(t: TernaryTree, kids) -> TernaryTree:
-    return TernaryTree(t.num_qubits, t.root, tuple(tuple(row) for row in kids))
+def _surgery(t: TernaryTree, step) -> tuple[Circuit, TernaryTree]:
+    """step(kids, emit) run on a copy of t's child table: its op rows as a
+    circuit, and the tree the table then describes."""
+    kids = [list(row) for row in t.children]
+    rows: list[tuple[int, int, int]] = []
+    step(kids, rows.append)
+    tree = TernaryTree(t.num_qubits, t.root, tuple(map(tuple, kids)))
+    return Circuit.from_ops(t.num_qubits, rows), tree
 
 
 def relabel(
@@ -200,10 +210,7 @@ def relabel(
         raise ValueError(f"not a permutation of x, y, z: {perm!r}")
     source = {new: old for old, new in full.items()}
     key = (source["x"], source["y"], source["z"])
-    kids = [list(row) for row in t.children]
-    out: list[Gate] = []
-    _emit_relabel(kids, q, key, out.append)
-    return Circuit(t.num_qubits, tuple(out)), _freeze(t, kids)
+    return _surgery(t, lambda kids, emit: _emit_relabel(kids, q, key, emit))
 
 
 def fork_move(t: TernaryTree, q1: int) -> tuple[Gate, TernaryTree]:
@@ -214,10 +221,8 @@ def fork_move(t: TernaryTree, q1: int) -> tuple[Gate, TernaryTree]:
     q2 becomes the y-child of q1.
     """
     _check_qubit(t, q1)
-    kids = [list(row) for row in t.children]
-    out: list[Gate] = []
-    _emit_fork_move(kids, q1, out.append)
-    return out[0], _freeze(t, kids)
+    circuit, moved = _surgery(t, lambda kids, emit: _emit_fork_move(kids, q1, emit))
+    return circuit.gates[0], moved
 
 
 def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
@@ -234,10 +239,8 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
     below = [q for q in forks if q != q1]
     if below:
         raise ValueError(f"fork at q{below[0]} below q{q1}")
-    kids = [list(row) for row in t.children]
-    out: list[Gate] = []
-    _emit_straighten_fork(kids, q1, [size[c] for c in kids[q1 - 1]], out.append)
-    return Circuit(t.num_qubits, tuple(out)), _freeze(t, kids)
+    sizes = [size[c] for c in t.children[q1 - 1]]
+    return _surgery(t, lambda kids, emit: _emit_straighten_fork(kids, q1, sizes, emit))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +273,11 @@ def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
 
 
 def _conjugated_images(
-    t: TernaryTree, gates: Sequence[Gate], perm: Sequence[int]
+    t: TernaryTree, c: Circuit, perm: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     letters = _letters_matrix(t)
     phases = np.zeros(letters.shape[1], dtype=np.uint8)
-    conjugate_inplace(letters, phases, encode_gates([(g.kind, g.targets) for g in gates]))
+    conjugate_inplace(letters, phases, c.ops)
     perm_idx = np.asarray(perm, dtype=np.int64) - 1
     return letters[perm_idx, :], phases
 
@@ -291,8 +294,8 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     m = t.num_qubits
     _check_letter_cells(m)  # before any synthesis work
     kids = [list(row) for row in t.children]
-    gates: list[Gate] = []
-    emit = gates.append
+    rows: list[tuple[int, int, int]] = []
+    emit = rows.append
     forks, size = _fork_schedule(kids, t.root)
     for fork in forks:
         _emit_straighten_fork(kids, fork, [size[c] for c in kids[fork - 1]], emit)
@@ -322,14 +325,15 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
                 nxt = dest[nxt]
             done.update(cycle)
             for a, b in zip(reversed(cycle[:-1]), reversed(cycle[1:])):
-                emit(Gate("SWAP", (a, b)))
+                emit((GATE_CODES["SWAP"], a - 1, b - 1))
         chain = list(range(1, m + 1))
 
-    report = certify(*_conjugated_images(t, gates, chain))
+    circuit = Circuit.from_ops(m, rows)
+    report = certify(*_conjugated_images(t, circuit, chain))
     if not report.ok:
         raise RuntimeError("conjugated generators left the signed JW set")
     return StraightenResult(
-        circuit=Circuit(m, tuple(gates)),
+        circuit=circuit,
         permutation=tuple(chain),
         signs=report.signs,
         ranks=report.ranks,
@@ -360,22 +364,27 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     if odd:
         chosen[: 2 * m] = ~chosen[: 2 * m]
     correction = np.bitwise_xor.reduce(jw, axis=1, where=chosen, initial=0)
-    layer = [(i, "IXYZ"[letter]) for i, letter in enumerate(correction.tolist()) if letter]
+    sites = np.flatnonzero(correction)
+    # the layer's op rows in chain coordinates: letter X, Y, Z -> gate X, Y, Z
+    layer = np.zeros((len(sites), 3), dtype=np.int64)
+    layer[:, 0] = correction[sites] + (GATE_CODES["X"] - 1)
+    layer[:, 1] = sites
 
     # conjugate the JW generators, in rank order and with their current
     # signs, through the layer in chain coordinates
     phases = np.zeros(2 * m + 1, dtype=np.uint8)
     phases[np.asarray(r.ranks) - 1] = 1 - np.asarray(r.signs)
-    conjugate_inplace(jw, phases, encode_gates([(kind, (i + 1,)) for i, kind in layer]))
+    conjugate_inplace(jw, phases, layer)
     expected = [1] * (2 * m + 1)
     last = r.signs[r.ranks.index(2 * m + 1)]
     expected[2 * m] = -last if odd else last
     report = certify(jw, phases, expected)
     if not report.ok:
         raise RuntimeError("sign correction failed to clear ranks 1..2m")
-    signfix = tuple(Gate(kind, (r.permutation[i],)) for i, kind in layer)
-    circuit = Circuit(m, r.circuit.gates + signfix)
+    layer[:, 1] = np.asarray(r.permutation)[sites] - 1  # back on the original wires
+    circuit = Circuit.from_ops(m, np.concatenate((r.circuit.ops, layer)))
     signs = tuple(report.signs[rank - 1] for rank in r.ranks)
+    signfix = tuple(Gate(SINGLE_GATES[code], (q + 1,)) for code, q, _ in layer.tolist())
     return replace(r, circuit=circuit, signs=signs, signfix=signfix)
 
 
@@ -420,8 +429,8 @@ def map_between(a: TernaryTree, b: TernaryTree) -> MapResult:
         raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
     ra = straighten(a, swaps=True)
     rb = straighten(b, swaps=True)
-    gates = ra.circuit.gates + invert_circuit(rb.circuit).gates
-    return MapResult(Circuit(a.num_qubits, gates), ra, rb)
+    ops = np.concatenate((ra.circuit.ops, invert_circuit(rb.circuit).ops))
+    return MapResult(Circuit.from_ops(a.num_qubits, ops), ra, rb)
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +453,15 @@ def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
     circuit narrower than PERM is widened to it; Certificate checks the
     rest of the shape.
     """
-    from .clifford import circuit_parse
+    from .clifford import _is_index, circuit_parse
 
     circuit, found = circuit_parse(text, num_qubits, directives=("PERM", "SIGNS"))
     for name in ("PERM", "SIGNS"):
         if name not in found:
             raise ValueError(f"certificate is missing its {name} line")
-    try:
-        perm = tuple(int(tok) for tok in found["PERM"])
-    except ValueError:
-        raise ValueError(f"bad PERM entries: {' '.join(found['PERM'])!r}") from None
+    if not all(map(_is_index, found["PERM"])):
+        raise ValueError(f"bad PERM entries: {' '.join(found['PERM'])!r}")
+    perm = tuple(map(int, found["PERM"]))
     m = len(perm)
     if num_qubits is not None and m != num_qubits:
         raise ValueError(f"PERM lists {m} qubits, expected {num_qubits}")
@@ -465,7 +473,7 @@ def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
     if bad:
         raise ValueError(f"bad SIGNS entries: {' '.join(bad)!r}")
     if circuit.num_qubits != m:
-        circuit = Circuit(m, circuit.gates)
+        circuit = Circuit.from_ops(m, circuit.ops)
     signs = tuple(1 if tok == "+" else -1 for tok in found["SIGNS"])
     return Certificate(circuit, perm, signs)
 
@@ -531,5 +539,5 @@ def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
     all of 1..2m+1.
     """
     check_certificate_span(t, cert)
-    renamed, phases = _conjugated_images(t, cert.circuit.gates, cert.permutation)
+    renamed, phases = _conjugated_images(t, cert.circuit, cert.permutation)
     return certify(renamed, phases, cert.signs)

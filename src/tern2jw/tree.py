@@ -14,15 +14,17 @@ exactly 1..m; they double as tensor positions in the Pauli strings.
 
 Text grammar (whitespace-insensitive):
 
-    tree := "_" | "(" "q" INT [":x" tree] [":y" tree] [":z" tree] ")"
+    tree := "_" | "(" "q" DIGITS [":x" tree] [":y" tree] [":z" tree] ")"
 
-Omitted labels mean terminal; "_" is an explicit terminal. The canonical
-formatter omits terminals.
+DIGITS are ASCII 0-9. Omitted labels mean terminal; "_" is an explicit
+terminal. `#` starts a comment running to the end of the line. The
+canonical formatter omits terminals.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -113,38 +115,35 @@ class ValidationReport:
 # text codec
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "#":
-            # comment to end of line; positions of later tokens stay true
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()_":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch == ":":
-            if i + 1 < n and text[i + 1] in "xyz":
-                tokens.append((":", text[i + 1], i))
-                i += 2
-            else:
-                raise ValueError(f"expected :x, :y or :z at position {i + 1}")
-        elif ch == "q":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ValueError(f"expected digits after 'q' at position {i + 1}")
-            tokens.append(("q", int(text[i + 1 : j]), i))
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} at position {i + 1}")
+# one token per match: a comment, a bracket or terminal, a label, a qubit
+# id, or any other non-space character (an error); re compiles it on first
+# use, not at import
+_TOKEN = r"#[^\n]*|[()_]|:[xyz]|q[0-9]+|\S"
+_MARKS = ("(", ")", "_", ":x", ":y", ":z")  # every other good token is q + digits
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of tree text, comments dropped; raises at the first
+    character no token starts with."""
+    tokens = re.findall(_TOKEN, text)
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    rest = set(tokens).difference(_MARKS)
+    if rest and min(map(len, rest)) == 1:  # a lone character no token starts with
+        i, ch = next(
+            (i, t) for i, t in zip(_positions(text), tokens) if len(t) == 1 and t not in "()_"
+        )
+        if ch == ":":
+            raise ValueError(f"expected :x, :y or :z at position {i + 1}")
+        if ch == "q":
+            raise ValueError(f"expected digits after 'q' at position {i + 1}")
+        raise ValueError(f"unexpected character {ch!r} at position {i + 1}")
     return tokens
+
+
+def _positions(text: str) -> list[int]:
+    """0-based start of each token of text, for error messages."""
+    return [m.start() for m in re.finditer(_TOKEN, text) if m.group()[0] != "#"]
 
 
 def tree_parse(text: str) -> TernaryTree:
@@ -158,30 +157,30 @@ def tree_parse(text: str) -> TernaryTree:
         raise ValueError("empty tree text")
 
     kids: dict[int, list[int]] = {}
-    first_pos: dict[int, int] = {}
+    first_token: dict[int, int] = {}
     used_labels: dict[int, set[str]] = {}
     stack: list[int] = []
     root = None
     attach: tuple[int, str] | None = None
     i = 0
 
-    def fail(pos: int, msg: str) -> ValueError:
-        return ValueError(f"{msg} at position {pos + 1}")
+    def fail(token: int, msg: str) -> ValueError:
+        return ValueError(f"{msg} at position {_positions(text)[token] + 1}")
 
     while i < len(tokens):
-        kind, value, pos = tokens[i]
+        kind = tokens[i][0]
         if kind == "(":
             if root is not None and not stack:
-                raise fail(pos, "trailing content after the root tree")
+                raise fail(i, "trailing content after the root tree")
             if stack and attach is None:
-                raise fail(pos, "subtree needs a :x/:y/:z label")
+                raise fail(i, "subtree needs a :x/:y/:z label")
             if i + 1 >= len(tokens) or tokens[i + 1][0] != "q":
-                raise fail(pos, "expected qubit id after '('")
-            qid = tokens[i + 1][1]
+                raise fail(i, "expected qubit id after '('")
+            qid = int(tokens[i + 1][1:])
             if qid in kids:
-                raise fail(tokens[i + 1][2], f"duplicate qubit id q{qid}")
+                raise fail(i + 1, f"duplicate qubit id q{qid}")
             kids[qid] = [TERMINAL, TERMINAL, TERMINAL]
-            first_pos[qid] = tokens[i + 1][2]
+            first_token[qid] = i + 1
             used_labels[qid] = set()
             if attach is None:
                 root = qid
@@ -193,25 +192,25 @@ def tree_parse(text: str) -> TernaryTree:
             i += 2
         elif kind == "_":
             if attach is None:
-                raise fail(pos, "terminal '_' needs a :x/:y/:z label")
+                raise fail(i, "terminal '_' needs a :x/:y/:z label")
             attach = None
             i += 1
         elif kind == ":":
             if attach is not None:
-                raise fail(pos, "label is missing its subtree")
+                raise fail(i, "label is missing its subtree")
             if not stack:
-                raise fail(pos, "label outside a node")
-            parent = stack[-1]
+                raise fail(i, "label outside a node")
+            parent, value = stack[-1], tokens[i][1]
             if value in used_labels[parent]:
-                raise fail(pos, f"duplicate label :{value} on q{parent}")
+                raise fail(i, f"duplicate label :{value} on q{parent}")
             used_labels[parent].add(value)
             attach = (parent, value)
             i += 1
-        else:  # ")"
+        else:  # ")", or a qubit id out of place
             if attach is not None:
-                raise fail(pos, "label is missing its subtree")
+                raise fail(i, "label is missing its subtree")
             if not stack:
-                raise fail(pos, "unbalanced ')'")
+                raise fail(i, "unbalanced ')'")
             stack.pop()
             i += 1
     if stack:
@@ -223,9 +222,10 @@ def tree_parse(text: str) -> TernaryTree:
     bad = sorted(q for q in kids if not 1 <= q <= m)
     if bad:
         missing = sorted(set(range(1, m + 1)) - set(kids))
+        pos = _positions(text)[first_token[bad[0]]] + 1
         raise ValueError(
             f"qubit ids must be exactly 1..{m}: unexpected {bad}, missing {missing}"
-            + f" (first offender q{bad[0]} at position {first_pos[bad[0]] + 1})"
+            + f" (first offender q{bad[0]} at position {pos})"
         )
     children = tuple(tuple(kids[q]) for q in range(1, m + 1))
     return TernaryTree(m, root, children)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tern2jw import (
@@ -221,6 +222,26 @@ def test_circuit_parse_errors_carry_line_numbers():
         circuit_parse("QUBITS 2\nH 1\nQUBITS 3\n")
     with pytest.raises(ValueError):
         circuit_parse("H 5\n", num_qubits=2)
+    # one input per target rule of the op-array check, with the exact text
+    for text, m, message in (
+        ("H 1\nH 1 2\n", None, "line 2: H takes 1 target(s), got (1, 2)"),
+        ("CZ 1\n", None, "line 1: CZ takes 2 target(s), got (1,)"),
+        ("H 1\nX 2\nCZ 2 2\n", None, "line 3: CZ targets must be distinct, got (2, 2)"),
+        ("H 0\n", None, "line 1: targets must be 1-based positive, got (0,)"),
+        ("CX 2 -1\n", None, "line 1: targets must be 1-based positive, got (2, -1)"),
+        ("H 99999999999999999999\n", 2, "gate H 99999999999999999999 exceeds 2 qubits"),
+        ("CZ 5 1\n", 2, "gate CZ 1 5 exceeds 2 qubits"),
+        # the first bad line wins, whichever check finds it
+        ("CZ 1 1\nT 1\n", None, "line 1: CZ targets must be distinct, got (1, 1)"),
+        ("H 1\nQUBITS 3\nH 0\n", 2, "line 2: QUBITS 3 conflicts with expected 2"),
+        ("H 0\nQUBITS 3\n", 2, "line 1: targets must be 1-based positive, got (0,)"),
+        # indices and headers take ASCII digits only
+        ("QUBITS \u00b2\nH 1\n", None, "line 1: bad QUBITS header 'QUBITS \u00b2'"),
+        ("CZ 1 \uff12\n", None, "line 1: bad qubit index in 'CZ 1 \uff12'"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            circuit_parse(text, num_qubits=m)
+        assert str(excinfo.value) == message
 
 
 def test_conjugation_rejects_size_mismatches():
@@ -228,6 +249,54 @@ def test_conjugation_rejects_size_mismatches():
         conjugate_gate(Gate("CZ", (1, 3)), pauli_parse("+XY"))
     with pytest.raises(ValueError, match="size mismatch: circuit 3, string 2"):
         conjugate_circuit(Circuit(3, ()), pauli_parse("+XY"))
+
+
+def _gate_inverse(g):
+    return Gate({"S": "SDG", "SDG": "S"}.get(g.kind, g.kind), g.targets)
+
+
+def _reference_inverse(c):
+    return Circuit(c.num_qubits, tuple(_gate_inverse(g) for g in reversed(c.gates)))
+
+
+def _reference_cancel(c):
+    # the Gate-level stack pass, one Gate object per gate
+    stack = []
+    for g in c.gates:
+        if stack and stack[-1] == _gate_inverse(g):
+            stack.pop()
+        else:
+            stack.append(g)
+    return Circuit(c.num_qubits, tuple(stack))
+
+
+def test_op_array_matches_gate_level_reference():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(400):
+        m = rng.randint(1, 8)
+        c = _random_circuit(rng, m, max_gates=30)
+        if rng.random() < 0.3 and len(c) > 1:  # plant inverse pairs to cancel
+            gates = list(c.gates)
+            i = rng.randrange(len(gates))
+            gates[i:i] = [_gate_inverse(gates[i])]
+            c = Circuit(m, gates)
+        seen.update(g.kind for g in c.gates)
+        assert c.ops.dtype == np.int32 and c.ops.shape == (len(c), 3)
+        assert not c.ops.flags.writeable
+        assert circuit_parse(circuit_format(c))[0] == c
+        assert Circuit(m, c.gates) == c
+        assert Circuit.from_ops(m, c.ops) == c
+        rows = c.ops.copy()  # CZ and SWAP rows with their targets swapped sort back
+        sym = np.isin(rows[:, 0], (ALL_KINDS.index("CZ"), ALL_KINDS.index("SWAP")))
+        rows[sym, 1:] = rows[sym, :0:-1]
+        assert Circuit.from_ops(m, rows) == c
+        symmetric = tuple(g for g in c.gates if g.kind in ("CZ", "SWAP"))
+        text = "".join(f"{g.kind} {g.targets[1]} {g.targets[0]}\n" for g in symmetric)
+        assert circuit_parse(text, num_qubits=m)[0] == Circuit(m, symmetric)
+        assert invert_circuit(c) == _reference_inverse(c)
+        assert peephole_cancel(c) == _reference_cancel(c)
+    assert seen == set(ALL_KINDS)
 
 
 def test_circuit_rejects_out_of_range_targets():

@@ -368,6 +368,8 @@ def test_certificate_parse_errors():
         certificate_parse("PERM 1 1\nSIGNS + + + + +\n")
     with pytest.raises(ValueError, match="bad PERM"):
         certificate_parse("PERM a b\nSIGNS + + + + +\n")
+    with pytest.raises(ValueError, match="bad PERM"):  # ASCII digits only
+        certificate_parse("PERM 1 \uff12\nSIGNS + + + + +\n")
     with pytest.raises(ValueError, match="bad SIGNS"):
         certificate_parse("PERM 1 2\nSIGNS + + o + +\n")
     with pytest.raises(ValueError, match="SIGNS lists 3"):

@@ -73,6 +73,11 @@ def test_parse_errors():
         tree_parse("(q1 :w (q2))")
     with pytest.raises(ValueError, match="missing its subtree"):
         tree_parse("(q1 :x)")
+    # qubit ids take ASCII digits only
+    with pytest.raises(ValueError, match="expected digits after 'q' at position 9$"):
+        tree_parse("(q1 :x (q\u00b2))")
+    with pytest.raises(ValueError, match="expected digits after 'q' at position 2$"):
+        tree_parse("(q\uff11)")
 
 
 def test_tree_validation():
