@@ -22,18 +22,18 @@ from .pauli import PauliString
 
 _NAMES = SINGLE_GATES + PAIR_GATES  # indexed by gate code
 _INVERSE = np.array([GATE_CODES[{"S": "SDG", "SDG": "S"}.get(n, n)] for n in _NAMES])
-_CZ, _SWAP = GATE_CODES["CZ"], GATE_CODES["SWAP"]
+_CX = GATE_CODES["CX"]
 _TEXT = tuple(f"{n} {{1}}" if c < N_SINGLE else f"{n} {{1}} {{2}}" for c, n in enumerate(_NAMES))
 _MAX_QUBITS = 2**31 - 1  # target rows are int32
 
 
-def _target_rules(code, a, b):
-    """The per-gate target rules on 0-based rows a and b (b is 0 for
+def _pair_rules(code, a, b):
+    """The two-target rules on 0-based rows a and b (b is 0 for
     single-qubit codes), on one gate's ints or elementwise on arrays:
-    (a target below row 0, equal pair targets, CZ or SWAP targets that
-    are stored swapped, in sorted order)."""
+    (equal pair targets, CZ or SWAP targets that are stored swapped, in
+    sorted order)."""
     pair = code >= N_SINGLE
-    return (a < 0) | (b < 0), pair & (a == b), ((code == _CZ) | (code == _SWAP)) & (a > b)
+    return pair & (a == b), pair & (code != _CX) & (a > b)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class Gate:
         want = 1 if code < N_SINGLE else 2
         if len(self.targets) != want:
             raise ValueError(f"{self.kind} takes {want} target(s), got {self.targets}")
-        b = self.targets[1] - 1 if want == 2 else 0
-        below, same, unsorted = _target_rules(code, self.targets[0] - 1, b)
-        if below:
+        a, b = self.targets[0] - 1, self.targets[1] - 1 if want == 2 else 0
+        same, unsorted = _pair_rules(code, a, b)
+        if a < 0 or b < 0:
             raise ValueError(f"targets must be 1-based positive, got {self.targets}")
         if same:
             raise ValueError(f"{self.kind} targets must be distinct, got {self.targets}")
@@ -82,24 +82,18 @@ def _kind_targets(row) -> tuple[str, tuple[int, ...]]:
     return _NAMES[code], (a + 1,) if code < N_SINGLE else (a + 1, b + 1)
 
 
-def _checked_ops(ops, num_qubits: int | None, explain=None) -> np.ndarray:
-    """A copy of the op rows checked against every target rule, CZ and
-    SWAP targets sorted; read-only int32 unless num_qubits is None.
-
-    The first row breaking a per-gate rule raises what explain(row index)
-    raises, by default the ValueError of that row's Gate; after that, the
-    first target beyond num_qubits raises IndexError.
-    """
-    ops = np.array(ops).reshape(-1, 3)
-    code, a, b = ops.T  # views, so they see the sort
-    below, same, unsorted = _target_rules(code, a, b)
-    bad = below | same
+def _raise_first_fault(ops: np.ndarray, num_qubits: int | None, explain=None) -> None:
+    """Raise for the first fault in the op rows, in this order: the first
+    row breaking a per-gate rule raises what explain(row index) raises, by
+    default the ValueError of that row's Gate; then, unless num_qubits is
+    None, a bad qubit count raises ValueError and the first target beyond
+    it IndexError. Returns if there is none."""
+    code, a, b = ops.T
+    bad = (a < 0) | (b < 0) | _pair_rules(code, a, b)[0]
     if np.count_nonzero(bad):
         (explain or (lambda i: Gate(*_kind_targets(ops[i]))))(int(bad.argmax()))
-    if np.count_nonzero(unsorted):
-        ops[unsorted, 1:] = ops[unsorted, :0:-1]
     if num_qubits is None:
-        return ops
+        return
     if num_qubits < 1:
         raise ValueError(f"qubit count must be positive, got {num_qubits}")
     if num_qubits > _MAX_QUBITS:
@@ -108,7 +102,31 @@ def _checked_ops(ops, num_qubits: int | None, explain=None) -> np.ndarray:
     if np.count_nonzero(over):
         g = Gate(*_kind_targets(ops[over.argmax()]))
         raise IndexError(f"gate {g} exceeds {num_qubits} qubits")
-    ops = ops.astype(np.int32, copy=False)
+
+
+def _checked_ops(ops, num_qubits: int) -> np.ndarray:
+    """A read-only int32 copy of the op rows, checked against every target
+    rule and against num_qubits, CZ and SWAP targets sorted.
+
+    One combined guard passes good rows; only a fault runs
+    _raise_first_fault, which words the error.
+    """
+    ops = np.array(ops).reshape(-1, 3)
+    if ops.dtype.kind != "i":  # an empty list's floats, or the parser's objects past int64
+        _raise_first_fault(ops, num_qubits)
+        ops = ops.astype(np.int32)
+    code, a, b = ops[:, 0], ops[:, 1], ops[:, 2]  # views, so they see the sort
+    same, unsorted = _pair_rules(code, a, b)
+    unsigned = f"u{ops.itemsize}"  # a target below row 0 is then beyond any qubit count
+    if (
+        not 0 < num_qubits <= _MAX_QUBITS
+        or np.count_nonzero(np.maximum(a.view(unsigned), b.view(unsigned)) >= num_qubits)
+        or np.count_nonzero(same)
+    ):
+        _raise_first_fault(ops, num_qubits)
+    if np.count_nonzero(unsorted):
+        ops[unsorted, 1:] = ops[unsorted, :0:-1]
+    ops = ops.astype(np.int32, copy=False)  # every target is below num_qubits, so it fits
     ops.flags.writeable = False
     return ops
 
@@ -265,7 +283,7 @@ def circuit_parse(
         _gate_line(lines[where[r]].split(), where[r] + 1)
 
     if error:  # a bad gate line before it is reported first
-        _checked_ops(ops, None, by_line)
+        _raise_first_fault(ops, None, by_line)
         raise ValueError(error)
     if declared is None:
         declared = int(ops[:, 1:].max()) + 1 if len(ops) else 1
@@ -274,5 +292,5 @@ def circuit_parse(
     except IndexError as exc:
         raise ValueError(str(exc)) from None
     except ValueError:  # a bad gate line, worded from its row: word it from the line
-        _checked_ops(ops, None, by_line)
+        _raise_first_fault(ops, None, by_line)
         raise

@@ -1,13 +1,24 @@
 """Exact dense-matrix ground truth for Pauli strings and Clifford circuits.
 
 Matrices hold Gaussian integers as int64 real and imaginary parts; nothing
-here touches floating point. One primitive, _on_rows, applies a gate to the
-row bits of its targets: dense_gate and dense_pauli apply it to the
-identity, and conjugation applies the doubled gate G (x) conj(G) to the row
-and column bits of the vectorized matrix. H is stored unnormalized as
-[[1,1],[1,-1]], so conjugating by it scales a matrix by 2, which each
-conjugation divides back out exactly (a conjugated signed Pauli matrix
-keeps entries in {0, +-1, +-i}, so entries never grow).
+here touches floating point, and no dense matrix product is taken outside
+ExactMatrix.__matmul__. Every gate but H is monomial, with one unit entry
+i^k in each row and column (Aaronson and Gottesman, quant-ph/0406196). Its
+monomial form, read off its matrix in _GATE_MATS and embedded on the 2^m
+basis states, gives each state r a source state and a Z4 phase:
+(U M)[r] = i^phase[r] M[source[r]]. A run of such gates composes into one
+such pair. A pair's own matrix is one scatter into zeros (dense_gate, and
+dense_pauli, whose letters are the X, Y and Z gates); conjugating by it is
+one gather over a matrix's rows and columns and an in-place
+i^(phase[r] - phase[c]) rotation. A circuit is compiled once into its H
+gates and the composed pair of each maximal run between them, and every
+string conjugated through it shares them.
+
+H is stored unnormalized as [[1,1],[1,-1]] and acts by an in-place
+butterfly on one bit of the row index (dense_gate) or, to conjugate, on its
+target's row bit and column bit, which scales a matrix by 2. Each
+conjugation halves it back exactly (a conjugated signed Pauli matrix keeps
+entries in {0, +-1, +-i}, so entries never grow).
 
 Intended for small qubit counts (default cap 8, i.e. 256x256); whatever the
 cap, m >= 13 is refused before any allocation, since its dense matrix would
@@ -17,12 +28,13 @@ module, never the other way round."""
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import Circuit, Gate, _kind_targets
-from .pauli import PauliString, pauli_identity
+from .pauli import PauliString
 from .straighten import (
     Certificate,
     TransformReport,
@@ -32,15 +44,20 @@ from .straighten import (
 from .tree import MAX_LETTER_CELLS, TernaryTree
 
 DEFAULT_CAP = 8
+_UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k as (re, im): k
+# i^k = _COS[k] + i _SIN[k]
+_COS, _SIN = np.array([1, 0, -1, 0], np.int8), np.array([0, 1, 0, -1], np.int8)
 
 
 class OracleError(Exception):
     """Internal-consistency failure: a conjugation left the signed-Pauli set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactMatrix:
-    """Gaussian-integer matrix: separate int64 real and imaginary parts."""
+    """Gaussian-integer matrix: separate int64 real and imaginary parts.
+
+    Equal by value over mutable arrays, so unhashable."""
 
     re: np.ndarray
     im: np.ndarray
@@ -61,20 +78,12 @@ class ExactMatrix:
             np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - matrices are not dict keys
-        return id(self)
+    __hash__ = None
 
 
 def _mat(re, im=None) -> ExactMatrix:
     re = np.array(re, dtype=np.int64)
     im = np.zeros_like(re) if im is None else np.array(im, dtype=np.int64)
-    return ExactMatrix(re, im)
-
-
-def gkron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product of Gaussian-integer matrices."""
-    re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
-    im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
     return ExactMatrix(re, im)
 
 
@@ -91,28 +100,75 @@ _GATE_MATS = {
 }
 
 
-def _real(g: ExactMatrix) -> np.ndarray:
-    """g as a real matrix on its input's stacked parts: [[re, -im], [im, re]]."""
-    return np.block([[g.re, -g.im], [g.im, g.re]])
-
-
 @functools.cache
-def _gate_action(kind: str, doubled: bool = False) -> np.ndarray:
-    """A gate in real form for _on_rows, built on first use and read-only,
-    since every caller shares it. Doubled, it is G (x) conj(G), which
-    conjugates a matrix through its row-major (4^m, 1) view."""
+def _gate_monomial(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """A non-H gate's monomial form on its own 2^k basis, read off its
+    matrix on first use and read-only, since every caller shares it: row l
+    holds its one nonzero entry, i^phase[l], in column l ^ flip[l]."""
     g = _GATE_MATS[kind]
-    action = _real(gkron(g, ExactMatrix(g.re, -g.im)) if doubled else g)
-    action.setflags(write=False)
-    return action
+    local = np.arange(len(g.re))
+    source = ((g.re != 0) | (g.im != 0)).argmax(axis=1)
+    units = zip(g.re[local, source].tolist(), g.im[local, source].tolist())
+    flip, phase = source ^ local, np.array([_UNIT_POWERS[u] for u in units], dtype=np.int8)
+    flip.setflags(write=False)
+    phase.setflags(write=False)
+    return flip, phase
+
+
+def _monomial(kind: str, targets: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A non-H gate's monomial form embedded on the 2^m basis (qubit 1 the
+    most significant bit of a basis index, the first target the most
+    significant bit of the gate's own index)."""
+    flip, phase = _gate_monomial(kind)
+    rows = np.arange(1 << m)
+    local = (rows >> (m - targets[0])) & 1
+    for t in targets[1:]:
+        local = (local << 1) | ((rows >> (m - t)) & 1)
+    # each local flip moved onto the targets' bits of a basis index
+    k = len(targets)
+    spread = [
+        sum(((f >> (k - 1 - j)) & 1) << (m - t) for j, t in enumerate(targets))
+        for f in flip.tolist()
+    ]
+    return rows ^ np.array(spread).take(local), phase.take(local)
+
+
+def _compose(monomials, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """One monomial form for a sequence of them, the first acting first;
+    the empty sequence gives the identity."""
+    source, phase = np.arange(1 << m), np.zeros(1 << m, dtype=np.int8)
+    for s, e in monomials:
+        source, phase = source.take(s), (e + phase.take(s)) & 3
+    return source, phase
+
+
+def _matrix(source: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """A monomial form's own matrix as one (2, 2^m, 2^m) array of stacked
+    real and imaginary parts: i^phase[r] at [r, source[r]]."""
+    dim = len(source)
+    a = np.zeros((2, dim, dim), dtype=np.int64)
+    a[phase & 1, np.arange(dim), source] = 1 - (phase & 2)
+    return a
+
+
+def _butterfly(a: np.ndarray, stride: int) -> None:
+    """Unnormalized H on one bit of a's flat index, in place: each pair of
+    entries stride apart in an aligned block of 2 * stride becomes
+    (x + y, x - y)."""
+    pairs = a.reshape(-1, 2, stride)  # a view: every matrix here is C-contiguous
+    x, y = pairs[:, 0], pairs[:, 1]
+    x += y
+    y *= -2
+    y += x
 
 
 def _check_cap(m: int, cap: int) -> None:
     if m > cap:
         raise ValueError(f"{m} qubits exceeds oracle cap {cap}")
-    # 4^m int64 real and imaginary parts; oracle_conjugate's tracemalloc peak
-    # is 4.0 times that (decode_pauli holds the image while dense_pauli runs):
-    # 4, 16 and 64 MiB at m = 8, 9 and 10, about 1 GiB at m = 12.
+    # 4^m int64 real and imaginary parts; oracle_check's tracemalloc peak is
+    # about 3.3 times that, since a run's gather holds the matrix, its rows
+    # gathered and the result at once: 3.3, 13 and 51 MiB at m = 8, 9 and 10,
+    # about 0.8 GiB at m = 12.
     dense_bytes = 16 << (2 * m)
     if dense_bytes > MAX_LETTER_CELLS:
         raise ValueError(
@@ -121,36 +177,16 @@ def _check_cap(m: int, cap: int) -> None:
         )
 
 
-def _on_rows(gate: np.ndarray, a: np.ndarray, targets) -> np.ndarray:
-    """Apply a k-qubit gate to the row bits of its targets in a (2, 2^m, cols) array.
-
-    a stacks the real and imaginary parts and the gate is in real form
-    (_real), so the imaginary unit is one more bit: a is viewed as m+1 axes
-    of size 2, the unit on axis 0 and qubit q on axis q (qubit 1 the most
-    significant), then its columns. Moving the k+1 gate axes last makes the
-    cost one product of a (rest, 2^(k+1)) view, over contiguous rows, with
-    the small gate.
-    """
-    axes = (0, *targets)
-    last = range(-len(axes), 0)
-    moved = np.moveaxis(a.reshape((2,) * a.shape[1].bit_length() + (-1,)), axes, last)
-    out = moved.reshape(-1, len(gate)) @ gate.T
-    return np.moveaxis(out.reshape(moved.shape), last, axes).reshape(a.shape)
-
-
 def _pauli_parts(p: PauliString) -> np.ndarray:
     """dense_pauli's matrix as one (2, 2^m, 2^m) array of stacked parts."""
-    dim = 1 << p.num_qubits
-    a = np.zeros((2, dim, dim), dtype=np.int64)
-    a[p.phase & 1].flat[:: dim + 1] = 1 - (p.phase & 2)
-    for q, code in enumerate(p.letters, start=1):
-        if code:
-            a = _on_rows(_gate_action("IXYZ"[code]), a, (q,))
-    return a
+    m = p.num_qubits
+    letters = [_monomial("IXYZ"[code], (q,), m) for q, code in enumerate(p.letters, 1) if code]
+    source, phase = _compose(letters, m)
+    return _matrix(source, (phase + p.phase) & 3)
 
 
 def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
-    """i^phase times the identity, with each letter applied at its qubit
+    """i^phase times the product of the letter matrices, each at its qubit
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(p.num_qubits, cap)
     return ExactMatrix(*_pauli_parts(p))
@@ -161,23 +197,55 @@ def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(m, cap)
     Circuit(m, (g,))  # raises IndexError for a target beyond m
-    return ExactMatrix(*_on_rows(_gate_action(g.kind), _pauli_parts(pauli_identity(m)), g.targets))
+    if g.kind != "H":
+        return ExactMatrix(*_matrix(*_monomial(g.kind, g.targets, m)))
+    a = _matrix(*_compose((), m))
+    _butterfly(a, 1 << (2 * m - g.targets[0]))  # the target's row bit
+    return ExactMatrix(*a)
 
 
-def _apply_gate(a: np.ndarray, kind: str, targets: tuple[int, ...], m: int) -> np.ndarray:
-    """Conjugate the stacked matrix a by the embedded gate, rescaled for H.
+def _compile(c: Circuit) -> list:
+    """The circuit as conjugation steps in order: the target of each H, and
+    one composed monomial form for each maximal run of other gates."""
+    m = c.num_qubits
+    steps: list = []
+    gates = map(_kind_targets, c.ops.tolist())
+    for is_h, run in itertools.groupby(gates, lambda kind_targets: kind_targets[0] == "H"):
+        if is_h:
+            steps.extend(t for _, (t,) in run)
+        else:
+            steps.append(_compose((_monomial(kind, t, m) for kind, t in run), m))
+    return steps
 
-    In row-major order vec(G M G-dagger) = (G (x) conj G) vec(M), so the
-    doubled gate acts on the row bits t and the column bits m + t of M's
-    (4^m, 1) view.
-    """
-    bits = targets + tuple(m + t for t in targets)
-    out = _on_rows(_gate_action(kind, True), a.reshape(2, -1, 1), bits).reshape(a.shape)
-    if kind == "H":
-        if (out & 1).any():
-            raise OracleError(f"inexact rescale after H {targets[0]}")
-        out >>= 1
+
+def _conjugate_monomial(a: np.ndarray, source: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """U a U-dagger for the monomial form's U, with one gather and an
+    in-place rotation: entry [r, c] is i^(phase[r] - phase[c]) a[source[r], source[c]]."""
+    out = a.take(source, axis=1).take(source, axis=2)
+    turn = (phase[:, None] - phase) & 3
+    cos, sin = _COS.take(turn), _SIN.take(turn)
+    re, im = out
+    sin_im = sin * im
+    im *= cos
+    im += sin * re
+    re *= cos
+    re -= sin_im
     return out
+
+
+def _conjugate(a: np.ndarray, steps: list, m: int) -> np.ndarray:
+    """Conjugate the stacked matrix a through compiled steps, H rescaled."""
+    for step in steps:
+        if not isinstance(step, int):
+            a = _conjugate_monomial(a, *step)
+            continue
+        # H on the target's row bit, then its column bit, of the flat index
+        _butterfly(a, 1 << (2 * m - step))
+        _butterfly(a, 1 << (m - step))
+        if (a & 1).any():
+            raise OracleError(f"inexact rescale after H {step}")
+        a >>= 1
+    return a
 
 
 def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
@@ -196,8 +264,7 @@ def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
         raise OracleError("row 0 is not a single-entry row")
     xmask = int(row[0])
     top_re, top_im = int(mat.re[0, xmask]), int(mat.im[0, xmask])
-    values = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-    if (top_re, top_im) not in values:
+    if (top_re, top_im) not in _UNIT_POWERS:
         raise OracleError(f"entry {top_re}+{top_im}i is not a unit")
     letters = []
     for q in range(1, m + 1):
@@ -212,11 +279,16 @@ def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
             raise OracleError(f"entry at row {r} is not +- the reference entry")
         letters.append((2 if has_z else 1) if has_x else (3 if has_z else 0))
     n_y = sum(1 for l in letters if l == 2)
-    phase = (values[(top_re, top_im)] + n_y) & 3
+    phase = (_UNIT_POWERS[(top_re, top_im)] + n_y) & 3
     decoded = PauliString(tuple(letters), phase)
     if dense_pauli(decoded, cap=m) != mat:
         raise OracleError(f"decode self-check failed for candidate {decoded}")
     return decoded
+
+
+def _image(steps: list, p: PauliString) -> PauliString:
+    m = p.num_qubits
+    return decode_pauli(ExactMatrix(*_conjugate(_pauli_parts(p), steps, m)), m)
 
 
 def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> PauliString:
@@ -224,10 +296,7 @@ def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> Paul
     if c.num_qubits != p.num_qubits:
         raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
     _check_cap(p.num_qubits, cap)
-    a = _pauli_parts(p)
-    for kind, targets in map(_kind_targets, c.ops.tolist()):
-        a = _apply_gate(a, kind, targets, p.num_qubits)
-    return decode_pauli(ExactMatrix(*a), p.num_qubits)
+    return _image(_compile(c), p)
 
 
 def oracle_check(
@@ -236,15 +305,16 @@ def oracle_check(
     """Certify a certificate (a StraightenResult is one): every generator
     must land on its signed JW image under the recorded permutation.
 
-    The generator images are re-derived here from the matrices alone and
-    then matched by the same certify as the engine's.
+    The generator images are re-derived here from the matrices alone, all
+    through one compiled circuit, and then matched by the same certify as
+    the engine's.
     """
     from .tree import tree_generators
 
     check_certificate_span(tree, cert)
     _check_cap(tree.num_qubits, cap)
-    gens = tree_generators(tree).strings
-    images = [oracle_conjugate(cert.circuit, p, cap) for p in gens]
+    steps = _compile(cert.circuit)
+    images = [_image(steps, p) for p in tree_generators(tree).strings]
     letters = np.array([img.letters for img in images], dtype=np.uint8).T
     phases = np.array([img.phase for img in images], dtype=np.uint8)
     perm_idx = np.asarray(cert.permutation, dtype=np.int64) - 1

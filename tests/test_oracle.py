@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tern2jw import (
     Gate,
     PauliString,
     fix_signs,
+    pauli_identity,
     pauli_mul,
     pauli_parse,
     random_tree,
@@ -23,12 +25,18 @@ from tern2jw.oracle import (
     decode_pauli,
     dense_gate,
     dense_pauli,
-    gkron,
     oracle_check,
     oracle_conjugate,
 )
 
 from conftest import rename
+
+
+def gkron(a, b):
+    """Kronecker product of Gaussian-integer matrices."""
+    re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
+    im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
+    return ExactMatrix(re, im)
 
 
 def test_dense_pauli_single_qubit_goldens():
@@ -166,6 +174,46 @@ def test_oracle_conjugate_matches_matrix_products():
                 assert ExactMatrix(scale * got.re, scale * got.im) == want, (g, p)
 
 
+def _random_circuit(rng, m):
+    """Up to 9 gates on m wires, one in three an H, so H falls between
+    runs of other gates, at either end, and next to another H."""
+    gates = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.choice(("H",) * 4 + SINGLE_GATES[1:] + (PAIR_GATES if m > 1 else ()))
+        targets = rng.sample(range(1, m + 1), 2 if kind in PAIR_GATES else 1)
+        gates.append(Gate(kind, tuple(targets)))
+    return gates
+
+
+def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
+    # U = G_L ... G_1 from dense_gate and ExactMatrix products; with h
+    # unnormalized H gates, U P U-dagger is 2^h times the image
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        gates = _random_circuit(rng, m)
+        u = dense_pauli(pauli_identity(m))
+        for g in gates:
+            u = dense_gate(g, m) @ u
+        h = sum(g.kind == "H" for g in gates)
+        p = PauliString(tuple(rng.randrange(4) for _ in range(m)), rng.randrange(4))
+        scaled = u @ dense_pauli(p) @ ExactMatrix(u.re.T, -u.im.T)
+        assert not ((scaled.re | scaled.im) & ((1 << h) - 1)).any()
+        want = decode_pauli(ExactMatrix(scaled.re >> h, scaled.im >> h), m)
+        assert oracle_conjugate(Circuit(m, gates), p) == want, (gates, p)
+        # what the circuits must cover between them: every gate, CX both
+        # ways round, an H between two runs, an empty run between two H
+        # gates, and the empty circuit
+        seen.update((g.kind, g.targets != tuple(sorted(g.targets))) for g in gates)
+        shape = "".join("H" if g.kind == "H" else "g" for g in gates)
+        seen.update(part for part in ("gHg", "HH") if part in shape)
+        if not gates:
+            seen.add("empty")
+    kinds = {(kind, False) for kind in SINGLE_GATES + PAIR_GATES}
+    assert kinds | {("CX", True), "gHg", "HH", "empty"} <= seen
+
+
 def test_oracle_conjugate_empty_circuit():
     p = pauli_parse("-iXZY")
     assert oracle_conjugate(Circuit(3, ()), p) == p
@@ -272,3 +320,27 @@ def test_tampered_certificates_fail_both_checks():
                 engine = verify_transform(t, bad)
                 assert not engine.ok, what
                 assert oracle_check(t, bad) == engine, what
+
+
+def test_exact_matrix_is_unhashable():
+    # equal matrices compare equal, so they cannot hash by identity
+    a, b = dense_pauli(pauli_parse("XZ")), dense_pauli(pauli_parse("XZ"))
+    assert a == b
+    assert ExactMatrix.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        {a, b}
+
+
+def test_oracle_check_memory_peak_at_8_qubits():
+    # the README's figure: the peak stays within 4.25 dense matrices of
+    # 16 * 4^m bytes, which makes m = 12 need about 1 GiB
+    t = random_tree(8, seed=5)
+    r = fix_signs(straighten(t))
+    assert oracle_check(t, r).ok  # gate tables are built on first use
+    tracemalloc.start()
+    try:
+        assert oracle_check(t, r).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 16 * 4**8
