@@ -1,6 +1,6 @@
 """Ternary-tree fermion encodings and their Clifford maps to Jordan-Wigner.
 
-The pieces fit together like this: pauli holds the string algebra, tree
+The pieces fit together like this: pauli holds the signed string type, tree
 turns trees into generator sets held as one letter matrix, engine runs the
 gate rules on its x/z bit planes (clifford: on one string as one column),
 straighten synthesizes the tree-to-chain circuits, oracle re-checks
@@ -15,8 +15,6 @@ from .clifford import (
     circuit_format,
     circuit_parse,
     conjugate_circuit,
-    conjugate_gate,
-    gate,
     invert_circuit,
     peephole_cancel,
 )
@@ -30,13 +28,7 @@ from .oracle import (
 )
 from .pauli import (
     PauliString,
-    pauli_commutes,
     pauli_format,
-    pauli_identity,
-    pauli_mul,
-    pauli_parse,
-    pauli_single,
-    pauli_weight,
 )
 from .straighten import (
     Certificate,
@@ -62,9 +54,6 @@ from .tree import (
     check_generator_set,
     full_ternary,
     jw_chain,
-    jw_generator,
-    jw_match,
-    path_product,
     random_tree,
     tree_augment,
     tree_format,
@@ -94,28 +83,17 @@ __all__ = [
     "circuit_format",
     "circuit_parse",
     "conjugate_circuit",
-    "conjugate_gate",
     "dense_gate",
     "dense_pauli",
     "fix_signs",
     "fork_move",
     "full_ternary",
-    "gate",
     "invert_circuit",
     "jw_chain",
-    "jw_generator",
-    "jw_match",
     "map_between",
     "oracle_check",
     "oracle_conjugate",
-    "path_product",
-    "pauli_commutes",
     "pauli_format",
-    "pauli_identity",
-    "pauli_mul",
-    "pauli_parse",
-    "pauli_single",
-    "pauli_weight",
     "peephole_cancel",
     "random_tree",
     "relabel",

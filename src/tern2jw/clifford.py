@@ -12,6 +12,7 @@ only when a caller asks for them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,25 +51,22 @@ class Gate:
         want = 1 if code < N_SINGLE else 2
         if len(self.targets) != want:
             raise ValueError(f"{self.kind} takes {want} target(s), got {self.targets}")
-        a, b = self.targets[0] - 1, self.targets[1] - 1 if want == 2 else 0
+        try:
+            targets = tuple(map(operator.index, self.targets))
+        except TypeError:
+            raise ValueError(f"targets must be integers, got {self.targets}") from None
+        object.__setattr__(self, "targets", targets)
+        a, b = targets[0] - 1, targets[1] - 1 if want == 2 else 0
         same, unsorted = _pair_rules(code, a, b)
         if a < 0 or b < 0:
             raise ValueError(f"targets must be 1-based positive, got {self.targets}")
         if same:
             raise ValueError(f"{self.kind} targets must be distinct, got {self.targets}")
         if unsorted:
-            object.__setattr__(self, "targets", (self.targets[1], self.targets[0]))
-
-    def inverse(self) -> "Gate":
-        return Gate(_NAMES[_INVERSE[GATE_CODES[self.kind]]], self.targets)
+            object.__setattr__(self, "targets", targets[::-1])
 
     def __str__(self) -> str:
         return " ".join([self.kind, *(str(t) for t in self.targets)])
-
-
-def gate(kind: str, *targets: int) -> Gate:
-    """Shorthand constructor: gate("CZ", 1, 2)."""
-    return Gate(kind, targets)
 
 
 def _is_index(token: str) -> bool:
@@ -173,11 +171,6 @@ class Circuit:
 
     def __str__(self) -> str:
         return circuit_format(self)
-
-
-def conjugate_gate(g: Gate, p: PauliString) -> PauliString:
-    """Exact adjoint action g p g-dagger, including phase, by the engine rules."""
-    return conjugate_circuit(Circuit(p.num_qubits, (g,)), p)
 
 
 def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
@@ -289,8 +282,9 @@ def circuit_parse(
         declared = int(ops[:, 1:].max()) + 1 if len(ops) else 1
     try:
         return Circuit.from_ops(declared, ops), found
-    except IndexError as exc:
-        raise ValueError(str(exc)) from None
+    except IndexError as exc:  # a target beyond the qubit count: name its line
+        r = next(r for r, (_, a, b) in enumerate(rows) if max(a, b) >= declared)
+        raise ValueError(f"line {where[r] + 1}: {exc}") from None
     except ValueError:  # a bad gate line, worded from its row: word it from the line
         _raise_first_fault(ops, None, by_line)
         raise

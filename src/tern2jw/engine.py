@@ -14,8 +14,8 @@ int32 (L, 3) op array they read is the only stored form of a circuit
 
 The test suite re-derives every rule from the dense oracle for every
 letter, letter pair and phase: acceptance criterion 8 one string at a
-time, test_engine one batch per gate, test_clifford through
-conjugate_gate.
+time, test_engine one batch per gate, test_clifford through one-gate
+circuits.
 """
 
 from __future__ import annotations

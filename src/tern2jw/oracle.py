@@ -1,18 +1,17 @@
 """Exact dense-matrix ground truth for Pauli strings and Clifford circuits.
 
 Matrices hold Gaussian integers as int64 real and imaginary parts; nothing
-here touches floating point, and no dense matrix product is taken outside
-ExactMatrix.__matmul__. Every gate but H is monomial, with one unit entry
-i^k in each row and column (Aaronson and Gottesman, quant-ph/0406196). Its
-monomial form, read off its matrix in _GATE_MATS and embedded on the 2^m
-basis states, gives each state r a source state and a Z4 phase:
-(U M)[r] = i^phase[r] M[source[r]]. A run of such gates composes into one
-such pair. A pair's own matrix is one scatter into zeros (dense_gate, and
-dense_pauli, whose letters are the X, Y and Z gates); conjugating by it is
-one gather over a matrix's rows and columns and an in-place
-i^(phase[r] - phase[c]) rotation. A circuit is compiled once into its H
-gates and the composed pair of each maximal run between them, and every
-string conjugated through it shares them.
+here touches floating point or takes a dense matrix product. Every gate but
+H is monomial, with one unit entry i^k in each row and column (Aaronson and
+Gottesman, quant-ph/0406196). Its monomial form, read off its matrix in
+_GATE_MATS and embedded on the 2^m basis states, gives each state r a
+source state and a Z4 phase: (U M)[r] = i^phase[r] M[source[r]]. A run of
+such gates composes into one such pair. A pair's own matrix is one scatter
+into zeros (dense_gate, and dense_pauli, whose letters are the X, Y and Z
+gates); conjugating by it is one gather over a matrix's rows and columns
+and an in-place i^(phase[r] - phase[c]) rotation. A circuit is compiled
+once into its H gates and the composed pair of each maximal run between
+them, and every string conjugated through it shares them.
 
 H is stored unnormalized as [[1,1],[1,-1]] and acts by an in-place
 butterfly on one bit of the row index (dense_gate) or, to conjugate, on its
@@ -61,15 +60,6 @@ class ExactMatrix:
 
     re: np.ndarray
     im: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.re.shape[0]
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        re = self.re @ other.re - self.im @ other.im
-        im = self.re @ other.im + self.im @ other.re
-        return ExactMatrix(re, im)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):

@@ -1,4 +1,5 @@
-"""Exact algebra of signed Pauli strings.
+"""Signed Pauli strings: letter codes, the product phase table, and the
+one-string type with its text form.
 
 A Pauli string is a phase i^k (k in Z4) times a tensor product of letters
 I, X, Y, Z over m qubits. Letters are stored as integer codes
@@ -8,9 +9,9 @@ I, X, Y, Z over m qubits. Letters are stored as integer codes
 with qubit 1 as the first (leftmost) tensor factor. The code of a letter
 product is the XOR of the factor codes; the phase contribution comes from
 the cyclic rule XY = iZ, YZ = iX, ZX = iY (reversed order gives -i).
-
-Phases are tracked exactly; a Hermitian string carries exponent 0 or 2
-(sign +1 or -1).
+The library multiplies and conjugates strings in batches, one string per
+column of a letter matrix (tree.check_generator_set, engine); a
+PauliString is one such column with its phase.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ PROD_PHASE = (
 )
 
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-_PREFIX_SIGN = {"+": 0, "+i": 1, "-": 2, "-i": 3}
 
 
 @dataclass(frozen=True)
@@ -51,98 +51,11 @@ class PauliString:
     def num_qubits(self) -> int:
         return len(self.letters)
 
-    def letter(self, q: int) -> str:
-        """Letter at 1-based qubit index q."""
-        return LETTERS[self.letters[q - 1]]
-
-    def is_hermitian(self) -> bool:
-        return self.phase in (0, 2)
-
     def __str__(self) -> str:
         return pauli_format(self)
-
-
-def pauli_identity(m: int) -> PauliString:
-    """All-I string on m qubits with phase +1."""
-    if m < 1:
-        raise ValueError(f"qubit count must be positive, got {m}")
-    return PauliString((0,) * m)
-
-
-def pauli_single(m: int, q: int, letter: str) -> PauliString:
-    """Single non-identity letter at qubit q, identity elsewhere, phase +1."""
-    if m < 1:
-        raise ValueError(f"qubit count must be positive, got {m}")
-    if not 1 <= q <= m:
-        raise IndexError(f"qubit index {q} out of range 1..{m}")
-    code = LETTERS.find(letter)
-    if code <= 0:
-        raise ValueError(f"letter must be one of X, Y, Z, got {letter!r}")
-    codes = [0] * m
-    codes[q - 1] = code
-    return PauliString(tuple(codes))
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Letterwise product a*b with exact phase accumulation."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"size mismatch: {a.num_qubits} vs {b.num_qubits}")
-    phase = a.phase + b.phase
-    out = []
-    for la, lb in zip(a.letters, b.letters):
-        phase += PROD_PHASE[la][lb]
-        out.append(la ^ lb)
-    return PauliString(tuple(out), phase & 3)
-
-
-def pauli_commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff a and b commute (phase-independent).
-
-    Two strings commute exactly when the number of positions carrying two
-    differing non-identity letters is even.
-    """
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"size mismatch: {a.num_qubits} vs {b.num_qubits}")
-    clashes = sum(
-        1 for la, lb in zip(a.letters, b.letters) if la and lb and la != lb
-    )
-    return clashes % 2 == 0
-
-
-def pauli_weight(a: PauliString) -> int:
-    """Number of non-identity letters."""
-    return sum(1 for l in a.letters if l)
 
 
 def pauli_format(a: PauliString) -> str:
     """Canonical text form: sign prefix, then letters with qubit 1 leftmost."""
     return _SIGN_PREFIX[a.phase] + "".join(LETTERS[l] for l in a.letters)
 
-
-def pauli_parse(text: str, m: int | None = None) -> PauliString:
-    """Parse `sign? letters+` with sign in {+, -, +i, -i} (default +).
-
-    Positions in error messages are 1-based offsets into the stripped text.
-    """
-    s = text.strip()
-    if not s:
-        raise ValueError("empty Pauli string")
-    pos = 0
-    phase = 0
-    if s[0] in "+-":
-        phase = _PREFIX_SIGN[s[0]]
-        pos = 1
-        if pos < len(s) and s[pos] == "i":
-            phase = _PREFIX_SIGN[s[:2]]
-            pos = 2
-    letters = []
-    for i in range(pos, len(s)):
-        code = LETTERS.find(s[i])
-        if code < 0:
-            raise ValueError(f"invalid character {s[i]!r} at position {i + 1}")
-        letters.append(code)
-    if not letters:
-        raise ValueError(f"no letters after sign at position {pos + 1}")
-    if m is not None and len(letters) != m:
-        raise ValueError(f"expected {m} letters, got {len(letters)}")
-    return PauliString(tuple(letters), phase)

@@ -35,7 +35,6 @@ from .pauli import PROD_PHASE, PauliString
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
-_LABEL_CODE = {"x": 1, "y": 2, "z": 3}
 
 # Guard for constructors that could silently build absurd trees.
 MAX_QUBITS = 1 << 20
@@ -289,6 +288,13 @@ def tree_augment(spec: "TernaryTree | Mapping[int, Mapping[str, int]]") -> Terna
     return TernaryTree(m, roots.pop(), children)
 
 
+def _check_qubit_count(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"qubit count must be positive, got {m}")
+    if m > MAX_QUBITS:
+        raise ValueError(f"qubit count {m} is over the {MAX_QUBITS} limit")
+
+
 def jw_chain(m: int) -> TernaryTree:
     """The degenerate z-linked chain: qubit k's z-child is k+1.
 
@@ -296,8 +302,7 @@ def jw_chain(m: int) -> TernaryTree:
     Z^(k-1) X at qubit k, rank 2k carries Z^(k-1) Y, and the last rank is
     the all-z product.
     """
-    if m < 1:
-        raise ValueError(f"qubit count must be positive, got {m}")
+    _check_qubit_count(m)
     children = tuple(
         (TERMINAL, TERMINAL, k + 1 if k < m else TERMINAL) for k in range(1, m + 1)
     )
@@ -328,8 +333,7 @@ def full_ternary(depth: int) -> TernaryTree:
 def random_tree(m: int, seed: int) -> TernaryTree:
     """Random tree grown by attaching each new node to a uniformly chosen
     free slot of the existing ones; deterministic for a fixed seed."""
-    if m < 1:
-        raise ValueError(f"qubit count must be positive, got {m}")
+    _check_qubit_count(m)
     rng = random.Random(seed)
     kids = [[TERMINAL, TERMINAL, TERMINAL] for _ in range(m)]
     free: list[tuple[int, int]] = [(1, 0), (1, 1), (1, 2)]
@@ -371,24 +375,6 @@ def tree_leaves(t: TernaryTree) -> tuple[LeafPath, ...]:
             path.append(pair)
             frames.append((child, 0))
     return tuple(out)
-
-
-def path_product(t: TernaryTree, path: LeafPath) -> PauliString:
-    """Product of one Pauli letter per path node; the path must be valid."""
-    if not path:
-        raise ValueError("empty leaf path")
-    letters = [0] * t.num_qubits
-    expect = t.root
-    for step, (qid, label) in enumerate(path):
-        if label not in _LABEL_CODE:
-            raise ValueError(f"unknown label {label!r} in path step {step + 1}")
-        if qid != expect:
-            raise ValueError(f"path step {step + 1} visits q{qid}, expected q{expect}")
-        letters[qid - 1] = _LABEL_CODE[label]
-        expect = t.children[qid - 1][XYZ.index(label)]
-    if expect != TERMINAL:
-        raise ValueError(f"path stops at qubit node q{expect}, not a terminal")
-    return PauliString(tuple(letters))
 
 
 def _walk(kids, root) -> list[int]:
@@ -510,17 +496,6 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
     )
 
 
-def jw_generator(m: int, rank: int) -> PauliString:
-    """The Jordan-Wigner generator at a canonical leaf rank (1..2m+1)."""
-    if not 1 <= rank <= 2 * m + 1:
-        raise IndexError(f"rank {rank} out of range 1..{2 * m + 1}")
-    if rank == 2 * m + 1:
-        return PauliString((3,) * m)
-    k = (rank + 1) // 2
-    letters = [3] * (k - 1) + [1 if rank % 2 else 2] + [0] * (m - k)
-    return PauliString(tuple(letters))
-
-
 # Cells (one byte each) allowed in the (m, 2m+1) letter matrix that
 # certification conjugates; 2**28 admits m up to 11584. The measured
 # tracemalloc peak of straighten and verify_transform is about 3.1x the
@@ -564,15 +539,3 @@ def jw_decode(letters: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.n
     signs = 1 - phases.astype(np.int64)  # exponent 0 -> +1, 2 -> -1
     return np.where(ok, ranks, 0), np.where(ok, signs, 0)
 
-
-def jw_match(p: PauliString) -> tuple[int, int] | None:
-    """Decode a string as sign * (JW generator): (rank, sign), or None.
-
-    Matches Z^(k-1) X I... (rank 2k-1), Z^(k-1) Y I... (rank 2k) and the
-    all-z product (rank 2m+1); the phase must be a plain sign.
-    """
-    ranks, signs = jw_decode(
-        np.array(p.letters, dtype=np.uint8)[:, None], np.array([p.phase], dtype=np.uint8)
-    )
-    rank, sign = int(ranks[0]), int(signs[0])
-    return (rank, sign) if rank else None

@@ -17,7 +17,6 @@ from tern2jw import (
     Gate,
     check_generator_set,
     conjugate_circuit,
-    conjugate_gate,
     fix_signs,
     full_ternary,
     jw_chain,
@@ -71,7 +70,7 @@ def test_criterion_1_cz_table_sign_free(report):
     wrong = []
     for src, dst in _CZ_TABLE.items():
         p = _string(2, {1: src[0], 2: src[1]})
-        img = conjugate_gate(g, p)
+        img = conjugate_circuit(circuit, p)
         oracle = oracle_conjugate(circuit, p)
         want = _string(2, {1: dst[0], 2: dst[1]})
         if img.letters != want.letters or img.phase != 0 or img != oracle:
@@ -194,7 +193,7 @@ def test_criterion_8_engine_oracle_agreement(report):
                 for phase in range(4):
                     p = PauliString((a, b), phase)
                     want = oracle_conjugate(circuit, p)
-                    got = conjugate_gate(g, p)
+                    got = conjugate_circuit(circuit, p)
                     letters = np.array([[a], [b]], dtype=np.uint8)
                     phases = np.array([phase], dtype=np.uint8)
                     conjugate_inplace(letters, phases, ops)

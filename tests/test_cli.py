@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,15 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import tern2jw
 from tern2jw import (
     circuit_parse,
     conjugate_circuit,
     full_ternary,
     jw_chain,
-    path_product,
     pauli_format,
-    pauli_mul,
-    pauli_weight,
     random_tree,
     tree_format,
     tree_generators,
@@ -29,6 +28,7 @@ from tern2jw.pauli import PauliString
 from tern2jw.straighten import MAX_LETTER_CELLS
 
 from conftest import BINARY3, TRIPLE_FORK
+from reference import path_product, pauli_mul, pauli_weight
 
 JW4 = "(q1 :z (q2 :z (q3 :z (q4))))"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -348,6 +348,16 @@ def test_module_entry_point():
     proc = _fresh("-m", "tern2jw", "generators", "-e", BINARY3)
     assert proc.returncode == 0
     assert proc.stdout.endswith("product -iIII\n")
+
+
+def test_readme_library_example():
+    # the README's `## Library` block runs as written, and imports only
+    # names that tern2jw.__all__ lists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S).group(1)
+    imported = re.findall(r"^from tern2jw import (.+)$", block, re.M)
+    assert imported and set(", ".join(imported).split(", ")) <= set(tern2jw.__all__)
+    exec(block, {})
 
 
 def _declared_entry_point() -> str:

@@ -15,7 +15,6 @@ from tern2jw import (
     fix_signs,
     full_ternary,
     oracle_check,
-    path_product,
     random_tree,
     straighten,
     tree_format,
@@ -26,6 +25,7 @@ from tern2jw import (
 )
 from tern2jw.tree import _letters_matrix
 from conftest import comb, rename
+from reference import path_product
 
 
 @st.composite

@@ -19,7 +19,6 @@ from tern2jw import (
     fork_move,
     full_ternary,
     jw_chain,
-    jw_generator,
     map_between,
     oracle_check,
     peephole_cancel,
@@ -35,6 +34,7 @@ from tern2jw.pauli import PauliString
 from tern2jw.straighten import MAX_LETTER_CELLS
 
 from conftest import comb
+from reference import jw_generator
 
 
 def _images(circuit, tree):
