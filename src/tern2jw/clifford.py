@@ -7,7 +7,9 @@ listed order. CZ and SWAP are symmetric in their targets and are stored with
 targets sorted; CX keeps its order (first target is the control). A Circuit
 is the engine's read-only int32 (L, 3) op array and nothing else; text,
 inversion and cancellation work on its rows, and Gate objects are built
-only when a caller asks for them.
+only when a caller asks for them. Both constructors store their rows
+through one row check. Circuit text is checked line by line as it is
+read, so each gate's error is worded on the line it enters.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES, conjugate_inplace, encode_gates
+from .engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES, conjugate_inplace
 from .pauli import PauliString
 
 _NAMES = SINGLE_GATES + PAIR_GATES  # indexed by gate code
@@ -80,18 +82,15 @@ def _kind_targets(row) -> tuple[str, tuple[int, ...]]:
     return _NAMES[code], (a + 1,) if code < N_SINGLE else (a + 1, b + 1)
 
 
-def _raise_first_fault(ops: np.ndarray, num_qubits: int | None, explain=None) -> None:
+def _raise_first_fault(ops: np.ndarray, num_qubits: int) -> None:
     """Raise for the first fault in the op rows, in this order: the first
-    row breaking a per-gate rule raises what explain(row index) raises, by
-    default the ValueError of that row's Gate; then, unless num_qubits is
-    None, a bad qubit count raises ValueError and the first target beyond
-    it IndexError. Returns if there is none."""
+    row breaking a per-gate rule raises the ValueError of its Gate; a bad
+    qubit count raises ValueError; the first target beyond it IndexError.
+    Returns if there is none."""
     code, a, b = ops.T
     bad = (a < 0) | (b < 0) | _pair_rules(code, a, b)[0]
     if np.count_nonzero(bad):
-        (explain or (lambda i: Gate(*_kind_targets(ops[i]))))(int(bad.argmax()))
-    if num_qubits is None:
-        return
+        Gate(*_kind_targets(ops[bad.argmax()]))
     if num_qubits < 1:
         raise ValueError(f"qubit count must be positive, got {num_qubits}")
     if num_qubits > _MAX_QUBITS:
@@ -104,47 +103,53 @@ def _raise_first_fault(ops: np.ndarray, num_qubits: int | None, explain=None) ->
 
 def _checked_ops(ops, num_qubits: int) -> np.ndarray:
     """A read-only int32 copy of the op rows, checked against every target
-    rule and against num_qubits, CZ and SWAP targets sorted.
+    rule and against num_qubits, CZ and SWAP targets sorted. Both Circuit
+    constructors store their rows through it; rows may hold any Python
+    ints, and a target past int64 still gets its own worded error.
 
     One combined guard passes good rows; only a fault runs
     _raise_first_fault, which words the error.
     """
-    ops = np.array(ops).reshape(-1, 3)
-    if ops.dtype.kind != "i":  # an empty list's floats, or the parser's objects past int64
-        _raise_first_fault(ops, num_qubits)
-        ops = ops.astype(np.int32)
-    code, a, b = ops[:, 0], ops[:, 1], ops[:, 2]  # views, so they see the sort
+    rows = np.array(ops).reshape(-1, 3)
+    if rows.dtype.kind != "i":  # an empty list's floats, or ints past int64 held exactly
+        rows = np.array(ops, dtype=object).reshape(-1, 3)
+        _raise_first_fault(rows, num_qubits)
+        rows = rows.astype(np.int32)
+    code, a, b = rows[:, 0], rows[:, 1], rows[:, 2]  # views, so they see the sort
     same, unsorted = _pair_rules(code, a, b)
-    unsigned = f"u{ops.itemsize}"  # a target below row 0 is then beyond any qubit count
+    unsigned = f"u{rows.itemsize}"  # a target below row 0 is then beyond any qubit count
     if (
         not 0 < num_qubits <= _MAX_QUBITS
         or np.count_nonzero(np.maximum(a.view(unsigned), b.view(unsigned)) >= num_qubits)
         or np.count_nonzero(same)
     ):
-        _raise_first_fault(ops, num_qubits)
+        _raise_first_fault(rows, num_qubits)
     if np.count_nonzero(unsorted):
-        ops[unsorted, 1:] = ops[unsorted, :0:-1]
-    ops = ops.astype(np.int32, copy=False)  # every target is below num_qubits, so it fits
-    ops.flags.writeable = False
-    return ops
+        rows[unsorted, 1:] = rows[unsorted, :0:-1]
+    rows = rows.astype(np.int32, copy=False)  # every target is below num_qubits, so it fits
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Circuit:
     """Ordered gate sequence on num_qubits wires, held as its op array.
 
-    Circuit(m, gates) encodes Gate objects; library code builds a circuit
-    straight from op rows with Circuit.from_ops. Both routes run the same
-    checks. gates is derived from the rows on each access.
+    Circuit(m, gates) takes Gate objects; library code builds a circuit
+    straight from op rows with Circuit.from_ops. Both hand their rows to
+    _checked_ops. gates is derived from the rows on each access.
     """
 
     num_qubits: int
     ops: np.ndarray
 
     def __init__(self, num_qubits: int, gates: Iterable[Gate] = ()) -> None:
-        ops = encode_gates([(g.kind, g.targets) for g in gates])
+        rows = [
+            (GATE_CODES[g.kind], g.targets[0] - 1, g.targets[-1] - 1 if len(g.targets) > 1 else 0)
+            for g in gates
+        ]
         object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "ops", _checked_ops(ops, num_qubits))
+        object.__setattr__(self, "ops", _checked_ops(rows, num_qubits))
 
     @classmethod
     def from_ops(cls, num_qubits: int, ops) -> "Circuit":
@@ -212,15 +217,16 @@ def circuit_format(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gate_line(tokens: list[str], lineno: int) -> Gate:
-    """The Gate on one gate line, or its ValueError naming the line."""
+def _raise_gate_line(tokens: list[str], lineno: int) -> None:
+    """Raise the ValueError, naming its line, of a gate line that breaks
+    a rule: its kind, an index, or a rule of its Gate."""
     kind = tokens[0]
     if kind not in GATE_CODES:
         raise ValueError(f"line {lineno}: unknown gate {kind!r}")
     if not all(map(_is_index, tokens[1:])):
         raise ValueError(f"line {lineno}: bad qubit index in {' '.join(tokens)!r}")
     try:
-        return Gate(kind, tuple(int(t) for t in tokens[1:]))
+        Gate(kind, tuple(map(int, tokens[1:])))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 
@@ -232,59 +238,47 @@ def circuit_parse(
 
     Extra directive names (e.g. PERM, SIGNS) may be declared; their token
     lists are collected and returned alongside the circuit. Numbers are
-    ASCII digits (a qubit index may carry a sign). Gate lines become op
-    rows in one pass and are checked as one array; an error names the line
-    of the first bad row, or of a bad header or directive after it.
+    ASCII digits (a qubit index may carry a sign). Each line is checked
+    as it is read, so an error names the first bad line. Only a target
+    beyond the qubit count, which a later QUBITS header may set, is found
+    when the rows become the circuit; its error names its line too.
     """
-    lines = [raw.split("#", 1)[0] for raw in text.splitlines()]
     rows: list[tuple[int, int, int]] = []
-    where: list[int] = []  # the line index of each row
+    where: list[int] = []  # the line number of each row
     found: dict[str, list[str]] = {}
     declared = num_qubits
-    error = None
-    for i, line in enumerate(lines):
+    for n, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
         tokens = line.split()
         if not tokens:
             continue
         head, args = tokens[0], tokens[1:]
         if head == "QUBITS":
             if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
-                error = f"line {i + 1}: bad QUBITS header {line.strip()!r}"
-            elif declared is not None and int(args[0]) != declared:
-                error = f"line {i + 1}: QUBITS {int(args[0])} conflicts with expected {declared}"
-            else:
-                declared = int(args[0])
+                raise ValueError(f"line {n}: bad QUBITS header {line.strip()!r}")
+            count = int(args[0])
+            if declared is not None and count != declared:
+                raise ValueError(f"line {n}: QUBITS {count} conflicts with expected {declared}")
+            declared = count
         elif head in directives:
             if head in found:
-                error = f"line {i + 1}: duplicate {head} directive"
+                raise ValueError(f"line {n}: duplicate {head} directive")
             found[head] = args
         else:
             code = GATE_CODES.get(head, -1)
-            if code < 0 or len(args) != 1 + (code >= N_SINGLE) or not all(map(_is_index, args)):
-                rows.append((0, -1, 0))  # breaks a rule, and _gate_line words it
-            else:
-                rows.append((code, int(args[0]) - 1, int(args[-1]) - 1 if code >= N_SINGLE else 0))
-            where.append(i)
-        if error:
-            break
-    try:
-        ops = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:  # a target beyond int64 still gets its own error
-        ops = np.array(rows, dtype=object)
-
-    def by_line(r: int) -> None:
-        _gate_line(lines[where[r]].split(), where[r] + 1)
-
-    if error:  # a bad gate line before it is reported first
-        _raise_first_fault(ops, None, by_line)
-        raise ValueError(error)
+            pair = code >= N_SINGLE
+            plain = line.isascii() and all(map(str.isdigit, args))  # unsigned, no call per index
+            if code < 0 or len(args) != 1 + pair or not (plain or all(map(_is_index, args))):
+                _raise_gate_line(tokens, n)
+            a, b = int(args[0]) - 1, int(args[-1]) - 1 if pair else 0
+            if a < 0 or b < 0 or pair and a == b:
+                _raise_gate_line(tokens, n)
+            rows.append((code, a, b))
+            where.append(n)
     if declared is None:
-        declared = int(ops[:, 1:].max()) + 1 if len(ops) else 1
+        declared = max(max(r[1:]) for r in rows) + 1 if rows else 1
     try:
-        return Circuit.from_ops(declared, ops), found
+        return Circuit.from_ops(declared, rows), found
     except IndexError as exc:  # a target beyond the qubit count: name its line
         r = next(r for r, (_, a, b) in enumerate(rows) if max(a, b) >= declared)
-        raise ValueError(f"line {where[r] + 1}: {exc}") from None
-    except ValueError:  # a bad gate line, worded from its row: word it from the line
-        _raise_first_fault(ops, None, by_line)
-        raise
+        raise ValueError(f"line {where[r]}: {exc}") from None

@@ -74,7 +74,7 @@ def xz_planes(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_gates(gates) -> np.ndarray:
-    """Encode (kind, targets) gate pairs as the int32 (L, 3) op array."""
+    """Encode (kind, targets) gate pairs as the int32 (L, 3) op array, unchecked."""
     ops = np.zeros((len(gates), 3), dtype=np.int32)
     for i, (kind, targets) in enumerate(gates):
         code = GATE_CODES[kind]

@@ -38,6 +38,7 @@ XYZ = ("x", "y", "z")
 
 # Guard for constructors that could silently build absurd trees.
 MAX_QUBITS = 1 << 20
+_MAX_DEPTH = 12  # the deepest full_ternary within MAX_QUBITS: (3^13 - 1) / 2 nodes
 
 LeafPath = tuple[tuple[int, str], ...]
 
@@ -205,7 +206,9 @@ def tree_parse(text: str) -> TernaryTree:
             used_labels[parent].add(value)
             attach = (parent, value)
             i += 1
-        else:  # ")", or a qubit id out of place
+        elif kind == "q":  # every id that follows '(' was read with it
+            raise fail(i, f"qubit id {tokens[i]} must follow '('")
+        else:  # ")"
             if attach is not None:
                 raise fail(i, "label is missing its subtree")
             if not stack:
@@ -317,9 +320,9 @@ def full_ternary(depth: int) -> TernaryTree:
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
+    if depth > _MAX_DEPTH:  # refused before 3^(depth+1) is computed
+        raise ValueError(f"depth {depth} puts the qubit count over the {MAX_QUBITS} limit")
     m = (3 ** (depth + 1) - 1) // 2
-    if m > MAX_QUBITS:
-        raise ValueError(f"depth {depth} needs {m} qubits, over the {MAX_QUBITS} limit")
     internal = (3**depth - 1) // 2  # nodes on levels 0..depth-1
     children = []
     for q in range(1, m + 1):

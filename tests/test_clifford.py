@@ -255,10 +255,21 @@ def test_circuit_parse_errors_carry_line_numbers():
         # indices and headers take ASCII digits only
         ("QUBITS \u00b2\nH 1\n", None, "line 1: bad QUBITS header 'QUBITS \u00b2'"),
         ("CZ 1 \uff12\n", None, "line 1: bad qubit index in 'CZ 1 \uff12'"),
+        # a line's own fault comes before a target beyond the count on an earlier line
+        ("H 5\nT 1\n", 2, "line 2: unknown gate 'T'"),
+        # a bad qubit count, declared or inferred, names no line
+        ("QUBITS 0\nH 1\n", None, "qubit count must be positive, got 0"),
+        ("H 99999999999999999999\n", None, f"qubit count {10**20 - 1} does not fit int32 rows"),
+        # a count declared after the gates still names the line beyond it
+        ("SWAP 2 1\nH 3\nQUBITS 2\n", None, "line 2: gate H 3 exceeds 2 qubits"),
+        ("CZ 3 3\nQUBITS x\n", None, "line 1: CZ targets must be distinct, got (3, 3)"),
     ):
         with pytest.raises(ValueError) as excinfo:
             circuit_parse(text, num_qubits=m)
         assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        circuit_parse("H 1\nPERM 1\nPERM 1\n", directives=("PERM",))
+    assert str(excinfo.value) == "line 3: duplicate PERM directive"
 
 
 def test_conjugation_rejects_size_mismatches():
@@ -317,3 +328,8 @@ def test_op_array_matches_gate_level_reference():
 def test_circuit_rejects_out_of_range_targets():
     with pytest.raises(IndexError, match="exceeds 2 qubits"):
         Circuit(2, (Gate("H", (3,)),))
+    # past int32, int64 and C long alike: the same worded error, never an OverflowError
+    for t in (2**31, 2**40, 2**70):
+        with pytest.raises(IndexError) as excinfo:
+            Circuit(2, [Gate("H", (t,))])
+        assert str(excinfo.value) == f"gate H {t} exceeds 2 qubits"

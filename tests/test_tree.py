@@ -81,6 +81,16 @@ def test_parse_errors():
         tree_parse("(q1 :x (q\u00b2))")
     with pytest.raises(ValueError, match="expected digits after 'q' at position 2$"):
         tree_parse("(q\uff11)")
+    # a qubit id anywhere but after '(' is an error at its own position
+    for text, qid, pos in (
+        ("(q1 :x (q2 q3)", "q3", 12),
+        ("q1", "q1", 1),
+        ("(q1) q2", "q2", 6),
+        ("(q1 q2)", "q2", 5),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            tree_parse(text)
+        assert str(excinfo.value) == f"qubit id {qid} must follow '(' at position {pos}"
 
 
 def test_tree_validation():
@@ -223,8 +233,11 @@ def test_constructors_refuse_trees_over_max_qubits():
         jw_chain(MAX_QUBITS + 1)
     with pytest.raises(ValueError, match=over):
         random_tree(MAX_QUBITS + 1, 0)
-    with pytest.raises(ValueError, match="over the 1048576 limit"):
-        full_ternary(13)
+    # huge depths are refused before 3^(depth+1) is computed or printed
+    for depth in (13, 10**5, 10**7):
+        with pytest.raises(ValueError) as excinfo:
+            full_ternary(depth)
+        assert str(excinfo.value) == f"depth {depth} puts the qubit count over the 1048576 limit"
     with pytest.raises(ValueError, match="qubit count must be positive, got 0"):
         random_tree(0, 0)
 
