@@ -246,6 +246,7 @@ def circuit_parse(
     rows: list[tuple[int, int, int]] = []
     where: list[int] = []  # the line number of each row
     found: dict[str, list[str]] = {}
+    directives = frozenset(directives)  # once: a generator is used up by its first lookup
     declared = num_qubits
     for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]

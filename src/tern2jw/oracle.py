@@ -1,23 +1,37 @@
 """Exact dense-matrix ground truth for Pauli strings and Clifford circuits.
 
-Matrices hold Gaussian integers as int64 real and imaginary parts; nothing
-here touches floating point or takes a dense matrix product. Every gate but
-H is monomial, with one unit entry i^k in each row and column (Aaronson and
-Gottesman, quant-ph/0406196). Its monomial form, read off its matrix in
-_GATE_MATS and embedded on the 2^m basis states, gives each state r a
-source state and a Z4 phase: (U M)[r] = i^phase[r] M[source[r]]. A run of
-such gates composes into one such pair. A pair's own matrix is one scatter
-into zeros (dense_gate, and dense_pauli, whose letters are the X, Y and Z
-gates); conjugating by it is one gather over a matrix's rows and columns
-and an in-place i^(phase[r] - phase[c]) rotation. A circuit is compiled
-once into its H gates and the composed pair of each maximal run between
-them, and every string conjugated through it shares them.
+Matrices hold Gaussian integers as separate real and imaginary parts;
+nothing here touches floating point or takes a dense matrix product. At the
+public boundary (ExactMatrix, dense_pauli, dense_gate, decode_pauli's
+input) the parts are int64; inside, a matrix is one (2, 2^m, 2^m) int8
+array of stacked parts. Every gate but H is monomial, with one unit entry
+i^k in each row and column (Aaronson and Gottesman, quant-ph/0406196). Its
+monomial form, read off its matrix in _GATE_MATS and embedded on the 2^m
+basis states, gives each state r a source state and a Z4 phase:
+(U M)[r] = i^phase[r] M[source[r]]. A run of such gates composes into one
+such pair. A pair's own matrix is one scatter into zeros (dense_gate, and
+dense_pauli, whose letters are the X, Y and Z gates, built for the whole
+string at once from per-qubit tables); conjugating by it is one gather over
+a matrix's rows and columns and an in-place i^(phase[r] - phase[c])
+rotation. A circuit is compiled once into its H gates and the composed pair
+of each maximal run between them, and every string conjugated through it
+shares them.
 
 H is stored unnormalized as [[1,1],[1,-1]] and acts by an in-place
 butterfly on one bit of the row index (dense_gate) or, to conjugate, on its
 target's row bit and column bit, which scales a matrix by 2. Each
-conjugation halves it back exactly (a conjugated signed Pauli matrix keeps
-entries in {0, +-1, +-i}, so entries never grow).
+conjugation halves it back exactly.
+
+Why int8 cannot wrap: every gate is Clifford, whether or not the
+certificate being checked is right, so a signed Pauli matrix conjugated
+through any prefix of a circuit is again a signed Pauli matrix: one unit
+entry in each row and column, every part 0 or +-1. A monomial step only
+moves entries and multiplies them by units, which keeps that bound. Inside
+an H step the row butterfly pairs two entries of one column, at most one of
+them nonzero, so its parts stay within 1; the column butterfly then adds or
+subtracts two parts within 1, so no part exceeds 2 before the exact
+halving. decode_pauli reads and re-encodes its input without narrowing it,
+so an int64 entry of 256 is rejected there, never read as 0.
 
 Intended for small qubit counts (default cap 8, i.e. 256x256); whatever the
 cap, m >= 13 is refused before any allocation, since its dense matrix would
@@ -46,6 +60,11 @@ DEFAULT_CAP = 8
 _UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k as (re, im): k
 # i^k = _COS[k] + i _SIN[k]
 _COS, _SIN = np.array([1, 0, -1, 0], np.int8), np.array([0, 1, 0, -1], np.int8)
+# _butterfly runs numpy's inner loop across blocks only below this stride:
+# from 32 int8 entries up, a contiguous inner loop is the faster one (m = 8,
+# 2-vCPU x86-64 VM: a stride of 32 took 0.17 ms in memory order and 0.69 ms
+# across blocks, a stride of 8 took 0.41 and 0.17 ms)
+_SHORT_STRIDE = 32
 
 
 class OracleError(Exception):
@@ -133,10 +152,10 @@ def _compose(monomials, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matrix(source: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """A monomial form's own matrix as one (2, 2^m, 2^m) array of stacked
-    real and imaginary parts: i^phase[r] at [r, source[r]]."""
+    """A monomial form's own matrix as one (2, 2^m, 2^m) int8 array of
+    stacked real and imaginary parts: i^phase[r] at [r, source[r]]."""
     dim = len(source)
-    a = np.zeros((2, dim, dim), dtype=np.int64)
+    a = np.zeros((2, dim, dim), dtype=np.int8)
     a[phase & 1, np.arange(dim), source] = 1 - (phase & 2)
     return a
 
@@ -147,18 +166,24 @@ def _butterfly(a: np.ndarray, stride: int) -> None:
     (x + y, x - y)."""
     pairs = a.reshape(-1, 2, stride)  # a view: every matrix here is C-contiguous
     x, y = pairs[:, 0], pairs[:, 1]
-    x += y
-    y *= -2
-    y += x
+    if stride < min(len(pairs), _SHORT_STRIDE):
+        # numpy's inner loop follows memory order, so a short stride would
+        # make it stride long; run the longer axis, across blocks, innermost
+        x, y = x.T, y.T
+    np.add(x, y, out=x, order="C")
+    np.multiply(y, -2, out=y, order="C")
+    np.add(y, x, out=y, order="C")
 
 
 def _check_cap(m: int, cap: int) -> None:
     if m > cap:
         raise ValueError(f"{m} qubits exceeds oracle cap {cap}")
-    # 4^m int64 real and imaginary parts; oracle_check's tracemalloc peak is
-    # about 3.3 times that, since a run's gather holds the matrix, its rows
-    # gathered and the result at once: 3.3, 13 and 51 MiB at m = 8, 9 and 10,
-    # about 0.8 GiB at m = 12.
+    # 4^m int64 real and imaginary parts, the public ExactMatrix. Inside, the
+    # parts are int8, and oracle_check's tracemalloc peak is about 0.96 times
+    # this figure (15 bytes an entry): a run's gather holds the matrix and
+    # its result, and numpy's take widens the rotation's int8 turns to 8-byte
+    # indices. That is 0.96, 3.8 and 15 MiB at m = 8, 9 and 10, about
+    # 0.23 GiB at m = 12.
     dense_bytes = 16 << (2 * m)
     if dense_bytes > MAX_LETTER_CELLS:
         raise ValueError(
@@ -167,19 +192,42 @@ def _check_cap(m: int, cap: int) -> None:
         )
 
 
+@functools.cache
+def _letter_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every letter's monomial form at every qubit of the 2^m basis, as
+    (m, 4, 2^m) tables indexed by qubit - 1 and letter code: the bits it
+    flips in each basis index, and its phase there (code 0, I, is all
+    zeros). Read off the X, Y and Z gates on first use for each m, and
+    read-only, since every caller shares them."""
+    rows = np.arange(1 << m)
+    flips = np.zeros((m, 4, 1 << m), dtype=np.int64)
+    phases = np.zeros((m, 4, 1 << m), dtype=np.int8)
+    for code, kind in enumerate("XYZ", 1):
+        for q in range(m):
+            source, phases[q, code] = _monomial(kind, (q + 1,), m)
+            flips[q, code] = source ^ rows
+    flips.setflags(write=False)
+    phases.setflags(write=False)
+    return flips, phases
+
+
 def _pauli_parts(p: PauliString) -> np.ndarray:
-    """dense_pauli's matrix as one (2, 2^m, 2^m) array of stacked parts."""
+    """dense_pauli's matrix as one (2, 2^m, 2^m) int8 array of stacked
+    parts: its letters act on distinct qubits, so their flips and phases
+    add, each taken from its qubit's row of the letter tables."""
     m = p.num_qubits
-    letters = [_monomial("IXYZ"[code], (q,), m) for q, code in enumerate(p.letters, 1) if code]
-    source, phase = _compose(letters, m)
-    return _matrix(source, (phase + p.phase) & 3)
+    flips, phases = _letter_tables(m)
+    at = (range(m), p.letters)
+    source = np.arange(1 << m) ^ np.bitwise_xor.reduce(flips[at], axis=0)
+    phase = (phases[at].sum(axis=0, dtype=np.int8) + p.phase) & 3
+    return _matrix(source, phase)
 
 
 def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
     """i^phase times the product of the letter matrices, each at its qubit
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(p.num_qubits, cap)
-    return ExactMatrix(*_pauli_parts(p))
+    return ExactMatrix(*_pauli_parts(p).astype(np.int64))
 
 
 def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
@@ -187,11 +235,12 @@ def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(m, cap)
     Circuit(m, (g,))  # raises IndexError for a target beyond m
-    if g.kind != "H":
-        return ExactMatrix(*_matrix(*_monomial(g.kind, g.targets, m)))
-    a = _matrix(*_compose((), m))
-    _butterfly(a, 1 << (2 * m - g.targets[0]))  # the target's row bit
-    return ExactMatrix(*a)
+    if g.kind == "H":
+        a = _matrix(*_compose((), m))
+        _butterfly(a, 1 << (2 * m - g.targets[0]))  # the target's row bit
+    else:
+        a = _matrix(*_monomial(g.kind, g.targets, m))
+    return ExactMatrix(*a.astype(np.int64))
 
 
 def _compile(c: Circuit) -> list:
@@ -246,21 +295,27 @@ def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
     corrected by i^{#Y}. The decoded string is re-encoded and compared with
     the full matrix, so any non-Pauli input is rejected.
     """
+    return _decode(mat.re, mat.im, m)
+
+
+def _decode(re: np.ndarray, im: np.ndarray, m: int) -> PauliString:
+    """decode_pauli on the real and imaginary parts in their own dtype,
+    int64 from outside or int8 from _conjugate, never narrowed."""
     dim = 1 << m
-    if mat.re.shape != (dim, dim):
-        raise OracleError(f"matrix shape {mat.re.shape} does not match {m} qubits")
-    row = np.flatnonzero(mat.re[0] | mat.im[0])
+    if re.shape != (dim, dim):
+        raise OracleError(f"matrix shape {re.shape} does not match {m} qubits")
+    row = np.flatnonzero(re[0] | im[0])
     if len(row) != 1:
         raise OracleError("row 0 is not a single-entry row")
     xmask = int(row[0])
-    top_re, top_im = int(mat.re[0, xmask]), int(mat.im[0, xmask])
+    top_re, top_im = int(re[0, xmask]), int(im[0, xmask])
     if (top_re, top_im) not in _UNIT_POWERS:
         raise OracleError(f"entry {top_re}+{top_im}i is not a unit")
     letters = []
     for q in range(1, m + 1):
         r = 1 << (m - q)
         has_x = bool(xmask & r)
-        vre, vim = int(mat.re[r, r ^ xmask]), int(mat.im[r, r ^ xmask])
+        vre, vim = int(re[r, r ^ xmask]), int(im[r, r ^ xmask])
         if (vre, vim) == (top_re, top_im):
             has_z = False
         elif (vre, vim) == (-top_re, -top_im):
@@ -271,14 +326,15 @@ def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
     n_y = sum(1 for l in letters if l == 2)
     phase = (_UNIT_POWERS[(top_re, top_im)] + n_y) & 3
     decoded = PauliString(tuple(letters), phase)
-    if dense_pauli(decoded, cap=m) != mat:
+    want_re, want_im = _pauli_parts(decoded)
+    if not (np.array_equal(want_re, re) and np.array_equal(want_im, im)):
         raise OracleError(f"decode self-check failed for candidate {decoded}")
     return decoded
 
 
 def _image(steps: list, p: PauliString) -> PauliString:
     m = p.num_qubits
-    return decode_pauli(ExactMatrix(*_conjugate(_pauli_parts(p), steps, m)), m)
+    return _decode(*_conjugate(_pauli_parts(p), steps, m), m)
 
 
 def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> PauliString:

@@ -228,6 +228,9 @@ def test_circuit_parse_directives():
     parsed, extra = circuit_parse(text, directives=("PERM", "SIGNS"))
     assert parsed.num_qubits == 2
     assert extra == {"PERM": ["2", "1"], "SIGNS": ["+", "-", "+"]}
+    # any iterable of names, read once: a generator still knows PERM on line 3
+    with pytest.raises(ValueError, match="line 3: duplicate PERM directive"):
+        circuit_parse("PERM 1\nH 1\nPERM 2\n", directives=(d for d in ["PERM"]))
 
 
 def test_circuit_parse_errors_carry_line_numbers():

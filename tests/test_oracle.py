@@ -109,6 +109,15 @@ def test_dense_gate_goldens():
     assert np.array_equal(swap.re, want)
 
 
+def test_public_matrices_are_int64():
+    # int8 holds the oracle's own matrices only: products of these, as the
+    # tests build them, grow past its range
+    gates = [Gate(k, (1,)) for k in SINGLE_GATES] + [Gate(k, (1, 2)) for k in PAIR_GATES]
+    mats = [dense_gate(g, 2) for g in gates] + [dense_pauli(pauli_parse("-iXYZ"))]
+    for mat in mats:
+        assert mat.re.dtype == mat.im.dtype == np.int64
+
+
 def test_dense_gate_embeds_at_target():
     s2 = dense_gate(Gate("S", (2,)), 2)
     assert s2 == gkron(dense_pauli(pauli_parse("I")), dense_gate(Gate("S", (1,)), 1))
@@ -184,8 +193,10 @@ def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
     # unnormalized H gates, U P U-dagger is 2^h times the image
     rng = random.Random(43)
     seen = set()
-    for _ in range(150):
-        m = rng.randint(1, 4)
+    for i in range(150 + 2 * 20):
+        # then 20 circuits each on 5 and 6 qubits, whose H butterflies
+        # run both across blocks (short strides) and in memory order
+        m = rng.randint(1, 4) if i < 150 else 5 + i % 2
         gates = _random_circuit(rng, m)
         u = dense_pauli(pauli_identity(m))
         for g in gates:
@@ -204,8 +215,11 @@ def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
         seen.update(part for part in ("gHg", "HH") if part in shape)
         if not gates:
             seen.add("empty")
+        seen.update((m, g.targets[0]) for g in gates if g.kind == "H" and m >= 5)
     kinds = {(kind, False) for kind in SINGLE_GATES + PAIR_GATES}
     assert kinds | {("CX", True), "gHg", "HH", "empty"} <= seen
+    # an H on every qubit: every row and column stride at m = 5 and 6
+    assert {(m, t) for m in (5, 6) for t in range(1, m + 1)} <= seen
 
 
 def test_oracle_conjugate_empty_circuit():
@@ -239,6 +253,18 @@ def test_decode_pauli_rejects_non_pauli():
         decode_pauli(doubled, 1)
     with pytest.raises(OracleError, match="does not match"):
         decode_pauli(dense_pauli(pauli_parse("XX")), 1)
+    # the input is read in its own int64, never narrowed: in int8, 256
+    # would wrap to 0, the first case would fail on an empty row 0 and a
+    # 256 on a zero of XZ would pass as XZ
+    xz = dense_pauli(pauli_parse("XZ"))
+    with pytest.raises(OracleError, match="256\\+0i is not a unit"):
+        decode_pauli(ExactMatrix(256 * xz.re, 256 * xz.im), 2)
+    for entry in (2, 256):
+        for row, col in ((3, 3), (3, 1)):  # a zero of XZ, and its entry in row 3
+            re = xz.re.copy()
+            re[row, col] = entry
+            with pytest.raises(OracleError, match="self-check failed"):
+                decode_pauli(ExactMatrix(re, xz.im), 2)
 
 
 def test_decode_pauli_round_trip():
@@ -326,8 +352,8 @@ def test_exact_matrix_is_unhashable():
 
 
 def test_oracle_check_memory_peak_at_8_qubits():
-    # the README's figure: the peak stays within 4.25 dense matrices of
-    # 16 * 4^m bytes, which makes m = 12 need about 1 GiB
+    # the README's figure: the peak stays within 1.25 dense matrices of
+    # 16 * 4^m bytes, which makes m = 12 need about 0.3 GiB
     t = random_tree(8, seed=5)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok  # gate tables are built on first use
@@ -337,4 +363,4 @@ def test_oracle_check_memory_peak_at_8_qubits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * 16 * 4**8
+    assert peak <= 1.25 * 16 * 4**8
