@@ -3,8 +3,9 @@
 The pieces fit together like this: pauli holds the signed string type, tree
 turns trees into generator sets held as one letter matrix, engine runs the
 gate rules on its x/z bit planes (clifford: on one string as one column),
-straighten synthesizes the tree-to-chain circuits, oracle re-checks
-everything with exact dense matrices, and cli fronts the lot.
+straighten synthesizes the tree-to-chain circuits and checks them,
+oracle conjugates the same batches with exact dense matrices, and cli
+fronts the lot.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +24,6 @@ from .oracle import (
     OracleError,
     dense_gate,
     dense_pauli,
-    oracle_check,
     oracle_conjugate,
 )
 from .pauli import (
@@ -41,6 +41,7 @@ from .straighten import (
     fix_signs,
     fork_move,
     map_between,
+    oracle_check,
     relabel,
     straighten,
     straighten_fork,

@@ -26,7 +26,6 @@ from collections import Counter
 from typing import Callable, Sequence
 
 from .clifford import circuit_format, peephole_cancel
-from .oracle import DEFAULT_CAP, oracle_check
 from .pauli import LETTERS
 from .straighten import (
     TransformReport,
@@ -34,12 +33,14 @@ from .straighten import (
     certificate_parse,
     fix_signs,
     map_between,
+    oracle_check,
     straighten,
     verify_transform,
 )
 from .tree import TernaryTree, _batch_product, tree_format, tree_generators, tree_parse
 
 _LETTER_BYTES = bytes.maketrans(bytes(range(4)), LETTERS.encode())
+DEFAULT_CAP = 8  # verify's default --oracle-cap; the library's oracle has none
 
 
 @functools.cache
@@ -146,7 +147,7 @@ def _cmd_verify(args: argparse.Namespace, t: TernaryTree, cert_input: tuple[str,
     cert = _parsed(name, functools.partial(certificate_parse, num_qubits=t.num_qubits), text)
     ok = _print_report("engine", verify_transform(t, cert))
     if t.num_qubits <= args.oracle_cap:
-        ok = _print_report("oracle", oracle_check(t, cert, cap=args.oracle_cap)) and ok
+        ok = _print_report("oracle", oracle_check(t, cert)) and ok
     else:
         print(f"oracle skip m={t.num_qubits} cap={args.oracle_cap}")
     return 0 if ok else 1

@@ -178,14 +178,19 @@ class Circuit:
         return circuit_format(self)
 
 
-def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
-    """Conjugate p through the circuit in listed order, as a one-column batch."""
+def _one_column(conjugate, c: Circuit, p: PauliString) -> PauliString:
+    """p through c as a one-column batch of a conjugate_inplace-like conjugator."""
     if c.num_qubits != p.num_qubits:
         raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
     letters = np.array(p.letters, dtype=np.uint8)[:, None]
     phases = np.array([p.phase], dtype=np.uint8)
-    conjugate_inplace(letters, phases, c.ops)
+    conjugate(letters, phases, c.ops)
     return PauliString(tuple(letters[:, 0].tolist()), int(phases[0]))
+
+
+def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
+    """Conjugate p through the circuit in listed order, as a one-column batch."""
+    return _one_column(conjugate_inplace, c, p)
 
 
 def invert_circuit(c: Circuit) -> Circuit:

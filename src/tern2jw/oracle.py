@@ -13,9 +13,14 @@ such pair. A pair's own matrix is one scatter into zeros (dense_gate, and
 dense_pauli, whose letters are the X, Y and Z gates, built for the whole
 string at once from per-qubit tables); conjugating by it is one gather over
 a matrix's rows and columns and an in-place i^(phase[r] - phase[c])
-rotation. A circuit is compiled once into its H gates and the composed pair
-of each maximal run between them, and every string conjugated through it
-shares them.
+rotation. A circuit's op rows are compiled once into its H gates and the
+composed pair of each maximal run between them, and every string
+conjugated through them shares them.
+
+dense_conjugate has engine.conjugate_inplace's batch contract and works in
+place, a column at a time through one compiled circuit, so
+straighten.oracle_check differs from verify_transform only in the
+conjugator; oracle_conjugate is its one-column call.
 
 H is stored unnormalized as [[1,1],[1,-1]] and acts by an in-place
 butterfly on one bit of the row index (dense_gate) or, to conjugate, on its
@@ -33,10 +38,10 @@ subtracts two parts within 1, so no part exceeds 2 before the exact
 halving. decode_pauli reads and re-encodes its input without narrowing it,
 so an int64 entry of 256 is rejected there, never read as 0.
 
-Intended for small qubit counts (default cap 8, i.e. 256x256); whatever the
-cap, m >= 13 is refused before any allocation, since its dense matrix would
-exceed MAX_LETTER_CELLS bytes. The symbolic engine is certified against this
-module, never the other way round."""
+Intended for small qubit counts (verify's --oracle-cap is 8, 256x256);
+every entry point refuses m >= 13 before any allocation, as its dense
+matrix would exceed MAX_LETTER_CELLS bytes. It imports neither engine nor
+straighten: the engine is certified against it, never the other way round."""
 
 from __future__ import annotations
 
@@ -46,20 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import Circuit, Gate, _kind_targets
+from .clifford import Circuit, Gate, _kind_targets, _one_column
 from .pauli import PauliString
-from .straighten import (
-    Certificate,
-    TransformReport,
-    certify,
-    check_certificate_span,
-)
-from .tree import MAX_LETTER_CELLS, TernaryTree
+from .tree import MAX_LETTER_CELLS
 
-DEFAULT_CAP = 8
 _UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k as (re, im): k
-# i^k = _COS[k] + i _SIN[k]
-_COS, _SIN = np.array([1, 0, -1, 0], np.int8), np.array([0, 1, 0, -1], np.int8)
 # _butterfly runs numpy's inner loop across blocks only below this stride:
 # from 32 int8 entries up, a contiguous inner loop is the faster one (m = 8,
 # 2-vCPU x86-64 VM: a stride of 32 took 0.17 ms in memory order and 0.69 ms
@@ -175,15 +171,12 @@ def _butterfly(a: np.ndarray, stride: int) -> None:
     np.add(y, x, out=y, order="C")
 
 
-def _check_cap(m: int, cap: int) -> None:
-    if m > cap:
-        raise ValueError(f"{m} qubits exceeds oracle cap {cap}")
-    # 4^m int64 real and imaginary parts, the public ExactMatrix. Inside, the
-    # parts are int8, and oracle_check's tracemalloc peak is about 0.96 times
-    # this figure (15 bytes an entry): a run's gather holds the matrix and
-    # its result, and numpy's take widens the rotation's int8 turns to 8-byte
-    # indices. That is 0.96, 3.8 and 15 MiB at m = 8, 9 and 10, about
-    # 0.23 GiB at m = 12.
+def _check_cap(m: int) -> None:
+    # 4^m int64 real and imaginary parts, the public ExactMatrix. oracle_check's
+    # tracemalloc peak is about 0.70 times this (11 bytes an entry): a run's
+    # gather holds the int8 matrix and two gathered copies, and the rotation
+    # int8 turn, cos and sin arrays. That is 0.70, 2.8 and 11 MiB at m = 8, 9
+    # and 10, about 0.18 GiB at m = 12.
     dense_bytes = 16 << (2 * m)
     if dense_bytes > MAX_LETTER_CELLS:
         raise ValueError(
@@ -211,29 +204,28 @@ def _letter_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return flips, phases
 
 
-def _pauli_parts(p: PauliString) -> np.ndarray:
-    """dense_pauli's matrix as one (2, 2^m, 2^m) int8 array of stacked
-    parts: its letters act on distinct qubits, so their flips and phases
-    add, each taken from its qubit's row of the letter tables."""
-    m = p.num_qubits
+def _pauli_parts(letters, phase: int) -> np.ndarray:
+    """i^phase times the letters (one code per qubit) as one (2, 2^m, 2^m)
+    int8 array of stacked parts: the letters act on distinct qubits, so
+    their flips and phases add, each from its qubit's row of the tables."""
+    m = len(letters)
     flips, phases = _letter_tables(m)
-    at = (range(m), p.letters)
+    at = (range(m), letters)
     source = np.arange(1 << m) ^ np.bitwise_xor.reduce(flips[at], axis=0)
-    phase = (phases[at].sum(axis=0, dtype=np.int8) + p.phase) & 3
-    return _matrix(source, phase)
+    return _matrix(source, (phases[at].sum(axis=0, dtype=np.int8) + phase) & 3)
 
 
-def dense_pauli(p: PauliString, cap: int = DEFAULT_CAP) -> ExactMatrix:
+def dense_pauli(p: PauliString) -> ExactMatrix:
     """i^phase times the product of the letter matrices, each at its qubit
     (qubit 1 is the most significant bit of the row/column index)."""
-    _check_cap(p.num_qubits, cap)
-    return ExactMatrix(*_pauli_parts(p).astype(np.int64))
+    _check_cap(p.num_qubits)
+    return ExactMatrix(*_pauli_parts(p.letters, p.phase).astype(np.int64))
 
 
-def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
+def dense_gate(g: Gate, m: int) -> ExactMatrix:
     """Gate matrix embedded at its targets, identity on the other qubits
     (qubit 1 is the most significant bit of the row/column index)."""
-    _check_cap(m, cap)
+    _check_cap(m)
     Circuit(m, (g,))  # raises IndexError for a target beyond m
     if g.kind == "H":
         a = _matrix(*_compose((), m))
@@ -243,12 +235,11 @@ def dense_gate(g: Gate, m: int, cap: int = DEFAULT_CAP) -> ExactMatrix:
     return ExactMatrix(*a.astype(np.int64))
 
 
-def _compile(c: Circuit) -> list:
-    """The circuit as conjugation steps in order: the target of each H, and
-    one composed monomial form for each maximal run of other gates."""
-    m = c.num_qubits
+def _compile(ops: np.ndarray, m: int) -> list:
+    """Op rows on m qubits as conjugation steps in order: each H's target,
+    and one composed monomial form per maximal run of other gates."""
     steps: list = []
-    gates = map(_kind_targets, c.ops.tolist())
+    gates = map(_kind_targets, ops.tolist())
     for is_h, run in itertools.groupby(gates, lambda kind_targets: kind_targets[0] == "H"):
         if is_h:
             steps.extend(t for _, (t,) in run)
@@ -261,8 +252,9 @@ def _conjugate_monomial(a: np.ndarray, source: np.ndarray, phase: np.ndarray) ->
     """U a U-dagger for the monomial form's U, with one gather and an
     in-place rotation: entry [r, c] is i^(phase[r] - phase[c]) a[source[r], source[c]]."""
     out = a.take(source, axis=1).take(source, axis=2)
-    turn = (phase[:, None] - phase) & 3
-    cos, sin = _COS.take(turn), _SIN.take(turn)
+    turn = (phase[:, None] - phase) & 3  # int8, and so is all that follows
+    sin = (1 - (turn & 2)) * (turn & 1)  # i^turn = cos + i sin
+    cos = 1 - (turn & 2) - sin
     re, im = out
     sin_im = sin * im
     im *= cos
@@ -295,11 +287,11 @@ def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
     corrected by i^{#Y}. The decoded string is re-encoded and compared with
     the full matrix, so any non-Pauli input is rejected.
     """
-    return _decode(mat.re, mat.im, m)
+    return PauliString(*_decode(mat.re, mat.im, m))
 
 
-def _decode(re: np.ndarray, im: np.ndarray, m: int) -> PauliString:
-    """decode_pauli on the real and imaginary parts in their own dtype,
+def _decode(re: np.ndarray, im: np.ndarray, m: int) -> tuple[tuple[int, ...], int]:
+    """decode_pauli's (letters, phase) from the parts in their own dtype,
     int64 from outside or int8 from _conjugate, never narrowed."""
     dim = 1 << m
     if re.shape != (dim, dim):
@@ -325,43 +317,23 @@ def _decode(re: np.ndarray, im: np.ndarray, m: int) -> PauliString:
         letters.append((2 if has_z else 1) if has_x else (3 if has_z else 0))
     n_y = sum(1 for l in letters if l == 2)
     phase = (_UNIT_POWERS[(top_re, top_im)] + n_y) & 3
-    decoded = PauliString(tuple(letters), phase)
-    want_re, want_im = _pauli_parts(decoded)
+    want_re, want_im = _pauli_parts(letters, phase)
     if not (np.array_equal(want_re, re) and np.array_equal(want_im, im)):
-        raise OracleError(f"decode self-check failed for candidate {decoded}")
-    return decoded
+        raise OracleError(f"decode self-check failed for candidate {PauliString(letters, phase)}")
+    return tuple(letters), phase
 
 
-def _image(steps: list, p: PauliString) -> PauliString:
-    m = p.num_qubits
-    return _decode(*_conjugate(_pauli_parts(p), steps, m), m)
+def dense_conjugate(letters: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
+    """engine.conjugate_inplace with exact matrices: each column of the
+    batch becomes its dense matrix, is conjugated and is decoded back."""
+    m = letters.shape[0]
+    _check_cap(m)
+    steps = _compile(ops, m)
+    for j, phase in enumerate(phases.tolist()):
+        a = _conjugate(_pauli_parts(letters[:, j], phase), steps, m)
+        letters[:, j], phases[j] = _decode(*a, m)
 
 
-def oracle_conjugate(c: Circuit, p: PauliString, cap: int = DEFAULT_CAP) -> PauliString:
+def oracle_conjugate(c: Circuit, p: PauliString) -> PauliString:
     """Conjugate p through the circuit with exact matrices and decode the result."""
-    if c.num_qubits != p.num_qubits:
-        raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
-    _check_cap(p.num_qubits, cap)
-    return _image(_compile(c), p)
-
-
-def oracle_check(
-    tree: TernaryTree, cert: Certificate, cap: int = DEFAULT_CAP
-) -> TransformReport:
-    """Certify a certificate (a StraightenResult is one): every generator
-    must land on its signed JW image under the recorded permutation.
-
-    The generator images are re-derived here from the matrices alone, all
-    through one compiled circuit, and then matched by the same certify as
-    the engine's.
-    """
-    from .tree import tree_generators
-
-    check_certificate_span(tree, cert)
-    _check_cap(tree.num_qubits, cap)
-    steps = _compile(cert.circuit)
-    images = [_image(steps, p) for p in tree_generators(tree).strings]
-    letters = np.array([img.letters for img in images], dtype=np.uint8).T
-    phases = np.array([img.phase for img in images], dtype=np.uint8)
-    perm_idx = np.asarray(cert.permutation, dtype=np.int64) - 1
-    return certify(letters[perm_idx], phases, cert.signs)
+    return _one_column(dense_conjugate, c, p)

@@ -16,6 +16,7 @@ PauliString is one such column with its phase.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 LETTERS = "IXYZ"
@@ -40,12 +41,20 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.letters) == 0:
+        try:  # not a membership test: 1.0 in (0, 1, 2, 3) holds
+            letters, phase = tuple(map(operator.index, self.letters)), operator.index(self.phase)
+        except TypeError:
+            raise ValueError(
+                f"letters and phase must be integers, got {self.letters!r}, {self.phase!r}"
+            ) from None
+        if not letters:
             raise ValueError("Pauli string needs at least one qubit")
-        if any(l not in (0, 1, 2, 3) for l in self.letters):
+        if any(l not in (0, 1, 2, 3) for l in letters):
             raise ValueError(f"invalid letter code in {self.letters!r}")
-        if self.phase not in (0, 1, 2, 3):
+        if phase not in (0, 1, 2, 3):
             raise ValueError(f"phase exponent must be in 0..3, got {self.phase!r}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "phase", phase)
 
     @property
     def num_qubits(self) -> int:

@@ -28,6 +28,8 @@ exactly by conjugating all 2m+1 generators through the circuit in one
 batch; fix_signs appends a single-qubit Pauli layer that forces ranks
 1..2m positive (rank 2m+1 is pinned by the conserved total product), and
 the same engine and matcher check the signs that layer leaves.
+verify_transform and oracle_check are one certificate check, _check, run
+with the engine's conjugate_inplace or the oracle's dense_conjugate.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from .clifford import Circuit, Gate, invert_circuit
 from .engine import GATE_CODES, SINGLE_GATES, conjugate_inplace
 from .engine import encode_gates  # noqa: F401 -- perfbench's engine.encode_s probe binds it
+from .oracle import dense_conjugate
 from .tree import (
     MAX_LETTER_CELLS,  # noqa: F401 -- re-exported, the cap straighten enforces
     TERMINAL,
@@ -273,11 +276,13 @@ def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
 
 
 def _conjugated_images(
-    t: TernaryTree, c: Circuit, perm: Sequence[int]
+    t: TernaryTree, c: Circuit, perm: Sequence[int], conjugate
 ) -> tuple[np.ndarray, np.ndarray]:
+    """t's generators conjugated through c by conjugate (a batch conjugator
+    like engine.conjugate_inplace), renamed into chain order through perm."""
     letters = _letters_matrix(t)
     phases = np.zeros(letters.shape[1], dtype=np.uint8)
-    conjugate_inplace(letters, phases, c.ops)
+    conjugate(letters, phases, c.ops)
     perm_idx = np.asarray(perm, dtype=np.int64) - 1
     return letters[perm_idx, :], phases
 
@@ -329,7 +334,7 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
         chain = list(range(1, m + 1))
 
     circuit = Circuit.from_ops(m, rows)
-    report = certify(*_conjugated_images(t, circuit, chain))
+    report = certify(*_conjugated_images(t, circuit, chain, conjugate_inplace))
     if not report.ok:
         raise RuntimeError("conjugated generators left the signed JW set")
     return StraightenResult(
@@ -522,22 +527,26 @@ def certify(
     )
 
 
-def check_certificate_span(t: TernaryTree, cert: Certificate) -> None:
-    """Raise ValueError unless the certificate spans exactly t's qubits;
-    its own shape (PERM, circuit, SIGNS) is checked when it is built."""
+def _check(t: TernaryTree, cert: Certificate, conjugate) -> TransformReport:
+    """certify t's generator images under cert, as conjugate computes them;
+    cert must span t's qubits (its own shape is checked when it is built)."""
     if cert.num_qubits != t.num_qubits:
         raise ValueError(
             f"certificate spans {cert.num_qubits} qubits but the tree has {t.num_qubits} qubits"
         )
+    renamed, phases = _conjugated_images(t, cert.circuit, cert.permutation, conjugate)
+    return certify(renamed, phases, cert.signs)
 
 
 def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
-    """Engine-level check that the certificate maps t onto the JW chain.
+    """Engine-level check that the certificate maps t onto the JW chain:
+    every generator image, renamed through PERM, must decode as its declared
+    sign times a JW generator, and the matched ranks must cover 1..2m+1."""
+    # looked up per call, so perfbench's engine.conjugate_s probe sees it
+    return _check(t, cert, conjugate_inplace)
 
-    Every generator image (renamed through PERM) must decode as the
-    declared sign times a JW generator, and the matched ranks must cover
-    all of 1..2m+1.
-    """
-    check_certificate_span(t, cert)
-    renamed, phases = _conjugated_images(t, cert.circuit, cert.permutation)
-    return certify(renamed, phases, cert.signs)
+
+def oracle_check(t: TernaryTree, cert: Certificate) -> TransformReport:
+    """verify_transform with the generator images re-derived by the dense
+    oracle from exact matrices alone, through one compiled circuit."""
+    return _check(t, cert, dense_conjugate)

@@ -1,10 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from tern2jw import Circuit, Gate, conjugate_circuit, oracle_conjugate
 from tern2jw.engine import conjugate_inplace, encode_gates
+from tern2jw.oracle import dense_conjugate
 from tern2jw.pauli import PauliString
 
 SINGLE = ("H", "S", "SDG", "X", "Y", "Z")
@@ -110,3 +113,40 @@ def test_long_s_cycle_wraps_to_identity():
     out_letters, out_phases = _run_engine(c, letters, phases)
     assert out_letters[0, 0] == 1
     assert out_phases[0] == 0
+
+
+def test_engine_and_oracle_agree_batch_for_batch():
+    # the same batch through both conjugators: every letter and all four
+    # phases in each batch, random circuits over all nine gates
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(80):
+        m = rng.randint(1, 4)
+        n = rng.randint(4, 16)
+        letters = np.array([[rng.randrange(4) for _ in range(n)] for _ in range(m)], dtype=np.uint8)
+        letters[:, :4] = range(4)  # every letter on every qubit
+        phases = np.array([j % 4 for j in range(n)], dtype=np.uint8)
+        c = _random_circuit(rng, m, rng.randint(0, 20))
+        kinds.update(g.kind for g in c.gates)
+        engine = letters.copy(), phases.copy()
+        oracle = letters.copy(), phases.copy()
+        conjugate_inplace(*engine, c.ops)
+        dense_conjugate(*oracle, c.ops)
+        assert np.array_equal(engine[0], oracle[0]), c
+        assert np.array_equal(engine[1], oracle[1]), c
+    assert kinds == set(SINGLE + PAIR)
+
+
+def test_dense_conjugate_refuses_13_rows_before_allocating():
+    letters = np.zeros((13, 3), dtype=np.uint8)
+    phases = np.zeros(3, dtype=np.uint8)
+    ops = Circuit(13, (Gate("H", (1,)),)).ops
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+            dense_conjugate(letters, phases, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 13-qubit dense matrix is 128 MiB even in int8 parts
+    assert not letters.any() and not phases.any()

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tern2jw import (
     Gate,
     PauliString,
     fix_signs,
+    oracle_check,
     random_tree,
     straighten,
     verify_transform,
@@ -22,7 +25,6 @@ from tern2jw.oracle import (
     decode_pauli,
     dense_gate,
     dense_pauli,
-    oracle_check,
     oracle_conjugate,
 )
 
@@ -134,14 +136,17 @@ def test_dense_gate_target_out_of_range():
 
 
 def test_oracle_cap_enforced():
-    big = pauli_parse("I" * 9)
-    with pytest.raises(ValueError, match="exceeds oracle cap 8"):
-        dense_pauli(big)
-    assert dense_pauli(big, cap=9).re.shape == (512, 512)
-    with pytest.raises(ValueError, match="exceeds oracle cap"):
-        oracle_conjugate(Circuit(9, ()), big)
+    # m >= 13 is refused at every entry point, before any dense allocation
+    big = pauli_parse("I" * 13)
     with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
-        dense_pauli(pauli_parse("I" * 13), cap=40)
+        dense_pauli(big)
+    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+        dense_gate(Gate("H", (1,)), 13)
+    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+        oracle_conjugate(Circuit(13, ()), big)
+    t = random_tree(13, seed=1)
+    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+        oracle_check(t, straighten(t))
 
 
 def test_oracle_conjugate_frozen_rows():
@@ -364,3 +369,19 @@ def test_oracle_check_memory_peak_at_8_qubits():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 16 * 4**8
+
+
+def test_oracle_imports_neither_engine_nor_straighten():
+    # the ground truth stays independent of what it checks
+    source = Path(__file__).resolve().parents[1] / "src" / "tern2jw" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            if node.level and not node.module:  # from . import engine
+                imported.update("." + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert ".clifford" in imported  # the walk sees the module's imports
+    banned = {".engine", ".straighten", "tern2jw.engine", "tern2jw.straighten"}
+    assert not imported & banned

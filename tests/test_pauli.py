@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tern2jw import PauliString, check_generator_set, pauli_format
@@ -25,6 +26,20 @@ def test_string_validation():
         PauliString((0, 4))
     with pytest.raises(ValueError):
         PauliString((1,), 5)
+
+
+def test_string_refuses_non_integers():
+    # 1.0 == 1 would pass a membership test, and str() would then fail
+    for letters, phase in (((1.0, 3), 0), ((1, 3), 2.0), ((1, "2"), 0), ((1,), None)):
+        with pytest.raises(ValueError, match="letters and phase must be integers"):
+            PauliString(letters, phase)
+
+
+def test_string_stores_plain_ints():
+    p = PauliString([np.uint8(1), np.int64(3)], np.uint8(2))
+    assert p.letters == (1, 3) and type(p.letters[0]) is int and type(p.phase) is int
+    assert str(p) == "-XZ"
+    assert p == PauliString((1, 3), 2) and hash(p) == hash(PauliString((1, 3), 2))
 
 
 def test_mul_single_qubit_table():

@@ -44,3 +44,27 @@ def test_checks_imports_resolve():
     assert {name for _, name in names} >= {"circuit_parse", "conjugate_circuit", "PauliString"}
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_conjugate_probe_sees_verify_but_not_the_oracle(monkeypatch):
+    # perfbench's engine.conjugate_s probe wraps
+    # tern2jw.straighten.conjugate_inplace; a conjugator bound at import
+    # (a default argument, say) would hide verify_transform's batch from it
+    straighten_mod = importlib.import_module("tern2jw.straighten")
+    from tern2jw import oracle_check, random_tree, straighten, verify_transform
+
+    calls = []
+    original = straighten_mod.conjugate_inplace
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(straighten_mod, "conjugate_inplace", counting)
+    t = random_tree(5, seed=3)
+    r = straighten(t)
+    assert len(calls) == 1
+    assert verify_transform(t, r).ok
+    assert len(calls) == 2
+    assert oracle_check(t, r).ok
+    assert len(calls) == 2
