@@ -3,11 +3,12 @@
 Matrices hold Gaussian integers as separate real and imaginary parts;
 nothing here touches floating point or takes a dense matrix product. At the
 public boundary (ExactMatrix, dense_pauli, dense_gate, decode_pauli's
-input) the parts are int64; inside, a matrix is one (2, 2^m, 2^m) int8
-array of stacked parts. Every gate but H is monomial, with one unit entry
-i^k in each row and column (Aaronson and Gottesman, quant-ph/0406196). Its
-monomial form, read off its matrix in _GATE_MATS and embedded on the 2^m
-basis states, gives each state r a source state and a Z4 phase:
+input) the parts are int64; inside, k matrices are one (k, 2, 2^m, 2^m)
+int8 stack of their real and imaginary parts. Every gate but H is
+monomial, with one unit entry i^k in each row and column (Aaronson and
+Gottesman, quant-ph/0406196). Its monomial form, read off its matrix in
+_GATE_MATS and embedded on the 2^m basis states, gives each state r a
+source state and a Z4 phase:
 (U M)[r] = i^phase[r] M[source[r]]. A run of such gates composes into one
 such pair. A pair's own matrix is one scatter into zeros (dense_gate, and
 dense_pauli, whose letters are the X, Y and Z gates, built for the whole
@@ -18,9 +19,12 @@ composed pair of each maximal run between them, and every string
 conjugated through them shares them.
 
 dense_conjugate has engine.conjugate_inplace's batch contract and works in
-place, a column at a time through one compiled circuit, so
-straighten.oracle_check differs from verify_transform only in the
-conjugator; oracle_conjugate is its one-column call.
+place, so straighten.oracle_check differs from verify_transform only in the
+conjugator; oracle_conjugate is its one-column call. It conjugates the
+batch's columns as stacks of up to _STACK_CELLS int8 cells through one
+compiled circuit, every step acting on a whole stack: the 2m+1 generators
+of a tree on m <= 6 qubits are one stack, m = 7 takes stacks of 4, and
+from m = 8 each stack is one matrix.
 
 H is stored unnormalized as [[1,1],[1,-1]] and acts by an in-place
 butterfly on one bit of the row index (dense_gate) or, to conjugate, on its
@@ -57,10 +61,14 @@ from .tree import MAX_LETTER_CELLS
 
 _UNIT_POWERS = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}  # i^k as (re, im): k
 # _butterfly runs numpy's inner loop across blocks only below this stride:
-# from 32 int8 entries up, a contiguous inner loop is the faster one (m = 8,
-# 2-vCPU x86-64 VM: a stride of 32 took 0.17 ms in memory order and 0.69 ms
-# across blocks, a stride of 8 took 0.41 and 0.17 ms)
+# from 32 int8 entries up, a contiguous inner loop is the faster one (whole
+# stacks of 13, 4 and 1 matrices at m = 6, 7 and 8, 2-vCPU x86-64 VM: a
+# stride of 32 took 0.11-0.17 ms in memory order and 0.54-0.56 ms across
+# blocks, a stride of 8 took 0.33-0.37 and 0.11-0.13 ms)
 _SHORT_STRIDE = 32
+# the most int8 cells in one stack of matrices conjugated together; a
+# stack holds at least one matrix, whatever its size
+_STACK_CELLS = 1 << 17
 
 
 class OracleError(Exception):
@@ -148,11 +156,12 @@ def _compose(monomials, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _matrix(source: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """A monomial form's own matrix as one (2, 2^m, 2^m) int8 array of
-    stacked real and imaginary parts: i^phase[r] at [r, source[r]]."""
-    dim = len(source)
-    a = np.zeros((2, dim, dim), dtype=np.int8)
-    a[phase & 1, np.arange(dim), source] = 1 - (phase & 2)
+    """k monomial forms' own matrices, from (k, 2^m) sources and phases, as
+    one (k, 2, 2^m, 2^m) int8 stack of real and imaginary parts: matrix j
+    holds i^phase[j, r] at [r, source[j, r]]."""
+    k, dim = source.shape
+    a = np.zeros((k, 2, dim, dim), dtype=np.int8)
+    a[np.arange(k)[:, None], phase & 1, np.arange(dim), source] = 1 - (phase & 2)
     return a
 
 
@@ -160,7 +169,9 @@ def _butterfly(a: np.ndarray, stride: int) -> None:
     """Unnormalized H on one bit of a's flat index, in place: each pair of
     entries stride apart in an aligned block of 2 * stride becomes
     (x + y, x - y)."""
-    pairs = a.reshape(-1, 2, stride)  # a view: every matrix here is C-contiguous
+    # a view: every stack here is C-contiguous, and an aligned block of
+    # 2 * stride cells lies inside one matrix part
+    pairs = a.reshape(-1, 2, stride)
     x, y = pairs[:, 0], pairs[:, 1]
     if stride < min(len(pairs), _SHORT_STRIDE):
         # numpy's inner loop follows memory order, so a short stride would
@@ -172,11 +183,13 @@ def _butterfly(a: np.ndarray, stride: int) -> None:
 
 
 def _check_cap(m: int) -> None:
-    # 4^m int64 real and imaginary parts, the public ExactMatrix. oracle_check's
-    # tracemalloc peak is about 0.70 times this (11 bytes an entry): a run's
-    # gather holds the int8 matrix and two gathered copies, and the rotation
-    # int8 turn, cos and sin arrays. That is 0.70, 2.8 and 11 MiB at m = 8, 9
-    # and 10, about 0.18 GiB at m = 12.
+    # 4^m int64 real and imaginary parts, the public ExactMatrix. From m = 8
+    # a stack is one matrix, and oracle_check's tracemalloc peak is about 0.70
+    # times this (11 bytes an entry): a run's gather holds the int8 stack and
+    # two gathered copies, and the rotation int8 turn, cos and sin arrays.
+    # That is 0.70, 2.8 and 11 MiB at m = 8, 9 and 10, about 0.18 GiB at
+    # m = 12. Below m = 8 the stack budget bounds it instead: 0.32 MiB at
+    # m = 6 and 0.56 MiB at m = 7.
     dense_bytes = 16 << (2 * m)
     if dense_bytes > MAX_LETTER_CELLS:
         raise ValueError(
@@ -204,22 +217,25 @@ def _letter_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return flips, phases
 
 
-def _pauli_parts(letters, phase: int) -> np.ndarray:
-    """i^phase times the letters (one code per qubit) as one (2, 2^m, 2^m)
-    int8 array of stacked parts: the letters act on distinct qubits, so
-    their flips and phases add, each from its qubit's row of the tables."""
+def _pauli_parts(letters: np.ndarray, phases) -> np.ndarray:
+    """The k strings of an (m, k) letter block (one code per qubit and
+    column) times i^phases as one _matrix stack: the letters of a column
+    act on distinct qubits, so their flips and phases add, each from its
+    qubit's row of the tables."""
     m = len(letters)
-    flips, phases = _letter_tables(m)
-    at = (range(m), letters)
+    flips, table = _letter_tables(m)
+    at = (np.arange(m)[:, None], letters)
     source = np.arange(1 << m) ^ np.bitwise_xor.reduce(flips[at], axis=0)
-    return _matrix(source, (phases[at].sum(axis=0, dtype=np.int8) + phase) & 3)
+    phase = table[at].sum(axis=0, dtype=np.int8) + np.asarray(phases, dtype=np.int8)[:, None]
+    return _matrix(source, phase & 3)
 
 
 def dense_pauli(p: PauliString) -> ExactMatrix:
     """i^phase times the product of the letter matrices, each at its qubit
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(p.num_qubits)
-    return ExactMatrix(*_pauli_parts(p.letters, p.phase).astype(np.int64))
+    a = _pauli_parts(np.reshape(p.letters, (-1, 1)), (p.phase,))
+    return ExactMatrix(*a[0].astype(np.int64))
 
 
 def dense_gate(g: Gate, m: int) -> ExactMatrix:
@@ -227,12 +243,11 @@ def dense_gate(g: Gate, m: int) -> ExactMatrix:
     (qubit 1 is the most significant bit of the row/column index)."""
     _check_cap(m)
     Circuit(m, (g,))  # raises IndexError for a target beyond m
+    source, phase = _compose((), m) if g.kind == "H" else _monomial(g.kind, g.targets, m)
+    a = _matrix(source[None], phase[None])
     if g.kind == "H":
-        a = _matrix(*_compose((), m))
         _butterfly(a, 1 << (2 * m - g.targets[0]))  # the target's row bit
-    else:
-        a = _matrix(*_monomial(g.kind, g.targets, m))
-    return ExactMatrix(*a.astype(np.int64))
+    return ExactMatrix(*a[0].astype(np.int64))
 
 
 def _compile(ops: np.ndarray, m: int) -> list:
@@ -249,13 +264,14 @@ def _compile(ops: np.ndarray, m: int) -> list:
 
 
 def _conjugate_monomial(a: np.ndarray, source: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """U a U-dagger for the monomial form's U, with one gather and an
-    in-place rotation: entry [r, c] is i^(phase[r] - phase[c]) a[source[r], source[c]]."""
-    out = a.take(source, axis=1).take(source, axis=2)
+    """U a U-dagger for the monomial form's U on each matrix of the stack a,
+    with one gather and an in-place rotation: entry [r, c] is
+    i^(phase[r] - phase[c]) a[source[r], source[c]]."""
+    out = a.take(source, axis=2).take(source, axis=3)
     turn = (phase[:, None] - phase) & 3  # int8, and so is all that follows
     sin = (1 - (turn & 2)) * (turn & 1)  # i^turn = cos + i sin
     cos = 1 - (turn & 2) - sin
-    re, im = out
+    re, im = out[:, 0], out[:, 1]
     sin_im = sin * im
     im *= cos
     im += sin * re
@@ -265,7 +281,7 @@ def _conjugate_monomial(a: np.ndarray, source: np.ndarray, phase: np.ndarray) ->
 
 
 def _conjugate(a: np.ndarray, steps: list, m: int) -> np.ndarray:
-    """Conjugate the stacked matrix a through compiled steps, H rescaled."""
+    """Conjugate the stack a through compiled steps, H rescaled."""
     for step in steps:
         if not isinstance(step, int):
             a = _conjugate_monomial(a, *step)
@@ -280,58 +296,61 @@ def _conjugate(a: np.ndarray, steps: list, m: int) -> np.ndarray:
 
 
 def decode_pauli(mat: ExactMatrix, m: int) -> PauliString:
-    """Structurally decode a signed Pauli matrix; raise OracleError otherwise.
+    """Structurally decode a signed Pauli matrix; raise OracleError otherwise
+    (the one-matrix call of _decode, on the parts in their own int64)."""
+    if mat.re.shape != (1 << m, 1 << m):
+        raise OracleError(f"matrix shape {mat.re.shape} does not match {m} qubits")
+    letters, phases = _decode(np.stack((mat.re, mat.im))[None], m)
+    return PauliString(letters[:, 0].tolist(), int(phases[0]))
 
-    The x-mask comes from the unique nonzero column of row 0; z-bits from the
-    sign ratio of single-bit rows; the phase from the value at [0, xmask]
-    corrected by i^{#Y}. The decoded string is re-encoded and compared with
-    the full matrix, so any non-Pauli input is rejected.
+
+def _decode(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, k) letters and k phases of a (k, 2, 2^m, 2^m) stack of signed
+    Pauli matrices, read in the stack's own dtype and never narrowed; raise
+    OracleError if any matrix is not one.
+
+    Each x-mask comes from the unique nonzero column of row 0; z-bits from
+    the sign ratio of single-bit rows; the phase from the value at [0, xmask]
+    corrected by i^{#Y}. The decoded strings are re-encoded and compared with
+    the whole stack, so any non-Pauli matrix is rejected.
     """
-    return PauliString(*_decode(mat.re, mat.im, m))
-
-
-def _decode(re: np.ndarray, im: np.ndarray, m: int) -> tuple[tuple[int, ...], int]:
-    """decode_pauli's (letters, phase) from the parts in their own dtype,
-    int64 from outside or int8 from _conjugate, never narrowed."""
-    dim = 1 << m
-    if re.shape != (dim, dim):
-        raise OracleError(f"matrix shape {re.shape} does not match {m} qubits")
-    row = np.flatnonzero(re[0] | im[0])
-    if len(row) != 1:
+    row0 = (a[:, 0, 0] | a[:, 1, 0]) != 0
+    if (row0.sum(axis=1) != 1).any():
         raise OracleError("row 0 is not a single-entry row")
-    xmask = int(row[0])
-    top_re, top_im = int(re[0, xmask]), int(im[0, xmask])
-    if (top_re, top_im) not in _UNIT_POWERS:
-        raise OracleError(f"entry {top_re}+{top_im}i is not a unit")
-    letters = []
-    for q in range(1, m + 1):
-        r = 1 << (m - q)
-        has_x = bool(xmask & r)
-        vre, vim = int(re[r, r ^ xmask]), int(im[r, r ^ xmask])
-        if (vre, vim) == (top_re, top_im):
-            has_z = False
-        elif (vre, vim) == (-top_re, -top_im):
-            has_z = True
-        else:
-            raise OracleError(f"entry at row {r} is not +- the reference entry")
-        letters.append((2 if has_z else 1) if has_x else (3 if has_z else 0))
-    n_y = sum(1 for l in letters if l == 2)
-    phase = (_UNIT_POWERS[(top_re, top_im)] + n_y) & 3
-    want_re, want_im = _pauli_parts(letters, phase)
-    if not (np.array_equal(want_re, re) and np.array_equal(want_im, im)):
-        raise OracleError(f"decode self-check failed for candidate {PauliString(letters, phase)}")
-    return tuple(letters), phase
+    cols = np.arange(len(a))
+    xmask = row0.argmax(axis=1)
+    top = a[cols, :, 0, xmask]  # (k, 2): each matrix's reference entry
+    for re, im in top.tolist():
+        if (re, im) not in _UNIT_POWERS:
+            raise OracleError(f"entry {re}+{im}i is not a unit")
+    rows = 1 << np.arange(m - 1, -1, -1)[:, None]  # qubit q's bit, at q - 1
+    v = a[cols, :, rows, rows ^ xmask]  # (m, k, 2): each single-bit row's entry
+    has_z = (v == -top).all(axis=2)
+    bad = ~has_z & (v != top).any(axis=2)
+    if bad.any():
+        r = rows[bad.any(axis=1).argmax(), 0]
+        raise OracleError(f"entry at row {r} is not +- the reference entry")
+    letters = np.where((rows & xmask) != 0, 1 + has_z, 3 * has_z)  # I X Y Z = 0 1 2 3
+    powers = [_UNIT_POWERS[re, im] for re, im in top.tolist()]
+    phases = (np.array(powers) + (letters == 2).sum(axis=0)) & 3
+    want = _pauli_parts(letters, phases)
+    if not np.array_equal(want, a):
+        j = (want != a).reshape(len(a), -1).any(axis=1).argmax()
+        candidate = PauliString(letters[:, j].tolist(), int(phases[j]))
+        raise OracleError(f"decode self-check failed for candidate {candidate}")
+    return letters, phases
 
 
 def dense_conjugate(letters: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
-    """engine.conjugate_inplace with exact matrices: each column of the
-    batch becomes its dense matrix, is conjugated and is decoded back."""
+    """engine.conjugate_inplace with exact matrices: the batch's columns
+    become stacks of dense matrices, each conjugated whole and decoded back."""
     m = letters.shape[0]
     _check_cap(m)
     steps = _compile(ops, m)
-    for j, phase in enumerate(phases.tolist()):
-        a = _conjugate(_pauli_parts(letters[:, j], phase), steps, m)
-        letters[:, j], phases[j] = _decode(*a, m)
+    k = max(1, _STACK_CELLS >> (2 * m + 1))
+    for j in range(0, len(phases), k):
+        a = _conjugate(_pauli_parts(letters[:, j : j + k], phases[j : j + k]), steps, m)
+        letters[:, j : j + k], phases[j : j + k] = _decode(a, m)
 
 
 def oracle_conjugate(c: Circuit, p: PauliString) -> PauliString:

@@ -7,7 +7,7 @@ import pytest
 
 from tern2jw import Circuit, Gate, conjugate_circuit, oracle_conjugate
 from tern2jw.engine import conjugate_inplace, encode_gates
-from tern2jw.oracle import dense_conjugate
+from tern2jw.oracle import _STACK_CELLS, dense_conjugate
 from tern2jw.pauli import PauliString
 
 SINGLE = ("H", "S", "SDG", "X", "Y", "Z")
@@ -135,6 +135,28 @@ def test_engine_and_oracle_agree_batch_for_batch():
         assert np.array_equal(engine[0], oracle[0]), c
         assert np.array_equal(engine[1], oracle[1]), c
     assert kinds == set(SINGLE + PAIR)
+
+
+def test_engine_and_oracle_agree_across_stacks():
+    # batches longer than one oracle stack, the last stack partly filled
+    # (a stack of one matrix at m = 8 is always full), against the engine
+    # and against the oracle one column at a time
+    rng = random.Random(67)
+    for m, n in ((6, 19), (7, 11), (8, 3)):
+        per_stack = max(1, _STACK_CELLS // (2 << 2 * m))
+        assert n > per_stack and (m == 8 or n % per_stack)
+        letters, phases = _random_letters(rng, m, n)
+        phases[:] = [j % 4 for j in range(n)]
+        gates = [Gate("H", (q,)) for q in range(1, m + 1)]
+        c = Circuit(m, tuple(gates) + _random_circuit(rng, m, 30).gates)
+        engine = letters.copy(), phases.copy()
+        oracle = letters.copy(), phases.copy()
+        conjugate_inplace(*engine, c.ops)
+        dense_conjugate(*oracle, c.ops)
+        assert np.array_equal(engine[0], oracle[0]) and np.array_equal(engine[1], oracle[1])
+        for j in range(n):
+            one = oracle_conjugate(c, PauliString(letters[:, j].tolist(), int(phases[j])))
+            assert (oracle[0][:, j].tolist(), int(oracle[1][j])) == (list(one.letters), one.phase)
 
 
 def test_dense_conjugate_refuses_13_rows_before_allocating():

@@ -22,6 +22,8 @@ from tern2jw.engine import PAIR_GATES, SINGLE_GATES
 from tern2jw.oracle import (
     ExactMatrix,
     OracleError,
+    _decode,
+    _pauli_parts,
     decode_pauli,
     dense_gate,
     dense_pauli,
@@ -272,6 +274,45 @@ def test_decode_pauli_rejects_non_pauli():
                 decode_pauli(ExactMatrix(re, xz.im), 2)
 
 
+def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
+    # a stack of five 3-qubit strings decodes back to them; one matrix made
+    # non-Pauli, first, in the middle or last, fails the whole decode with
+    # the check it breaks
+    rng = np.random.default_rng(3)
+    letters = rng.integers(0, 4, size=(3, 5))
+    letters[:, 2] = (1, 2, 3)  # X, Y and Z in one string
+    phases = np.arange(5) % 4
+    stack = _pauli_parts(letters, phases)
+    got_letters, got_phases = _decode(stack.copy(), 3)
+    assert np.array_equal(got_letters, letters) and np.array_equal(got_phases, phases)
+
+    def second_entry(a, x):
+        a[0, 0, x ^ 1] = 1
+
+    def doubled(a, x):
+        a *= 2
+
+    def times_i(a, x):
+        a[:, 1, 1 ^ x] = -a[1, 1, 1 ^ x], a[0, 1, 1 ^ x]
+
+    def stray_entry(a, x):
+        a[0, 3, (3 ^ x) ^ 1] = 1
+
+    broken = (
+        (second_entry, "single-entry row"),
+        (doubled, "is not a unit"),
+        (times_i, "row 1 is not \\+- the reference entry"),
+        (stray_entry, "self-check failed"),
+    )
+    for j in (0, 2, 4):
+        xmask = int(np.flatnonzero(stack[j, 0, 0] | stack[j, 1, 0])[0])
+        for corrupt, message in broken:
+            bad = stack.copy()
+            corrupt(bad[j], xmask)
+            with pytest.raises(OracleError, match=message):
+                _decode(bad, 3)
+
+
 def test_decode_pauli_round_trip():
     rng = random.Random(17)
     for _ in range(40):
@@ -347,6 +388,34 @@ def test_tampered_certificates_fail_both_checks():
                 assert oracle_check(t, bad) == engine, what
 
 
+def test_failing_ranks_stay_with_their_columns():
+    # m = 6 and 7 batch several generators into each oracle stack; a wrong
+    # image, or a wrong claim about one, must fail only its own generator,
+    # exactly as in the engine's report
+    for m, seed in ((6, 2), (7, 3)):
+        t = random_tree(m, seed=seed)
+        r = fix_signs(straighten(t))
+        assert oracle_check(t, r) == verify_transform(t, r)
+        tampered = [(what, bad) for what, bad in _tampered(r) if what.startswith("sign")]
+        for i in range(m - 1):
+            perm = list(r.permutation)
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            tampered.append((f"PERM {i + 1} swapped", Certificate(r.circuit, tuple(perm), r.signs)))
+        # Z on the wire at chain position m flips the images of ranks 2m - 1
+        # and 2m; flipping the claimed sign of rank 2m - 1 leaves one wrong
+        # image, rank 2m's
+        gates = r.circuit.gates + (Gate("Z", (r.permutation[-1],)),)
+        signs = [-s if rank == 2 * m - 1 else s for s, rank in zip(r.signs, r.ranks)]
+        tampered.append(("Z appended", Certificate(Circuit(m, gates), r.permutation, tuple(signs))))
+        for what, bad in tampered:
+            engine = verify_transform(t, bad)
+            assert oracle_check(t, bad) == engine, what
+            if what.startswith("sign"):
+                assert engine.failed_ranks == (int(what.split()[1]),), what
+            if what == "Z appended":
+                assert engine.failed_ranks == (r.ranks.index(2 * m) + 1,)
+
+
 def test_exact_matrix_is_unhashable():
     # equal matrices compare equal, so they cannot hash by identity
     a, b = dense_pauli(pauli_parse("XZ")), dense_pauli(pauli_parse("XZ"))
@@ -385,3 +454,17 @@ def test_oracle_imports_neither_engine_nor_straighten():
     assert ".clifford" in imported  # the walk sees the module's imports
     banned = {".engine", ".straighten", "tern2jw.engine", "tern2jw.straighten"}
     assert not imported & banned
+
+
+def test_oracle_check_memory_peak_at_6_qubits():
+    # the 2m+1 matrices of m = 6 are one stack, bounded by _STACK_CELLS
+    t = random_tree(6, seed=1)
+    r = fix_signs(straighten(t))
+    assert oracle_check(t, r).ok
+    tracemalloc.start()
+    try:
+        assert oracle_check(t, r).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
