@@ -13,8 +13,9 @@ trees and the raw text of any other input.
 
 Exit codes: 0 success, 1 verification failed, 2 parse or usage error, a
 tree too large to certify (over MAX_LETTER_CELLS letter-matrix cells), or
-a tree too large for the dense oracle (a 4^m-entry matrix over
-MAX_LETTER_CELLS bytes, i.e. m >= 13, whatever --oracle-cap says).
+a tree past the exact oracle's limit (m >= 13, whose dense matrix at 16
+bytes an entry would exceed MAX_LETTER_CELLS bytes, whatever --oracle-cap
+says; the oracle itself holds each image as 2^m entries, not 4^m).
 """
 
 from __future__ import annotations

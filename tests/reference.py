@@ -67,9 +67,19 @@ def jw_match(p):
     return (int(ranks[0]), int(signs[0])) if ranks[0] else None
 
 
+def _part_product(a, b):
+    """a @ b for two int64 parts, left out when either is all zeros."""
+    if a.any() and b.any():
+        return a @ b
+    return np.zeros((len(a), b.shape[1]), dtype=np.int64)
+
+
 def matmul(*factors):
     """The product of Gaussian-integer matrices, left to right."""
     out = factors[0]
     for f in factors[1:]:
-        out = ExactMatrix(out.re @ f.re - out.im @ f.im, out.re @ f.im + out.im @ f.re)
+        out = ExactMatrix(
+            _part_product(out.re, f.re) - _part_product(out.im, f.im),
+            _part_product(out.re, f.im) + _part_product(out.im, f.re),
+        )
     return out

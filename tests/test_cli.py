@@ -361,7 +361,9 @@ def test_readme_library_example():
 
 
 def _declared_entry_point() -> str:
-    tomllib = pytest.importorskip("tomllib")
+    # tomllib is in the standard library from Python 3.11; on 3.10 the test
+    # extra installs tomli, which has the same interface
+    tomllib = pytest.importorskip("tomllib" if sys.version_info >= (3, 11) else "tomli")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
         return tomllib.load(f)["project"]["scripts"]["tern2jw"]
 

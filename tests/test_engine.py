@@ -7,7 +7,7 @@ import pytest
 
 from tern2jw import Circuit, Gate, conjugate_circuit, oracle_conjugate
 from tern2jw.engine import conjugate_inplace, encode_gates
-from tern2jw.oracle import _STACK_CELLS, dense_conjugate
+from tern2jw.oracle import dense_conjugate
 from tern2jw.pauli import PauliString
 
 SINGLE = ("H", "S", "SDG", "X", "Y", "Z")
@@ -138,13 +138,11 @@ def test_engine_and_oracle_agree_batch_for_batch():
 
 
 def test_engine_and_oracle_agree_across_stacks():
-    # batches longer than one oracle stack, the last stack partly filled
-    # (a stack of one matrix at m = 8 is always full), against the engine
-    # and against the oracle one column at a time
+    # batches longer than a tree's 2m+1 generators, through an H on every
+    # qubit and 30 random gates, against the engine and against the oracle
+    # one column at a time
     rng = random.Random(67)
-    for m, n in ((6, 19), (7, 11), (8, 3)):
-        per_stack = max(1, _STACK_CELLS // (2 << 2 * m))
-        assert n > per_stack and (m == 8 or n % per_stack)
+    for m, n in ((6, 19), (7, 17), (8, 21)):
         letters, phases = _random_letters(rng, m, n)
         phases[:] = [j % 4 for j in range(n)]
         gates = [Gate("H", (q,)) for q in range(1, m + 1)]

@@ -23,6 +23,10 @@ from tern2jw.oracle import (
     ExactMatrix,
     OracleError,
     _decode,
+    _form,
+    _hadamard,
+    _matrix,
+    _monomial,
     _pauli_parts,
     decode_pauli,
     dense_gate,
@@ -114,8 +118,8 @@ def test_dense_gate_goldens():
 
 
 def test_public_matrices_are_int64():
-    # int8 holds the oracle's own matrices only: products of these, as the
-    # tests build them, grow past its range
+    # the public matrices are int64: products of these, as the tests build
+    # them, grow past any narrower range
     gates = [Gate(k, (1,)) for k in SINGLE_GATES] + [Gate(k, (1, 2)) for k in PAIR_GATES]
     mats = [dense_gate(g, 2) for g in gates] + [dense_pauli(pauli_parse("-iXYZ"))]
     for mat in mats:
@@ -200,14 +204,17 @@ def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
     # unnormalized H gates, U P U-dagger is 2^h times the image
     rng = random.Random(43)
     seen = set()
-    for i in range(150 + 2 * 20):
-        # then 20 circuits each on 5 and 6 qubits, whose H butterflies
-        # run both across blocks (short strides) and in memory order
-        m = rng.randint(1, 4) if i < 150 else 5 + i % 2
+    for i in range(150 + 2 * 20 + 2 * 10):
+        # then 20 circuits each on 5 and 6 qubits, and 10 each on 7 and 8,
+        # these with an H on the next wire in turn put in at random
+        if i < 150:
+            m = rng.randint(1, 4)
+        else:
+            m = 5 + i % 2 if i < 190 else 7 + i % 2
         gates = _random_circuit(rng, m)
-        u = dense_pauli(pauli_identity(m))
-        for g in gates:
-            u = matmul(dense_gate(g, m), u)
+        if m >= 7:
+            gates.insert(rng.randint(0, len(gates)), Gate("H", ((i - 190) // 2 % m + 1,)))
+        u = matmul(*[dense_gate(g, m) for g in reversed(gates)] or [dense_pauli(pauli_identity(m))])
         h = sum(g.kind == "H" for g in gates)
         p = PauliString(tuple(rng.randrange(4) for _ in range(m)), rng.randrange(4))
         scaled = matmul(u, dense_pauli(p), ExactMatrix(u.re.T, -u.im.T))
@@ -225,8 +232,8 @@ def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
         seen.update((m, g.targets[0]) for g in gates if g.kind == "H" and m >= 5)
     kinds = {(kind, False) for kind in SINGLE_GATES + PAIR_GATES}
     assert kinds | {("CX", True), "gHg", "HH", "empty"} <= seen
-    # an H on every qubit: every row and column stride at m = 5 and 6
-    assert {(m, t) for m in (5, 6) for t in range(1, m + 1)} <= seen
+    # an H on every qubit: every bit of a row index paired at m = 5..8
+    assert {(m, t) for m in (5, 6, 7, 8) for t in range(1, m + 1)} <= seen
 
 
 def test_oracle_conjugate_empty_circuit():
@@ -275,16 +282,20 @@ def test_decode_pauli_rejects_non_pauli():
 
 
 def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
-    # a stack of five 3-qubit strings decodes back to them; one matrix made
-    # non-Pauli, first, in the middle or last, fails the whole decode with
-    # the check it breaks
+    # the monomial forms of five 3-qubit strings decode back to them; one
+    # form made non-Pauli, first, in the middle or last, fails the whole
+    # decode with the check it breaks, and so does one matrix of their
+    # dense stack, read into forms as decode_pauli reads its input
     rng = np.random.default_rng(3)
     letters = rng.integers(0, 4, size=(3, 5))
     letters[:, 2] = (1, 2, 3)  # X, Y and Z in one string
     phases = np.arange(5) % 4
-    stack = _pauli_parts(letters, phases)
-    got_letters, got_phases = _decode(stack.copy(), 3)
+    source, phase = _pauli_parts(letters, phases)
+    got_letters, got_phases = _decode(source.copy(), phase.copy(), 3)
     assert np.array_equal(got_letters, letters) and np.array_equal(got_phases, phases)
+    stack = _matrix(source, phase)
+    got_source, got_phase = _form(stack)
+    assert np.array_equal(got_source, source) and np.array_equal(got_phase, phase)
 
     def second_entry(a, x):
         a[0, 0, x ^ 1] = 1
@@ -298,19 +309,62 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
     def stray_entry(a, x):
         a[0, 3, (3 ^ x) ^ 1] = 1
 
-    broken = (
+    # a form has one unit entry in every row, so only the last two breaks
+    # have forms of their own, and a form can also move a single-bit row's
+    # entry or flip the sign of a row that is not one
+    def form_times_i(s, p):
+        p[1] = (p[1] + 1) % 4
+
+    def form_moved(s, p):
+        s[3] ^= 1
+
+    def form_single_bit_moved(s, p):
+        s[4] ^= 1
+
+    def form_sign(s, p):
+        p[7] ^= 2
+
+    dense = (
         (second_entry, "single-entry row"),
         (doubled, "is not a unit"),
         (times_i, "row 1 is not \\+- the reference entry"),
         (stray_entry, "self-check failed"),
     )
+    forms = (
+        (form_times_i, "row 1 is not \\+- the reference entry"),
+        (form_moved, "self-check failed"),
+        (form_single_bit_moved, "row 4 is not \\+- the reference entry"),
+        (form_sign, "self-check failed"),
+    )
     for j in (0, 2, 4):
-        xmask = int(np.flatnonzero(stack[j, 0, 0] | stack[j, 1, 0])[0])
-        for corrupt, message in broken:
+        xmask = int(source[j, 0])
+        for corrupt, message in dense:
             bad = stack.copy()
             corrupt(bad[j], xmask)
             with pytest.raises(OracleError, match=message):
-                _decode(bad, 3)
+                _decode(*_form(bad), 3)
+        for corrupt, message in forms:
+            bad_source, bad_phase = source.copy(), phase.copy()
+            corrupt(bad_source[j], bad_phase[j])
+            with pytest.raises(OracleError, match=message):
+                _decode(bad_source, bad_phase, 3)
+
+
+def test_hadamard_step_rejects_forms_that_are_not_pauli():
+    # S's own matrix diag(1, i) is monomial, but H S H is not: row 0 meets
+    # 1 and i, whose sums 1 + i and 1 - i do not halve
+    s_source, s_phase = _monomial("S", (1,), 1)
+    with pytest.raises(OracleError, match="inexact rescale after H 1"):
+        _hadamard(s_source[None], s_phase[None], 1, 1)
+    # SWAP's own matrix has all phases 0, but rows 0 and 2, partners on
+    # qubit 1's bit, take columns 0 and 1, which are not
+    swap_source, swap_phase = _monomial("SWAP", (1, 2), 2)
+    assert swap_source.tolist() == [0, 2, 1, 3] and not swap_phase.any()
+    with pytest.raises(OracleError, match="inexact rescale after H 1"):
+        _hadamard(swap_source[None], swap_phase[None], 2, 1)
+    # a Pauli form passes through: H on qubit 2 takes -iXX to -iXZ
+    source, phase = _hadamard(*_pauli_parts(np.array([[1], [1]]), [3]), 2, 2)
+    assert [s.tolist() for s in _decode(source, phase, 2)] == [[[1], [3]], [3]]
 
 
 def test_decode_pauli_round_trip():
@@ -389,7 +443,7 @@ def test_tampered_certificates_fail_both_checks():
 
 
 def test_failing_ranks_stay_with_their_columns():
-    # m = 6 and 7 batch several generators into each oracle stack; a wrong
+    # the oracle conjugates all 2m+1 generators as one batch; a wrong
     # image, or a wrong claim about one, must fail only its own generator,
     # exactly as in the engine's report
     for m, seed in ((6, 2), (7, 3)):
@@ -426,8 +480,8 @@ def test_exact_matrix_is_unhashable():
 
 
 def test_oracle_check_memory_peak_at_8_qubits():
-    # the README's figure: the peak stays within 1.25 dense matrices of
-    # 16 * 4^m bytes, which makes m = 12 need about 0.3 GiB
+    # the README's figure: 0.34 MiB, all (2m+1) x 2^m monomial forms and
+    # their temporaries, where one dense matrix would take 16 * 4^m = 1 MiB
     t = random_tree(8, seed=5)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok  # gate tables are built on first use
@@ -437,7 +491,23 @@ def test_oracle_check_memory_peak_at_8_qubits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 16 * 4**8
+    assert peak <= 16 * 4**8
+
+
+def test_oracle_check_at_12_qubits_agrees_with_the_engine_in_16_mib():
+    # the largest m the oracle takes, with its letter tables built inside
+    # the measurement: the README's figure is about 7 MiB
+    t = random_tree(12, seed=1)
+    r = fix_signs(straighten(t))
+    want = verify_transform(t, r)
+    tracemalloc.start()
+    try:
+        got = oracle_check(t, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and got.ok
+    assert peak < 16 << 20
 
 
 def test_oracle_imports_neither_engine_nor_straighten():
@@ -457,7 +527,7 @@ def test_oracle_imports_neither_engine_nor_straighten():
 
 
 def test_oracle_check_memory_peak_at_6_qubits():
-    # the 2m+1 matrices of m = 6 are one stack, bounded by _STACK_CELLS
+    # the README's figure: 0.07 MiB
     t = random_tree(6, seed=1)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok
@@ -467,4 +537,4 @@ def test_oracle_check_memory_peak_at_6_qubits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 1 << 18
