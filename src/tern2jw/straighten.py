@@ -9,14 +9,18 @@ shortening x by one node.
 
 Each fork first relabels its largest branch onto y, then drains the other
 two branches into it through fork moves and flushes the grown y-branch
-onto z with the S, H tail, which turns the fork into plain chain; doing
-that at every fork, deepest first, turns the whole tree into the z-chain
-whose path products are the Jordan-Wigner set up to qubit renaming and
-per-generator signs. A node moves only out of a branch no larger than
-the one it joins, so the fork subtree holding it more than doubles from
-one of its moves to the next: no node moves more than log2(m) times, and
-the circuit has at most m*ceil(log2 m) CZ gates (the heavy-path argument
-of Sleator and Tarjan).
+onto z with the S, H tail, which turns the fork into plain chain; a node
+with one branch only bends it onto z. Every node takes this turn after
+all nodes below it, in reversed breadth-first walk order. Straightening a
+subtree rewires only slots inside it, so when a node's turn comes its
+children, and the node sets and sizes of its branches, are still the
+input tree's, and each branch is already a z-chain. After the root's turn
+the tree is the z-chain, whose path products are the Jordan-Wigner set
+up to qubit renaming and per-generator signs. A node moves only out of a
+branch no larger than the one it joins, so the fork subtree holding it
+more than doubles from one of its moves to the next: no node moves more
+than log2(m) times, and the circuit has at most m*ceil(log2 m) CZ gates
+(the heavy-path argument of Sleator and Tarjan).
 
 The surgeries emit op rows (gate code, row a, row b), the engine's form
 of a circuit, and the emitted circuit acts on the original wire names; the
@@ -178,7 +182,7 @@ def _emit_straighten_fork(kids, q1, sizes, emit) -> None:
         if x1 == TERMINAL:
             _emit_relabel(kids, q1, ("z", "y", "x"), emit)
         # q2 sits on a chain, so it has at most one occupied slot; rotate
-        # that occupant onto z before the move
+        # it onto z before the move (a no-op once q2 has had its own turn)
         _emit_bend(kids, kids[q1 - 1][0], emit)
         _emit_fork_move(kids, q1, emit)
     _emit_relabel(kids, q1, ("z", "x", "y"), emit)
@@ -238,10 +242,11 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
     S, H for y). Afterwards q1 carries a single z-chain.
     """
     _check_qubit(t, q1)
-    forks, size = _fork_schedule(t.children, q1)
-    below = [q for q in forks if q != q1]
-    if below:
-        raise ValueError(f"fork at q{below[0]} below q{q1}")
+    order = _walk(t.children, q1)
+    for q in order[1:]:
+        if sum(c != TERMINAL for c in t.children[q - 1]) >= 2:
+            raise ValueError(f"fork at q{q} below q{q1}")
+    size = _subtree_sizes(t.children, order)
     sizes = [size[c] for c in t.children[q1 - 1]]
     return _surgery(t, lambda kids, emit: _emit_straighten_fork(kids, q1, sizes, emit))
 
@@ -250,29 +255,14 @@ def straighten_fork(t: TernaryTree, q1: int) -> tuple[Circuit, TernaryTree]:
 # full reduction
 
 
-def _fork_schedule(kids, root) -> tuple[list[int], list[int]]:
-    """Every fork at or below root, deepest first (ties to the smallest id),
-    and the subtree sizes of the input tree, indexed by qubit id; both are
-    read along one breadth-first walk.
-
-    Straightening a fork rearranges only its own subtree, whose forks are
-    all deeper and so already straightened; forks elsewhere keep their
-    place and depth. The order read off the input tree therefore holds
-    for the whole reduction, and each fork met in it has none below it.
-    For the same reason a fork's children, and so the node sets and sizes
-    of its branches, are still those of the input tree when its turn comes.
-    """
+def _emit_subtree(kids, root, emit) -> None:
+    """Straighten everything at or below root onto root's z slot: every
+    node takes its turn at _emit_straighten_fork after all nodes below it,
+    in reversed breadth-first walk order, with its input branch sizes."""
     order = _walk(kids, root)
-    depth = [0] * (len(kids) + 1)
-    forks: list[tuple[int, int]] = []
-    for q in order:
-        occupied = [c for c in kids[q - 1] if c != TERMINAL]
-        for c in occupied:
-            depth[c] = depth[q] + 1
-        if len(occupied) >= 2:
-            forks.append((-depth[q], q))
-    forks.sort()
-    return [q for _, q in forks], _subtree_sizes(kids, order)
+    size = _subtree_sizes(kids, order)
+    for q in reversed(order):
+        _emit_straighten_fork(kids, q, [size[c] for c in kids[q - 1]], emit)
 
 
 def _conjugated_images(
@@ -290,9 +280,9 @@ def _conjugated_images(
 def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     """Reduce t to the z-chain and certify the reduction.
 
-    Resolves forks deepest-first, then irons the leftover bends on the
-    root-to-tip walk (a lone x-link costs an H, a lone y-link the S, H
-    word). With swaps=False the chain lives on reordered wires and the
+    Straightens every node once, children first: a fork is drained into
+    its largest branch, a lone x-link costs an H and a lone y-link the
+    S, H word. With swaps=False the chain lives on reordered wires and the
     reordering is reported as the permutation; with swaps=True a SWAP
     network realizing it is appended and the permutation is the identity.
     """
@@ -301,15 +291,11 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     kids = [list(row) for row in t.children]
     rows: list[tuple[int, int, int]] = []
     emit = rows.append
-    forks, size = _fork_schedule(kids, t.root)
-    for fork in forks:
-        _emit_straighten_fork(kids, fork, [size[c] for c in kids[fork - 1]], emit)
-    # forks are gone; straighten the remaining single-branch bends
+    _emit_subtree(kids, t.root, emit)
     chain: list[int] = []
     cur = t.root
     while cur != TERMINAL:
         chain.append(cur)
-        _emit_bend(kids, cur, emit)
         cur = kids[cur - 1][2]
     if len(chain) != m:
         raise RuntimeError(f"chain covers {len(chain)} of {m} qubits")
@@ -503,6 +489,8 @@ class TransformReport:
 
     @property
     def failed_ranks(self) -> tuple[int, ...]:
+        """1-based numbers j of the failing generators (printed e{j}), not
+        the JW ranks their images decode as."""
         return tuple(j + 1 for j, good in enumerate(self.results) if not good)
 
 

@@ -217,8 +217,6 @@ def tree_parse(text: str) -> TernaryTree:
             i += 1
     if stack:
         raise ValueError(f"unclosed '(' for q{stack[-1]}")
-    if root is None:
-        raise ValueError("tree must contain at least one qubit node")
 
     m = len(kids)
     bad = sorted(q for q in kids if not 1 <= q <= m)

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -77,8 +78,9 @@ def test_straighten_fixed_point_golden(capsys):
 
 
 def test_straighten_golden_same_depth_forks(capsys):
-    # forks q4 and q5 share depth 1, so the smaller id goes first, then the
-    # root; the gate order pins the fork schedule
+    # nodes take their turns in reversed walk order, children first: the
+    # fork on the z branch (q4) before the fork on the x branch (q5), then
+    # the root; the gate order pins that order
     tree = "(q1 :x (q5 :x (q2) :y (q6)) :y (q3) :z (q4 :y (q7) :z (q8)))"
     code, out, err = _run(capsys, "straighten", "-e", tree)
     assert code == 0 and err == ""
@@ -358,6 +360,16 @@ def test_readme_library_example():
     imported = re.findall(r"^from tern2jw import (.+)$", block, re.M)
     assert imported and set(", ".join(imported).split(", ")) <= set(tern2jw.__all__)
     exec(block, {})
+
+
+def test_readme_command_examples(capsys):
+    # every README block that runs one `$ tern2jw ...` command prints what
+    # the block shows under it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^```\n\$ tern2jw ([^\n]*)\n([^$`]*)```", readme, re.M)
+    assert [shlex.split(command)[0] for command, _ in examples] == ["generators", "straighten"]
+    for command, printed in examples:
+        assert _run(capsys, *shlex.split(command)) == (0, printed, "")
 
 
 def _declared_entry_point() -> str:

@@ -336,3 +336,12 @@ def test_circuit_rejects_out_of_range_targets():
         with pytest.raises(IndexError) as excinfo:
             Circuit(2, [Gate("H", (t,))])
         assert str(excinfo.value) == f"gate H {t} exceeds 2 qubits"
+    # op rows (code, row a, row b; CZ is code 6, H code 0) meet the same
+    # rules as Gate: distinct, 1-based targets
+    for ops, message in (
+        ([(6, 1, 1)], "CZ targets must be distinct, got (2, 2)"),
+        ([(0, -1, 0)], "targets must be 1-based positive, got (0,)"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            Circuit.from_ops(2, ops)
+        assert str(excinfo.value) == message

@@ -71,6 +71,35 @@ def test_oracle_accepts_small_certificates(t):
 
 @settings(max_examples=150, deadline=None)
 @given(trees())
+def test_straighten_emits_children_first(t):
+    # a gate's owner is its single target, or the CZ target that is the
+    # other's ancestor in t; each owner's gates form one block, and no
+    # block comes after the block of one of its owner's ancestors
+    parent = {c: q for q, row in enumerate(t.children, start=1) for c in row if c}
+    above = {}
+    for q in range(1, t.num_qubits + 1):
+        above[q], p = set(), q
+        while p in parent:
+            p = parent[p]
+            above[q].add(p)
+    blocks = []
+    for g in straighten(t).circuit.gates:
+        a, *rest = g.targets
+        if rest:
+            (b,) = rest
+            assert a in above[b] or b in above[a], f"{g} joins unrelated qubits"
+            a = a if a in above[b] else b
+        if not blocks or blocks[-1] != a:
+            blocks.append(a)
+    assert len(blocks) == len(set(blocks)), f"split blocks: {blocks}"
+    done = set()
+    for q in blocks:
+        assert not above[q] & done, f"q{q} comes after an ancestor: {blocks}"
+        done.add(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees())
 def test_letters_matrix_matches_path_products(t):
     # the slice-filled letter matrix that tree_generators returns, against
     # the paper's definition: one path product per leaf, in canonical order

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from dataclasses import replace
@@ -485,3 +486,61 @@ def test_cz_budget_on_random_trees():
         cz = sum(1 for g in straighten(t).circuit.gates if g.kind == "CZ")
         assert cz <= m * (m - 1).bit_length(), (str(t), cz)
 
+
+def _patch_conjugator(monkeypatch, corrupt):
+    """Wrap straighten's conjugate_inplace so corrupt(letters, phases) runs
+    after every batch; the package attribute tern2jw.straighten is the
+    function, so the module is looked up by name."""
+    module = importlib.import_module("tern2jw.straighten")
+    original = module.conjugate_inplace
+
+    def wrapped(letters, phases, ops):
+        original(letters, phases, ops)
+        corrupt(letters, phases)
+
+    monkeypatch.setattr(module, "conjugate_inplace", wrapped)
+
+
+def _flip_first_sign(letters, phases):
+    phases[0] ^= 2
+
+
+def test_straighten_self_check_fires(monkeypatch):
+    def zero_first(letters, phases):
+        letters[:, 0] = 0
+
+    _patch_conjugator(monkeypatch, zero_first)
+    with pytest.raises(RuntimeError, match="conjugated generators left the signed JW set"):
+        straighten(random_tree(6, 3))
+
+
+def test_fix_signs_self_check_fires(monkeypatch):
+    r = straighten(random_tree(6, 3))
+    _patch_conjugator(monkeypatch, _flip_first_sign)
+    with pytest.raises(RuntimeError, match=r"sign correction failed to clear ranks 1\.\.2m"):
+        fix_signs(r)
+
+
+def test_oracle_catches_a_sign_the_engine_agrees_with(monkeypatch):
+    # an engine that flips generator 1's sign still certifies its own
+    # output, because straighten records the sign it reports; only the
+    # exact oracle, which shares none of the engine's rules, sees it
+    _patch_conjugator(monkeypatch, _flip_first_sign)
+    t = random_tree(6, 3)
+    r = straighten(t)
+    assert verify_transform(t, r).ok
+    assert oracle_check(t, r).failed_ranks == (1,)
+
+
+def test_tree_generators_self_check_fires(monkeypatch):
+    tree_mod = importlib.import_module("tern2jw.tree")
+    original = tree_mod._letters_matrix
+
+    def duplicated(t):
+        letters = original(t)
+        letters[:, 1] = letters[:, 0]
+        return letters
+
+    monkeypatch.setattr(tree_mod, "_letters_matrix", duplicated)
+    with pytest.raises(RuntimeError, match="internal invariant violation"):
+        tree_generators(random_tree(6, 3))

@@ -91,6 +91,15 @@ def test_parse_errors():
         with pytest.raises(ValueError) as excinfo:
             tree_parse(text)
         assert str(excinfo.value) == f"qubit id {qid} must follow '(' at position {pos}"
+    for text, message in (
+        ("()", "expected qubit id after '(' at position 1"),
+        ("(q1 _)", "terminal '_' needs a :x/:y/:z label at position 5"),
+        ("(q1 :x :y (q2))", "label is missing its subtree at position 8"),
+        (":x (q1)", "label outside a node at position 1"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            tree_parse(text)
+        assert str(excinfo.value) == message
 
 
 def test_tree_validation():
@@ -104,6 +113,10 @@ def test_tree_validation():
         TernaryTree(3, 1, ((2, 0, 0), (0, 0, 0), (0, 0, 0)))
     with pytest.raises(ValueError, match="out of range"):
         TernaryTree(2, 3, ((2, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match="^qubit count must be positive, got 0$"):
+        TernaryTree(0, 1, ())
+    with pytest.raises(ValueError, match="^need 2 child records, got 1$"):
+        TernaryTree(2, 1, ((0, 0, 0),))
 
 
 def test_format_is_canonical(binary3):
@@ -283,6 +296,8 @@ def test_check_generator_set_partial_family():
 def test_check_generator_set_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="size mismatch: 2 vs 3"):
         check_generator_set([pauli_parse("+XI"), pauli_parse("+IX"), pauli_parse("+XYZ")])
+    with pytest.raises(ValueError, match="^empty generator list$"):
+        check_generator_set([])
 
 
 def _pairwise_report(strings):
