@@ -4,8 +4,8 @@ The pieces fit together like this: pauli holds the signed string type, tree
 turns trees into generator sets held as one letter matrix, engine runs the
 gate rules on its x/z bit planes (clifford: on one string as one column),
 straighten synthesizes the tree-to-chain circuits and checks them,
-oracle conjugates the same batches with exact dense matrices, and cli
-fronts the lot.
+oracle conjugates the same batches exactly, each string's matrix held as
+one unit entry per row, and cli fronts the lot.
 """
 
 __version__ = "0.1.0"
@@ -20,10 +20,7 @@ from .clifford import (
     peephole_cancel,
 )
 from .oracle import (
-    ExactMatrix,
     OracleError,
-    dense_gate,
-    dense_pauli,
     oracle_conjugate,
 )
 from .pauli import (
@@ -66,7 +63,6 @@ from .tree import (
 __all__ = [
     "Certificate",
     "Circuit",
-    "ExactMatrix",
     "Gate",
     "GeneratorSet",
     "MapResult",
@@ -84,8 +80,6 @@ __all__ = [
     "circuit_format",
     "circuit_parse",
     "conjugate_circuit",
-    "dense_gate",
-    "dense_pauli",
     "fix_signs",
     "fork_move",
     "full_ternary",

@@ -13,9 +13,8 @@ trees and the raw text of any other input.
 
 Exit codes: 0 success, 1 verification failed, 2 parse or usage error, a
 tree too large to certify (over MAX_LETTER_CELLS letter-matrix cells), or
-a tree past the exact oracle's limit (m >= 13, whose dense matrix at 16
-bytes an entry would exceed MAX_LETTER_CELLS bytes, whatever --oracle-cap
-says; the oracle itself holds each image as 2^m entries, not 4^m).
+a tree past the exact oracle's limit (m > MAX_ORACLE_QUBITS = 12,
+whatever --oracle-cap says).
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_CAP,
         metavar="N",
-        help=f"largest m checked against the dense matrix oracle (default {DEFAULT_CAP})",
+        help=f"largest m checked against the exact matrix oracle (default {DEFAULT_CAP})",
     )
     add("stats", _cmd_stats, ("TREE",), "print the generator weight histogram")
     add("augment", _cmd_augment, ("TREE",), "print the completed tree in canonical form")

@@ -12,7 +12,7 @@ gate; one string (clifford.conjugate_circuit) is a one-column batch. The
 int32 (L, 3) op array they read is the only stored form of a circuit
 (clifford.Circuit.ops); encode_gates builds one from (kind, targets) pairs.
 
-The test suite re-derives every rule from the dense oracle for every
+The test suite re-derives every rule from the exact oracle for every
 letter, letter pair and phase: acceptance criterion 8 one string at a
 time, test_engine one batch per gate, test_clifford through one-gate
 circuits.

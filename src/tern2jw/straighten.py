@@ -331,6 +331,15 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     )
 
 
+def _jw_product(chosen: np.ndarray) -> np.ndarray:
+    """The letters, up to phase, of the product of the JW generators whose
+    ranks are flagged in the (2m+1,) bool array chosen: qubit i takes X if
+    rank 2i-1 is chosen, Y if rank 2i is, and a Z for each chosen rank
+    above 2i, so its code is x ^ 2y ^ 3 * (parity of chosen ranks > 2i)."""
+    above = np.cumsum(chosen[::-1])[::-1]  # above[k]: chosen ranks > k
+    return chosen[:-1:2] ^ 2 * chosen[1::2] ^ 3 * (above[2::2] & 1)
+
+
 def fix_signs(r: StraightenResult) -> StraightenResult:
     """Append a Pauli layer to the circuit making every rank up to 2m positive.
 
@@ -354,7 +363,7 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     odd = len(flipped) % 2
     if odd:
         chosen[: 2 * m] = ~chosen[: 2 * m]
-    correction = np.bitwise_xor.reduce(jw, axis=1, where=chosen, initial=0)
+    correction = _jw_product(chosen)
     sites = np.flatnonzero(correction)
     # the layer's op rows in chain coordinates: letter X, Y, Z -> gate X, Y, Z
     layer = np.zeros((len(sites), 3), dtype=np.int64)
@@ -535,6 +544,6 @@ def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:
 
 
 def oracle_check(t: TernaryTree, cert: Certificate) -> TransformReport:
-    """verify_transform with the generator images re-derived by the dense
-    oracle from exact matrices alone, through one compiled circuit."""
+    """verify_transform with the generator images re-derived by the exact
+    oracle from monomial forms alone, through one compiled circuit."""
     return _check(t, cert, dense_conjugate)

@@ -3,13 +3,19 @@
 The library multiplies, compares and conjugates Pauli strings as columns of
 one letter matrix. These definitions take one string at a time, straight
 from the letter rules, with no input checks: callers pass valid input.
+
+The dense matrices here are the exact oracle's independent ground truth:
+built from fixed 2x2 and 4x4 tables, a string's with np.kron and a gate's by
+comparing the bits off its targets, they share nothing with the oracle's
+monomial forms, and this module imports nothing from tern2jw.oracle.
 """
 
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from tern2jw import ExactMatrix, PauliString
+from tern2jw import PauliString
 from tern2jw.tree import XYZ, jw_decode
 
 _SIGNS = ("+", "+i", "-", "-i")
@@ -65,6 +71,93 @@ def jw_match(p):
         np.array(p.letters, dtype=np.uint8)[:, None], np.array([p.phase], dtype=np.uint8)
     )
     return (int(ranks[0]), int(signs[0])) if ranks[0] else None
+
+
+@dataclass(frozen=True, eq=False)
+class ExactMatrix:
+    """Gaussian-integer matrix: int64 real and imaginary parts, equal by value."""
+
+    re: np.ndarray
+    im: np.ndarray
+
+    def __eq__(self, other):
+        return np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
+
+
+def _exact(re, im=None):
+    re = np.array(re, dtype=np.int64)
+    return ExactMatrix(re, np.zeros_like(re) if im is None else np.array(im, dtype=np.int64))
+
+
+_LETTER_MATRICES = (  # I X Y Z
+    _exact([[1, 0], [0, 1]]),
+    _exact([[0, 1], [1, 0]]),
+    _exact([[0, 0], [0, 0]], [[0, -1], [1, 0]]),
+    _exact([[1, 0], [0, -1]]),
+)
+_GATE_MATRICES = {  # H unnormalized; the first target is the high bit
+    "H": _exact([[1, 1], [1, -1]]),
+    "S": _exact([[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+    "SDG": _exact([[1, 0], [0, 0]], [[0, 0], [0, -1]]),
+    "X": _LETTER_MATRICES[1],
+    "Y": _LETTER_MATRICES[2],
+    "Z": _LETTER_MATRICES[3],
+    "CZ": _exact(np.diag([1, 1, 1, -1])),
+    "CX": _exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "SWAP": _exact([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+}
+
+
+def gkron(a, b):
+    """Kronecker product of Gaussian-integer matrices."""
+    re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
+    im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
+    return ExactMatrix(re, im)
+
+
+def dense_pauli(p):
+    """i^phase times the Kronecker product of the letter matrices, qubit 1
+    leftmost (the most significant bit of a row or column index)."""
+    out = _exact([[(1, 0, -1, 0)[p.phase]]], [[(0, 1, 0, -1)[p.phase]]])
+    for code in p.letters:
+        out = gkron(out, _LETTER_MATRICES[code])
+    return out
+
+
+def dense_gate(g, m):
+    """The gate's table at its targets, identity on the other qubits: entry
+    [r, c] is the table's entry at the targets' bits of r and c if r and c
+    agree on every other bit, else 0."""
+    rows = np.arange(1 << m)
+    local, mask = 0, 0
+    for t in g.targets:
+        local = (local << 1) | ((rows >> (m - t)) & 1)
+        mask |= 1 << (m - t)
+    same = (rows[:, None] & ~mask) == (rows[None, :] & ~mask)
+    table = _GATE_MATRICES[g.kind]
+    at = local[:, None], local[None, :]
+    return ExactMatrix(np.where(same, table.re[at], 0), np.where(same, table.im[at], 0))
+
+
+def decode_pauli(mat, m):
+    """The signed string whose dense matrix is mat, or ValueError.
+
+    Row 0's nonzero column is the x-mask, and qubit q has a z when row
+    2^(m-q)'s entry at that row ^ x-mask differs from row 0's; the
+    candidate is returned at the phase, if any, where its whole matrix
+    equals mat."""
+    if mat.re.shape == (1 << m, 1 << m):
+        x = int(((mat.re[0] != 0) | (mat.im[0] != 0)).argmax())
+        letters = []
+        for q in range(1, m + 1):
+            bit = 1 << (m - q)
+            z = (mat.re[bit, bit ^ x], mat.im[bit, bit ^ x]) != (mat.re[0, x], mat.im[0, x])
+            letters.append(1 + z if x & bit else 3 * z)
+        for phase in range(4):
+            p = PauliString(tuple(letters), phase)
+            if dense_pauli(p) == mat:
+                return p
+    raise ValueError(f"not a signed Pauli matrix on {m} qubits")
 
 
 def _part_product(a, b):

@@ -25,6 +25,7 @@ from tern2jw import (
 )
 from tern2jw import cli
 from tern2jw.cli import run_cli
+from tern2jw.oracle import MAX_ORACLE_QUBITS
 from tern2jw.pauli import PauliString
 from tern2jw.straighten import MAX_LETTER_CELLS
 
@@ -164,8 +165,7 @@ def test_verify_oracle_skip(tmp_path, capsys):
 
 
 def test_verify_refuses_oracle_over_dense_limit(tmp_path, capsys):
-    # 13 qubits need a 4^13-entry dense matrix at 16 bytes an entry, over
-    # the MAX_LETTER_CELLS budget whatever --oracle-cap allows
+    # 13 qubits are past the oracle's own limit whatever --oracle-cap allows
     tree = tree_format(jw_chain(13))
     code, cert, _ = _run(capsys, "straighten", "-e", tree)
     cert_file = tmp_path / "cert.txt"
@@ -175,7 +175,7 @@ def test_verify_refuses_oracle_over_dense_limit(tmp_path, capsys):
     )
     assert code == 2
     assert out == "engine pass\n"
-    assert err.startswith("error:") and f"limit of {MAX_LETTER_CELLS} bytes" in err
+    assert err.startswith("error:") and f"limit of {MAX_ORACLE_QUBITS} qubits" in err
 
 
 def test_verify_malformed_certificate(tmp_path, capsys):

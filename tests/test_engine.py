@@ -163,10 +163,10 @@ def test_dense_conjugate_refuses_13_rows_before_allocating():
     ops = Circuit(13, (Gate("H", (1,)),)).ops
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+        with pytest.raises(ValueError, match="MAX_ORACLE_QUBITS"):
             dense_conjugate(letters, phases, ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # a 13-qubit dense matrix is 128 MiB even in int8 parts
+    assert peak < 1 << 20  # 13-qubit letter tables alone would take 1.2 MiB
     assert not letters.any() and not phases.any()

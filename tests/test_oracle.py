@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tern2jw
 from tern2jw import (
     Certificate,
     Circuit,
@@ -20,29 +21,29 @@ from tern2jw import (
 )
 from tern2jw.engine import PAIR_GATES, SINGLE_GATES
 from tern2jw.oracle import (
-    ExactMatrix,
     OracleError,
     _decode,
-    _form,
     _hadamard,
-    _matrix,
     _monomial,
     _pauli_parts,
-    decode_pauli,
-    dense_gate,
-    dense_pauli,
     oracle_conjugate,
 )
 
 from conftest import rename
-from reference import matmul, pauli_identity, pauli_mul, pauli_parse
+from reference import (
+    ExactMatrix,
+    decode_pauli,
+    dense_gate,
+    dense_pauli,
+    gkron,
+    matmul,
+    pauli_identity,
+    pauli_mul,
+    pauli_parse,
+)
 
-
-def gkron(a, b):
-    """Kronecker product of Gaussian-integer matrices."""
-    re = np.kron(a.re, b.re) - np.kron(a.im, b.im)
-    im = np.kron(a.re, b.im) + np.kron(a.im, b.re)
-    return ExactMatrix(re, im)
+# The dense tests below check the reference's matrices, then the oracle
+# against them.
 
 
 def test_dense_pauli_single_qubit_goldens():
@@ -80,27 +81,28 @@ def test_dense_pauli_is_multiplicative():
         assert matmul(dense_pauli(a), dense_pauli(b)) == dense_pauli(pauli_mul(a, b))
 
 
-def _exact(re, im=((0, 0), (0, 0))):
-    return ExactMatrix(np.array(re, dtype=np.int64), np.array(im, dtype=np.int64))
+def _scattered(source, phase):
+    """One monomial form's own matrix: i^phase[r] at [r, source[r]]."""
+    rows = np.arange(len(source))
+    a = np.zeros((2, len(rows), len(rows)), dtype=np.int64)
+    a[phase & 1, rows, source] = 1 - (phase & 2)
+    return ExactMatrix(*a)
 
 
 def test_dense_pauli_kron_consistency():
-    # the Kronecker fold of the letter matrices (qubit 1 leftmost), times
-    # i^phase as a 1x1 factor, for every string on 1..3 qubits
-    letter = (
-        _exact([[1, 0], [0, 1]]),
-        _exact([[0, 1], [1, 0]]),
-        _exact([[0, 0], [0, 0]], [[0, -1], [1, 0]]),
-        _exact([[1, 0], [0, -1]]),
-    )
-    units = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    # the oracle's forms of every string on 1..3 qubits at every phase,
+    # scattered into a matrix, are the reference's Kronecker fold of the
+    # letter matrices
     for m in range(1, 4):
-        for codes in itertools.product(range(4), repeat=m):
-            for phase, (re, im) in enumerate(units):
-                want = _exact([[re]], [[im]])
-                for code in codes:
-                    want = gkron(want, letter[code])
-                assert dense_pauli(PauliString(codes, phase)) == want, (codes, phase)
+        strings = [
+            PauliString(codes, phase)
+            for codes in itertools.product(range(4), repeat=m)
+            for phase in range(4)
+        ]
+        letters = np.array([p.letters for p in strings]).T
+        source, phase = _pauli_parts(letters, [p.phase for p in strings])
+        for p, s, e in zip(strings, source, phase):
+            assert _scattered(s, e) == dense_pauli(p), p
 
 
 def test_dense_gate_goldens():
@@ -118,8 +120,8 @@ def test_dense_gate_goldens():
 
 
 def test_public_matrices_are_int64():
-    # the public matrices are int64: products of these, as the tests build
-    # them, grow past any narrower range
+    # the reference's matrices are int64: products of these, as the tests
+    # build them, grow past any narrower range
     gates = [Gate(k, (1,)) for k in SINGLE_GATES] + [Gate(k, (1, 2)) for k in PAIR_GATES]
     mats = [dense_gate(g, 2) for g in gates] + [dense_pauli(pauli_parse("-iXYZ"))]
     for mat in mats:
@@ -136,22 +138,13 @@ def test_dense_gate_embeds_at_target():
     assert np.array_equal(cx21.re, want)
 
 
-def test_dense_gate_target_out_of_range():
-    with pytest.raises(IndexError, match="exceeds 2 qubits"):
-        dense_gate(Gate("H", (3,)), 2)
-
-
 def test_oracle_cap_enforced():
-    # m >= 13 is refused at every entry point, before any dense allocation
+    # m >= 13 is refused at every entry point
     big = pauli_parse("I" * 13)
-    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
-        dense_pauli(big)
-    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
-        dense_gate(Gate("H", (1,)), 13)
-    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+    with pytest.raises(ValueError, match="limit of 12 qubits \\(MAX_ORACLE_QUBITS\\)"):
         oracle_conjugate(Circuit(13, ()), big)
     t = random_tree(13, seed=1)
-    with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
+    with pytest.raises(ValueError, match="MAX_ORACLE_QUBITS"):
         oracle_check(t, straighten(t))
 
 
@@ -171,7 +164,7 @@ def test_oracle_conjugate_frozen_rows():
 
 
 def test_oracle_conjugate_matches_matrix_products():
-    # G . P . G-dagger from dense_gate, dense_pauli and matrix products
+    # G . P . G-dagger from the reference's matrices and their products
     # (the image doubled for the unnormalized H), for every gate and target
     # order on 2 qubits and every letter pair and phase
     gates = [Gate(k, (q,)) for k in SINGLE_GATES for q in (1, 2)]
@@ -200,7 +193,7 @@ def _random_circuit(rng, m):
 
 
 def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
-    # U = G_L ... G_1 from dense_gate and matrix products; with h
+    # U = G_L ... G_1 from the reference's matrices and their products; with h
     # unnormalized H gates, U P U-dagger is 2^h times the image
     rng = random.Random(43)
     seen = set()
@@ -256,47 +249,24 @@ def test_oracle_conjugate_size_mismatch():
 
 
 def test_decode_pauli_rejects_non_pauli():
-    h = dense_gate(Gate("H", (1,)), 1)
-    with pytest.raises(OracleError, match="single-entry row"):
-        decode_pauli(h, 1)
-    doubled = ExactMatrix(
-        np.array([[2, 0], [0, 2]], dtype=np.int64),
-        np.zeros((2, 2), dtype=np.int64),
-    )
-    with pytest.raises(OracleError, match="not a unit"):
-        decode_pauli(doubled, 1)
-    with pytest.raises(OracleError, match="does not match"):
-        decode_pauli(dense_pauli(pauli_parse("XX")), 1)
-    # the input is read in its own int64, never narrowed: in int8, 256
-    # would wrap to 0, the first case would fail on an empty row 0 and a
-    # 256 on a zero of XZ would pass as XZ
+    # the reference decoder keeps a candidate only if its whole matrix is
+    # the input
+    rejected = [  # (matrix, qubits)
+        (dense_gate(Gate("H", (1,)), 1), 1),
+        (ExactMatrix(2 * np.eye(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64)), 1),
+        (dense_pauli(pauli_parse("XX")), 1),
+    ]
+    # entries past any narrow range: 256 would wrap to 0 in int8
     xz = dense_pauli(pauli_parse("XZ"))
-    with pytest.raises(OracleError, match="256\\+0i is not a unit"):
-        decode_pauli(ExactMatrix(256 * xz.re, 256 * xz.im), 2)
+    rejected.append((ExactMatrix(256 * xz.re, 256 * xz.im), 2))
     for entry in (2, 256):
         for row, col in ((3, 3), (3, 1)):  # a zero of XZ, and its entry in row 3
             re = xz.re.copy()
             re[row, col] = entry
-            with pytest.raises(OracleError, match="self-check failed"):
-                decode_pauli(ExactMatrix(re, xz.im), 2)
+            rejected.append((ExactMatrix(re, xz.im), 2))
 
-
-def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
-    # the monomial forms of five 3-qubit strings decode back to them; one
-    # form made non-Pauli, first, in the middle or last, fails the whole
-    # decode with the check it breaks, and so does one matrix of their
-    # dense stack, read into forms as decode_pauli reads its input
-    rng = np.random.default_rng(3)
-    letters = rng.integers(0, 4, size=(3, 5))
-    letters[:, 2] = (1, 2, 3)  # X, Y and Z in one string
-    phases = np.arange(5) % 4
-    source, phase = _pauli_parts(letters, phases)
-    got_letters, got_phases = _decode(source.copy(), phase.copy(), 3)
-    assert np.array_equal(got_letters, letters) and np.array_equal(got_phases, phases)
-    stack = _matrix(source, phase)
-    got_source, got_phase = _form(stack)
-    assert np.array_equal(got_source, source) and np.array_equal(got_phase, phase)
-
+    # one 3-qubit string's matrix broken four ways, as (re, im) stacks a
+    # with row 0's entry in column x
     def second_entry(a, x):
         a[0, 0, x ^ 1] = 1
 
@@ -309,9 +279,35 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
     def stray_entry(a, x):
         a[0, 3, (3 ^ x) ^ 1] = 1
 
-    # a form has one unit entry in every row, so only the last two breaks
-    # have forms of their own, and a form can also move a single-bit row's
-    # entry or flip the sign of a row that is not one
+    for text in ("XYZ", "-iZIX", "+iIYY"):
+        p = pauli_parse(text)
+        mat = dense_pauli(p)
+        assert decode_pauli(mat, 3) == p
+        x = int(np.flatnonzero(mat.re[0] | mat.im[0])[0])
+        for corrupt in (second_entry, doubled, times_i, stray_entry):
+            a = np.stack((mat.re, mat.im))
+            corrupt(a, x)
+            rejected.append((ExactMatrix(*a), 3))
+    for mat, m in rejected:
+        with pytest.raises(ValueError, match="not a signed Pauli matrix"):
+            decode_pauli(mat, m)
+
+
+def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
+    # the monomial forms of five 3-qubit strings decode back to them; one
+    # form made non-Pauli, first, in the middle or last, fails the whole
+    # decode with the check it breaks
+    rng = np.random.default_rng(3)
+    letters = rng.integers(0, 4, size=(3, 5))
+    letters[:, 2] = (1, 2, 3)  # X, Y and Z in one string
+    phases = np.arange(5) % 4
+    source, phase = _pauli_parts(letters, phases)
+    got_letters, got_phases = _decode(source.copy(), phase.copy(), 3)
+    assert np.array_equal(got_letters, letters) and np.array_equal(got_phases, phases)
+
+    # a form has one unit entry in every row, so it can break a Pauli
+    # matrix only by a wrong phase or a moved entry, in a single-bit row
+    # or in another
     def form_times_i(s, p):
         p[1] = (p[1] + 1) % 4
 
@@ -324,12 +320,6 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
     def form_sign(s, p):
         p[7] ^= 2
 
-    dense = (
-        (second_entry, "single-entry row"),
-        (doubled, "is not a unit"),
-        (times_i, "row 1 is not \\+- the reference entry"),
-        (stray_entry, "self-check failed"),
-    )
     forms = (
         (form_times_i, "row 1 is not \\+- the reference entry"),
         (form_moved, "self-check failed"),
@@ -337,12 +327,6 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
         (form_sign, "self-check failed"),
     )
     for j in (0, 2, 4):
-        xmask = int(source[j, 0])
-        for corrupt, message in dense:
-            bad = stack.copy()
-            corrupt(bad[j], xmask)
-            with pytest.raises(OracleError, match=message):
-                _decode(*_form(bad), 3)
         for corrupt, message in forms:
             bad_source, bad_phase = source.copy(), phase.copy()
             corrupt(bad_source[j], bad_phase[j])
@@ -470,18 +454,9 @@ def test_failing_ranks_stay_with_their_columns():
                 assert engine.failed_ranks == (r.ranks.index(2 * m) + 1,)
 
 
-def test_exact_matrix_is_unhashable():
-    # equal matrices compare equal, so they cannot hash by identity
-    a, b = dense_pauli(pauli_parse("XZ")), dense_pauli(pauli_parse("XZ"))
-    assert a == b
-    assert ExactMatrix.__hash__ is None
-    with pytest.raises(TypeError, match="unhashable"):
-        {a, b}
-
-
 def test_oracle_check_memory_peak_at_8_qubits():
     # the README's figure: 0.34 MiB, all (2m+1) x 2^m monomial forms and
-    # their temporaries, where one dense matrix would take 16 * 4^m = 1 MiB
+    # their temporaries, where one dense int64 matrix would take 16 * 4^m = 1 MiB
     t = random_tree(8, seed=5)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok  # gate tables are built on first use
@@ -510,20 +485,41 @@ def test_oracle_check_at_12_qubits_agrees_with_the_engine_in_16_mib():
     assert peak < 16 << 20
 
 
-def test_oracle_imports_neither_engine_nor_straighten():
-    # the ground truth stays independent of what it checks
-    source = Path(__file__).resolve().parents[1] / "src" / "tern2jw" / "oracle.py"
+def _imports(path):
+    """Every module a source file imports, and every name it imports from
+    one as module.name (relative modules keep their leading dots)."""
     imported = set()
-    for node in ast.walk(ast.parse(source.read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-            if node.level and not node.module:  # from . import engine
-                imported.update("." + alias.name for alias in node.names)
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            dot = "" if module.endswith(".") else "."
+            imported.update(module + dot + alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_oracle_imports_neither_engine_nor_straighten():
+    # the ground truth stays independent of what it checks
+    imported = _imports(Path(__file__).resolve().parents[1] / "src" / "tern2jw" / "oracle.py")
     assert ".clifford" in imported  # the walk sees the module's imports
     banned = {".engine", ".straighten", "tern2jw.engine", "tern2jw.straighten"}
     assert not imported & banned
+
+
+def test_reference_imports_nothing_from_the_oracle():
+    # the dense matrices the oracle is checked against are built apart from it
+    imported = _imports(Path(__file__).resolve().with_name("reference.py"))
+    assert "tern2jw.PauliString" in imported  # the walk sees the module's imports
+    oracle_names = {
+        name
+        for name in tern2jw.__all__
+        if getattr(getattr(tern2jw, name), "__module__", None) == "tern2jw.oracle"
+    }
+    assert oracle_names == {"OracleError", "oracle_conjugate"}
+    assert not any(name.startswith("tern2jw.oracle") for name in imported)
+    assert not imported & {"tern2jw." + name for name in oracle_names}
 
 
 def test_oracle_check_memory_peak_at_6_qubits():

@@ -60,10 +60,10 @@ def test_straighten_certifies_within_cz_budget(t):
     assert verify_transform(t, fx).ok
 
 
-# The dense oracle costs about 0.8 s per check at m=8, so it gets fewer
-# draws and checks only the sign-fixed certificate, whose circuit is the
-# straighten circuit plus the Pauli layer.
-@settings(max_examples=12, deadline=None)
+# The exact oracle costs about 2 ms per check at m=8, so it takes the
+# usual 150 draws; it checks only the sign-fixed certificate, whose circuit
+# is the straighten circuit plus the Pauli layer.
+@settings(max_examples=150, deadline=None)
 @given(trees(max_m=8))
 def test_oracle_accepts_small_certificates(t):
     assert oracle_check(t, fix_signs(straighten(t))).ok

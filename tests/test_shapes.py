@@ -1,4 +1,4 @@
-"""straighten, the engine and the dense oracle on every tree shape."""
+"""straighten, the engine and the exact oracle on every tree shape."""
 
 from tern2jw import fix_signs, oracle_check, straighten, verify_transform
 

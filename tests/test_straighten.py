@@ -32,7 +32,8 @@ from tern2jw import (
     verify_transform,
 )
 from tern2jw.pauli import PauliString
-from tern2jw.straighten import MAX_LETTER_CELLS
+from tern2jw.straighten import MAX_LETTER_CELLS, _jw_product
+from tern2jw.tree import _letters_matrix
 
 from conftest import comb
 from reference import jw_generator
@@ -273,6 +274,20 @@ def test_fix_signs_refuses_oversized_result():
     )
     with pytest.raises(ValueError, match="MAX_LETTER_CELLS"):
         fix_signs(r)
+
+
+def test_jw_product_matches_the_letter_matrix_reduce():
+    # fix_signs' closed form for the letters of a product of JW generators,
+    # against the XOR of their columns of the chain's letter matrix, for
+    # no rank, every rank and three random sets on each m = 1..60
+    rng = np.random.default_rng(11)
+    for m in range(1, 61):
+        jw = _letters_matrix(jw_chain(m))
+        sets = [np.zeros(2 * m + 1, dtype=bool), np.ones(2 * m + 1, dtype=bool)]
+        sets += [rng.random(2 * m + 1) < density for density in (0.1, 0.5, 0.9)]
+        for chosen in sets:
+            want = np.bitwise_xor.reduce(jw, axis=1, where=chosen, initial=0)
+            assert _jw_product(chosen).tolist() == want.tolist(), (m, chosen)
 
 
 def test_fix_signs_last_rank_parity():
