@@ -1,11 +1,12 @@
 """Ternary-tree fermion encodings and their Clifford maps to Jordan-Wigner.
 
-The pieces fit together like this: pauli holds the signed string type, tree
-turns trees into generator sets held as one letter matrix, engine runs the
-gate rules on its x/z bit planes (clifford: on one string as one column),
-straighten synthesizes the tree-to-chain circuits and checks them,
-oracle conjugates the same batches exactly, each string's matrix held as
-one unit entry per row, and cli fronts the lot.
+The pieces fit together like this: pauli holds the signed string type and
+the packed x/z bit planes that batches of strings travel in, tree turns
+trees into generator sets, as one letter matrix or one packed batch,
+engine runs the gate rules on packed batches (clifford: on one string as
+one column), straighten synthesizes the tree-to-chain circuits and checks
+them, oracle conjugates the same batches exactly, each string's matrix
+held as one unit entry per row, and cli fronts the lot.
 """
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES, conjugate_inplace
-from .pauli import PauliString
+from .pauli import PauliString, pack_letters, unpack_planes
 
 _NAMES = SINGLE_GATES + PAIR_GATES  # indexed by gate code
 _INVERSE = np.array([GATE_CODES[{"S": "SDG", "SDG": "S"}.get(n, n)] for n in _NAMES])
@@ -182,10 +182,10 @@ def _one_column(conjugate, c: Circuit, p: PauliString) -> PauliString:
     """p through c as a one-column batch of a conjugate_inplace-like conjugator."""
     if c.num_qubits != p.num_qubits:
         raise ValueError(f"size mismatch: circuit {c.num_qubits}, string {p.num_qubits}")
-    letters = np.array(p.letters, dtype=np.uint8)[:, None]
+    planes = pack_letters(np.array(p.letters, dtype=np.uint8)[:, None])
     phases = np.array([p.phase], dtype=np.uint8)
-    conjugate(letters, phases, c.ops)
-    return PauliString(tuple(letters[:, 0].tolist()), int(phases[0]))
+    conjugate(planes, phases, c.ops)
+    return PauliString(tuple(unpack_planes(planes, 1)[:, 0].tolist()), int(phases[0]))
 
 
 def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
@@ -200,19 +200,32 @@ def invert_circuit(c: Circuit) -> Circuit:
 
 
 def peephole_cancel(c: Circuit) -> Circuit:
-    """Remove adjacent mutually-inverse gate pairs until none remain.
+    """Remove mutually-inverse gate pairs until none remain.
 
-    A stack pass over the op rows catches cascades: cancelling an inner
-    pair can bring an outer inverse pair together, e.g. [H, CZ, CZ, H] -> [].
+    Gates on disjoint wires commute, so a gate cancels against the latest
+    kept gate that shares a wire with it, whatever kept gates on other
+    wires lie between them. A stack of kept gates per wire finds that
+    gate in one step, and cancelling a pair exposes the gates before it,
+    so cascades fold too: [H 1, CZ 1 2, H 3, CZ 1 2, H 1] -> [H 3]. The
+    kept length does not depend on the order of neighbouring gates on
+    disjoint wires.
     """
     inverse = _INVERSE.tolist()
-    stack: list[tuple[int, int, int]] = []
+    kept: list[tuple[int, int, int] | None] = []
+    last: list[list[int]] = [[] for _ in range(c.num_qubits)]  # per wire, indices into kept
     for code, a, b in c.ops.tolist():
-        if stack and stack[-1] == (inverse[code], a, b):
-            stack.pop()
+        wires = (a, b) if code >= N_SINGLE else (a,)
+        tops = {last[w][-1] if last[w] else -1 for w in wires}
+        top = tops.pop() if len(tops) == 1 else -1
+        if top >= 0 and kept[top] == (inverse[code], a, b):
+            kept[top] = None
+            for w in wires:
+                last[w].pop()
         else:
-            stack.append((code, a, b))
-    return Circuit.from_ops(c.num_qubits, stack)
+            for w in wires:
+                last[w].append(len(kept))
+            kept.append((code, a, b))
+    return Circuit.from_ops(c.num_qubits, [row for row in kept if row is not None])
 
 
 def circuit_format(c: Circuit) -> str:

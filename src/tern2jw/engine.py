@@ -1,26 +1,31 @@
-"""Clifford conjugation of batches of Pauli strings on their x and z bits.
+"""Clifford conjugation of packed batches of Pauli strings.
 
-A batch is a uint8 (m, n) letter matrix (codes I=0, X=1, Y=2, Z=3, as in
-the pauli module), one string per column, with an (n,) phase row. Only
-this module splits a code into z = code >> 1 and x = (code ^ z) & 1, so
-X = (x 1, z 0), Y = (1, 1), Z = (0, 1); (x ^ z) | (z << 1) is the code
-again. conjugate_rows holds every gate's action on whole rows of the x and
-z planes as a few AND, XOR and NOT operations, with the sign rules of
-Aaronson and Gottesman (quant-ph/0406196): each flip adds 2 to the phase
-exponent. conjugate_inplace runs them at a few numpy row operations per
-gate; one string (clifford.conjugate_circuit) is a one-column batch. The
-int32 (L, 3) op array they read is the only stored form of a circuit
-(clifford.Circuit.ops); encode_gates builds one from (kind, targets) pairs.
+A batch is n Pauli strings held as packed x and z planes (the pauli
+module's layout: one uint64 array of 2m rows of ceil(n / 64) words, qubit
+q's x bits in row q - 1 and its z bits in row m + q - 1, one bit per
+string) with an (n,) uint8 row of phase exponents. conjugate_rows holds
+every gate's action on whole rows of the x and z planes as a few AND, XOR
+and NOT operations, with the sign rules of Aaronson and Gottesman
+(quant-ph/0406196): each flip adds 2 to the phase exponent. The rules act
+on 64 strings per word and never set a padding bit, since every flip and
+every update ANDs or XORs rows whose padding is zero. conjugate_inplace
+runs them at a few numpy row operations per gate, gathers the flips in one
+packed row and adds them to the phases once; one string
+(clifford.conjugate_circuit) is a one-column batch. The int32 (L, 3) op
+array they read is the only stored form of a circuit (clifford.Circuit.ops);
+encode_gates builds one from (kind, targets) pairs.
 
 The test suite re-derives every rule from the exact oracle for every
-letter, letter pair and phase: acceptance criterion 8 one string at a
-time, test_engine one batch per gate, test_clifford through one-gate
-circuits.
+letter, letter pair and phase, in batches whose width is no multiple of 64:
+acceptance criterion 8 one gate per batch, test_engine one batch per gate,
+test_clifford through one-gate circuits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .pauli import check_planes
 
 SINGLE_GATES = ("H", "S", "SDG", "X", "Y", "Z")
 PAIR_GATES = ("CZ", "CX", "SWAP")
@@ -32,10 +37,11 @@ _H, _S, _SDG, _X, _Y, _Z, _CZ, _CX, _SWAP = range(len(GATE_CODES))
 def conjugate_rows(code: int, x, z, a: int, b: int):
     """Conjugate qubit rows a and b of the x and z planes through one gate.
 
-    x and z are uint8 (m, n) planes of 0/1 bits, one column per string,
-    updated in place. b is ignored by single-qubit gates; for CX, a is the
-    control. Returns the (n,) sign flips (0 or 1), computed from the bits
-    before the update.
+    x and z are the (m, W) word planes of a packed batch, one bit per
+    string, updated in place. b is ignored by single-qubit gates; for CX,
+    a is the control. Returns the sign flips, one bit per string packed
+    like a plane row (0 for SWAP), computed from the bits before the
+    update.
     """
     if code == _H:
         flip = x[a] & z[a]
@@ -67,12 +73,6 @@ def conjugate_rows(code: int, x, z, a: int, b: int):
     return flip
 
 
-def xz_planes(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z bit planes of a letter array, as new uint8 arrays."""
-    z = letters >> 1
-    return (letters ^ z) & 1, z
-
-
 def encode_gates(gates) -> np.ndarray:
     """Encode (kind, targets) gate pairs as the int32 (L, 3) op array, unchecked."""
     ops = np.zeros((len(gates), 3), dtype=np.int32)
@@ -84,20 +84,17 @@ def encode_gates(gates) -> np.ndarray:
     return ops
 
 
-def conjugate_inplace(letters: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
-    """Conjugate the letter batch through the encoded ops, in place.
+def conjugate_inplace(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
+    """Conjugate the packed batch through the encoded ops, in place.
 
-    letters: uint8 (m, n), phases: uint8 (n,) with exponents mod 4,
-    ops: int32 (L, 3) rows (gate code, row a, row b); b is ignored for
-    single-qubit codes. Gates act in listed order.
+    planes: uint64 (2m, W), the x plane over the z plane; phases: uint8
+    (n,) with exponents mod 4; ops: int32 (L, 3) rows (gate code, row a,
+    row b); b is ignored for single-qubit codes. Gates act in listed order.
     """
-    z = letters >> 1
-    x = letters  # the letter buffer holds the x plane until the merge
-    x ^= z
-    x &= 1
-    flips = np.zeros(letters.shape[1], dtype=np.uint8)
+    check_planes(planes, len(phases))
+    m = len(planes) // 2
+    x, z = planes[:m], planes[m:]
+    flips = np.zeros(planes.shape[1], dtype=planes.dtype)
     for code, a, b in ops.tolist():
         flips ^= conjugate_rows(code, x, z, a, b)
-    letters ^= z
-    letters |= z << 1
-    phases ^= flips << 1
+    phases ^= np.unpackbits(flips.view(np.uint8), count=len(phases), bitorder="little") << 1

@@ -29,11 +29,13 @@ row and halves the one nonzero sum exactly; a row that would need more
 than one entry, or an entry that does not halve to a unit, raises
 OracleError.
 
-dense_conjugate has engine.conjugate_inplace's batch contract and works in
-place, so straighten.oracle_check differs from verify_transform only in the
-conjugator; oracle_conjugate is its one-column call. One decoder, _decode,
-reads forms back as strings and rejects any form that is not a signed
-Pauli matrix's.
+dense_conjugate has engine.conjugate_inplace's batch contract (packed x
+and z planes and a phase row) and works in place, so
+straighten.oracle_check differs from verify_transform only in the
+conjugator; it unpacks the planes into a letter matrix at its boundary and
+packs the result back. oracle_conjugate is its one-column call. One
+decoder, _decode, reads forms back as strings and rejects any form that
+is not a signed Pauli matrix's.
 
 Intended for small qubit counts (verify's --oracle-cap is 8); every entry
 point refuses m > MAX_ORACLE_QUBITS before any allocation. It imports
@@ -49,7 +51,7 @@ import itertools
 import numpy as np
 
 from .clifford import Circuit, _kind_targets, _one_column
-from .pauli import PauliString
+from .pauli import PauliString, check_planes, pack_letters, unpack_planes
 
 # The largest m the test suite measures (oracle_check's tracemalloc peak is
 # about 7 MiB there); _letter_tables' int16 flips would hold up to m = 15.
@@ -210,13 +212,14 @@ def _decode(source: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, 
     return letters, phases
 
 
-def dense_conjugate(letters: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
+def dense_conjugate(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
     """engine.conjugate_inplace with exact matrices: the batch's columns
     become monomial forms, conjugated through the compiled circuit and
     decoded back."""
-    m = letters.shape[0]
+    check_planes(planes, len(phases))
+    m = len(planes) // 2
     _check_cap(m)
-    source, phase = _pauli_parts(letters, phases)
+    source, phase = _pauli_parts(unpack_planes(planes, len(phases)), phases)
     for step in _compile(ops, m):
         if isinstance(step, int):
             source, phase = _hadamard(source, phase, m, step)
@@ -224,7 +227,8 @@ def dense_conjugate(letters: np.ndarray, phases: np.ndarray, ops: np.ndarray) ->
             src, e, inv = step
             source = inv.take(source.take(src, axis=1))
             phase = (e + phase.take(src, axis=1) - e.take(source)) & 3
-    letters[:], phases[:] = _decode(source, phase, m)
+    letters, phases[:] = _decode(source, phase, m)
+    planes[:] = pack_letters(letters)
 
 
 def oracle_conjugate(c: Circuit, p: PauliString) -> PauliString:

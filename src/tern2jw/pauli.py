@@ -9,15 +9,24 @@ I, X, Y, Z over m qubits. Letters are stored as integer codes
 with qubit 1 as the first (leftmost) tensor factor. The code of a letter
 product is the XOR of the factor codes; the phase contribution comes from
 the cyclic rule XY = iZ, YZ = iX, ZX = iY (reversed order gives -i).
-The library multiplies and conjugates strings in batches, one string per
-column of a letter matrix (tree.check_generator_set, engine); a
-PauliString is one such column with its phase.
+The library multiplies strings as the columns of a letter matrix
+(tree.check_generator_set) and conjugates them as packed batches (engine).
+A packed batch holds each letter as an x bit and a z bit, z = code >> 1
+and x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
+(x ^ z) | (z << 1) is the code again. Its planes are one uint64 array of
+2m rows of W = ceil(n / 64) little-endian words: qubit q's x bits in row
+q - 1, its z bits in row m + q - 1, column j at bit j % 64 of word j // 64,
+and the padding bits past column n - 1 zero. The helpers below are the
+only place that converts between the two forms. A PauliString is one
+column with its phase.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 LETTERS = "IXYZ"
 
@@ -68,3 +77,51 @@ def pauli_format(a: PauliString) -> str:
     """Canonical text form: sign prefix, then letters with qubit 1 leftmost."""
     return _SIGN_PREFIX[a.phase] + "".join(LETTERS[l] for l in a.letters)
 
+
+# ---------------------------------------------------------------------------
+# letter matrices and packed x/z planes
+
+WORD = np.dtype("<u8")  # one word of a packed plane row
+
+
+def xz_bits(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bits of a letter array, as new uint8 arrays of 0/1."""
+    z = letters >> 1
+    return (letters ^ z) & 1, z
+
+
+def pack_letters(letters: np.ndarray) -> np.ndarray:
+    """The (2m, W) planes of an (m, n) letter matrix, one string per column."""
+    m, n = letters.shape
+    bits = np.zeros((2 * m, 64 * (-(-n // 64))), dtype=np.uint8)
+    bits[:m, :n], bits[m:, :n] = xz_bits(letters)
+    return np.packbits(bits, axis=1, bitorder="little").view(WORD)
+
+
+def check_planes(planes: np.ndarray, n: int) -> None:
+    """Raise ValueError unless planes can hold n strings: uint64 words,
+    an even number of rows (x over z), ceil(n/64) words a row."""
+    width = -(-n // 64)
+    if planes.dtype != WORD or planes.ndim != 2 or len(planes) % 2 or planes.shape[1] != width:
+        raise ValueError(
+            f"need (2m, {width}) {WORD} planes for {n} strings,"
+            f" got {planes.dtype} {planes.shape}"
+        )
+
+
+def unpack_planes(planes: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n) uint8 letter matrix of n-column planes."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, count=n, bitorder="little")
+    m = len(bits) // 2
+    x, z = bits[:m], bits[m:]
+    return (x ^ z) | (z << 1)
+
+
+def planes_from_rows(rows, n: int) -> np.ndarray:
+    """n-column planes whose row k has bit j set where bit j of rows[k],
+    a nonnegative int below 2^n, is set."""
+    width = 8 * (-(-n // 64))
+    buf = bytearray()
+    for r in rows:  # one row's bytes at a time, not a list of them all
+        buf += r.to_bytes(width, "little")
+    return np.frombuffer(buf, dtype=WORD).reshape(-1, width // 8)

@@ -29,9 +29,12 @@ carries the renaming as the permutation pi (chain position i holds
 original qubit pi(i)); with swaps=True a SWAP network realizing pi is
 appended instead and pi collapses to the identity. Signs are tracked
 exactly by conjugating all 2m+1 generators through the circuit in one
-batch; fix_signs appends a single-qubit Pauli layer that forces ranks
-1..2m positive (rank 2m+1 is pinned by the conserved total product), and
-the same engine and matcher check the signs that layer leaves.
+packed batch, the tree's x and z planes at one bit per generator, and
+matching the renamed planes against the JW set with tree.jw_decode;
+fix_signs appends a single-qubit Pauli layer that forces ranks 1..2m
+positive (rank 2m+1 is pinned by the conserved total product), and the
+same engine and matcher check the signs that layer leaves on the chain's
+planes.
 verify_transform and oracle_check are one certificate check, _check, run
 with the engine's conjugate_inplace or the oracle's dense_conjugate.
 """
@@ -53,7 +56,7 @@ from .tree import (
     XYZ,
     TernaryTree,
     _check_letter_cells,
-    _letters_matrix,
+    _planes,
     _subtree_sizes,
     _walk,
     jw_chain,
@@ -269,12 +272,13 @@ def _conjugated_images(
     t: TernaryTree, c: Circuit, perm: Sequence[int], conjugate
 ) -> tuple[np.ndarray, np.ndarray]:
     """t's generators conjugated through c by conjugate (a batch conjugator
-    like engine.conjugate_inplace), renamed into chain order through perm."""
-    letters = _letters_matrix(t)
-    phases = np.zeros(letters.shape[1], dtype=np.uint8)
-    conjugate(letters, phases, c.ops)
-    perm_idx = np.asarray(perm, dtype=np.int64) - 1
-    return letters[perm_idx, :], phases
+    like engine.conjugate_inplace), as packed planes and phases, their
+    rows renamed into chain order through perm."""
+    planes = _planes(t)
+    phases = np.zeros(2 * t.num_qubits + 1, dtype=np.uint8)
+    conjugate(planes, phases, c.ops)
+    rows = np.asarray(perm, dtype=np.int64) - 1
+    return planes[np.concatenate((rows, rows + t.num_qubits))], phases
 
 
 def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
@@ -357,7 +361,6 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     flipped = [rank for rank, s in zip(r.ranks, r.signs) if s == -1 and rank <= 2 * m]
     if not flipped:
         return r
-    jw = _letters_matrix(jw_chain(m))  # column k-1: the JW generator at rank k
     chosen = np.zeros(2 * m + 1, dtype=bool)
     chosen[np.asarray(flipped) - 1] = True
     odd = len(flipped) % 2
@@ -374,6 +377,7 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     # signs, through the layer in chain coordinates
     phases = np.zeros(2 * m + 1, dtype=np.uint8)
     phases[np.asarray(r.ranks) - 1] = 1 - np.asarray(r.signs)
+    jw = _planes(jw_chain(m))  # column k-1: the JW generator at rank k
     conjugate_inplace(jw, phases, layer)
     expected = [1] * (2 * m + 1)
     last = r.signs[r.ranks.index(2 * m + 1)]
@@ -508,11 +512,11 @@ def certify(
 ) -> TransformReport:
     """Check generator images, already renamed into chain order, against JW.
 
-    renamed holds one (m,) letter column per generator and phases their
-    phase exponents. Image j passes when it decodes as a signed JW generator
-    whose sign is signs[j] (any sign when signs is None) and whose rank no
-    earlier passing image took. All 2m+1 images pass exactly when the
-    matched ranks cover 1..2m+1.
+    renamed holds the packed x and z planes of the images, one column per
+    generator, and phases their phase exponents. Image j passes when it
+    decodes as a signed JW generator whose sign is signs[j] (any sign when
+    signs is None) and whose rank no earlier passing image took. All 2m+1
+    images pass exactly when the matched ranks cover 1..2m+1.
     """
     ranks, decoded = jw_decode(renamed, phases)
     good = np.flatnonzero(ranks if signs is None else decoded == np.asarray(signs))

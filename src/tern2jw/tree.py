@@ -6,8 +6,12 @@ a slot holds another qubit node or a terminal. A complete tree has exactly
 product of one Pauli letter per node on the path, the letter being the slot
 label the path leaves through. Any two distinct path products anticommute
 (they first differ at their fork node, with different non-identity letters
-there, and act on disjoint qubits below it); tree_generators holds them as
-the columns of one (m, 2m+1) letter matrix.
+there, and act on disjoint qubits below it). _leaf_runs lays out their
+x and z bits, one run of leaf columns each per qubit; _planes packs the
+runs as one batch (the pauli module's x and z planes), which
+certification conjugates, and _letters_matrix writes the same runs as the
+(m, 2m+1) letter matrix that tree_generators holds. jw_decode matches a
+packed batch against the Jordan-Wigner generators.
 
 Canonical leaf order is depth-first with x < y < z. Qubit ids must be
 exactly 1..m; they double as tensor positions in the Pauli strings.
@@ -30,8 +34,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .engine import xz_planes
-from .pauli import PROD_PHASE, PauliString
+from .pauli import PROD_PHASE, PauliString, check_planes, planes_from_rows, xz_bits
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
@@ -399,28 +402,53 @@ def _subtree_sizes(kids, order) -> list[int]:
     return size
 
 
-def _letters_matrix(t: TernaryTree) -> np.ndarray:
-    """(m, 2m+1) uint8 letter codes of the path products, one per column.
+def _leaf_runs(t: TernaryTree) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Per qubit, the leaf columns [lo, hi) where its x bit is set and
+    where its z bit is set.
 
     In canonical leaf order every subtree covers a contiguous run of
-    columns, its x, y and z branches one after another, so each row is
-    three slice fills: x (1), y (2) and z (3) over the branches' leaves.
+    columns, its x, y and z branches one after another. So qubit q's x
+    bits (X on its x branch, Y on its y branch) are one run, and so are
+    its z bits (its y and z branches), read off the subtree sizes.
     """
     m = t.num_qubits
     _check_letter_cells(m)
     kids = t.children
     order = _walk(kids, t.root)
     size = _subtree_sizes(kids, order)
-    letters = np.zeros((m, 2 * m + 1), dtype=np.uint8)
+    x_runs = [(0, 0)] * m
+    z_runs = [(0, 0)] * m
     first = [0] * (m + 1)  # first leaf column of each subtree; [0] is scratch
     for q in order:
-        row = letters[q - 1]
+        cx, cy, cz = kids[q - 1]
         lo = first[q]
-        for code, c in enumerate(kids[q - 1], start=1):
-            hi = lo + 2 * size[c] + 1
-            row[lo:hi] = code
-            first[c] = lo
-            lo = hi
+        y_lo = lo + 2 * size[cx] + 1
+        z_lo = y_lo + 2 * size[cy] + 1
+        first[cx], first[cy], first[cz] = lo, y_lo, z_lo
+        x_runs[q - 1] = (lo, z_lo)
+        z_runs[q - 1] = (y_lo, z_lo + 2 * size[cz] + 1)
+    return x_runs, z_runs
+
+
+def _planes(t: TernaryTree) -> np.ndarray:
+    """The path products as one packed batch: (2m, W) x and z planes over
+    the 2m+1 leaf columns, phases all 0; one run mask a row."""
+    x_runs, z_runs = _leaf_runs(t)
+    return planes_from_rows(
+        (((1 << (hi - lo)) - 1) << lo for lo, hi in x_runs + z_runs), 2 * t.num_qubits + 1
+    )
+
+
+def _letters_matrix(t: TernaryTree) -> np.ndarray:
+    """(m, 2m+1) uint8 letter codes of the path products, one per column:
+    the letters of _planes' runs, X where x only, Y where both, Z where z
+    only, filled in place so the matrix is the only array of its size."""
+    x_runs, z_runs = _leaf_runs(t)
+    letters = np.zeros((t.num_qubits, 2 * t.num_qubits + 1), dtype=np.uint8)
+    for row, (x_lo, x_hi), (z_lo, z_hi) in zip(letters, x_runs, z_runs):
+        row[x_lo:x_hi] = 1
+        row[z_lo:z_hi] = 3
+        row[max(x_lo, z_lo) : min(x_hi, z_hi)] = 2
     return letters
 
 
@@ -479,7 +507,7 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
         letters = np.array([p.letters for p in strings], dtype=np.uint8).T
         phases = np.array([p.phase for p in strings], dtype=np.uint8)
 
-    x, z = xz_planes(letters)
+    x, z = xz_bits(letters)
     # x_a.z_b + z_a.x_b for every pair, exact in float64: entries are at most 2m
     symplectic = np.concatenate((x, z)).T.astype(np.float64) @ np.concatenate((z, x))
     commuting = np.triu(symplectic % 2 == 0, k=1)
@@ -497,13 +525,17 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
     )
 
 
-# Cells (one byte each) allowed in the (m, 2m+1) letter matrix that
-# certification conjugates; 2**28 admits m up to 11584. The measured
-# tracemalloc peak of straighten and verify_transform is about 3.1x the
-# matrix (7.0-7.6 MiB for the 2.28 MiB matrix of full_ternary(6), 92-95 MiB
-# for the 30.5 MiB one at m=4000), because jw_decode holds three full-size
-# arrays at once: the renamed matrix, its non-Z mask and argmax's axis-0
-# copy. At the cap that is about 0.8 GiB.
+# Letters allowed in the (m, 2m+1) batch of a tree's generators; 2**28
+# admits m up to 11584. Certification holds that batch as packed x and z
+# planes, two bits a letter (64 MiB at the cap). The measured tracemalloc
+# peak of straighten and of verify_transform is about twice the planes,
+# because the renamed copy sits beside the conjugated one: 1.98 and
+# 1.26 MiB for the 0.58 MiB planes of full_ternary(6), 18.6 and 16.2 MiB
+# for the 7.7 MiB ones at m=4000, 142 and 134 MiB at the cap (fix_signs:
+# 1.2, 10.5 and 75 MiB). tree_generators, and so the generators and stats
+# commands, fill the letter matrix in place, one byte a letter, and peak
+# just above it: 2.48 MiB for the 2.28 MiB matrix of full_ternary(6),
+# 31.3 MiB for 30.5 MiB at m=4000, 258 MiB for 256 MiB at the cap.
 MAX_LETTER_CELLS = 1 << 28
 
 
@@ -516,27 +548,47 @@ def _check_letter_cells(m: int) -> None:
         )
 
 
-def jw_decode(letters: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Match each column of a letter batch against the signed JW generators.
+def jw_decode(planes: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Match each column of a packed batch against the signed JW generators.
 
-    letters is a (m, n) array of letter codes, one string per column, and
-    phases its (n,) phase exponents. Returns int64 (ranks, signs): column j
-    is signs[j] times the JW generator at rank ranks[j]. Columns that are
-    not of the form Z^(k-1) X I..., Z^(k-1) Y I... or all Z, or whose phase
-    is not a plain sign, get rank 0 and sign 0.
+    planes holds the batch's (2m, W) x and z planes, one string per
+    column, and phases its (n,) phase exponents. Returns int64 (ranks,
+    signs): column j is signs[j] times the JW generator at rank ranks[j].
+    Columns that are not of the form Z^(k-1) X I..., Z^(k-1) Y I... or all
+    Z, or whose phase is not a plain sign, get rank 0 and sign 0.
+
+    One pass down the rows, each read as one int, keeps the mask of the
+    columns whose lead row (the first that is not Z) is not found yet.
+    Row i leads the open columns where it is not Z, at rank 2i+1 for X
+    and 2i+2 for Y; a lead I, or any letter in a row below the lead,
+    fails the column. Columns that never lead are all Z, rank 2m+1. The
+    ranks are read off the set bits of the lead masks, each column once.
+    Raises ValueError unless planes are (2m, ceil(n/64)) uint64 words
+    with every padding bit clear.
     """
-    m, n = letters.shape
-    non_z = letters != 3
-    lead = non_z.argmax(axis=0)  # first non-Z row; 0 when all Z
-    has_lead = non_z.any(axis=0)
-    lead_letter = letters[lead, np.arange(n)]
-    support = (letters != 0).sum(axis=0)
-    # valid X/Y columns look like Z^lead, letter, I^(m-lead-1)
-    xy_ok = has_lead & ((lead_letter == 1) | (lead_letter == 2)) & (support == lead + 1)
-    ok = (xy_ok | ~has_lead) & ((phases == 0) | (phases == 2))
-    ranks = np.where(
-        ~has_lead, 2 * m + 1, 2 * (lead + 1) - (lead_letter == 1).astype(np.int64)
-    )
+    m, n = len(planes) // 2, len(phases)
+    check_planes(planes, n)
+    step = 8 * planes.shape[1]  # bytes per row
+    data = memoryview(np.ascontiguousarray(planes)).cast("B")
+    ranks = [2 * m + 1] * n
+    open_ = (1 << n) - 1
+    bad = 0
+    for i in range(m):
+        x = int.from_bytes(data[i * step : (i + 1) * step], "little")
+        z = int.from_bytes(data[(m + i) * step : (m + i + 1) * step], "little")
+        bad |= (x | z) & ~open_
+        lead = (x | ~z) & open_
+        if lead:
+            open_ ^= lead
+            bad |= lead & ~x
+            lead &= x
+            while lead:  # one set bit, one column, at a time
+                low = lead & -lead
+                ranks[low.bit_length() - 1] = 2 * i + 1 + (low & z != 0)
+                lead ^= low
+    if bad >> n:  # every padding bit lands in bad: no column holds it
+        raise ValueError(f"planes set bits past column {n}")
+    bad_bits = np.frombuffer(bad.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    ok = (np.unpackbits(bad_bits, count=n, bitorder="little") == 0) & (phases & 1 == 0)
     signs = 1 - phases.astype(np.int64)  # exponent 0 -> +1, 2 -> -1
     return np.where(ok, ranks, 0), np.where(ok, signs, 0)
-

@@ -1,8 +1,9 @@
 """A one-string model of the Pauli algebra, for checking the library's batch path.
 
-The library multiplies, compares and conjugates Pauli strings as columns of
-one letter matrix. These definitions take one string at a time, straight
-from the letter rules, with no input checks: callers pass valid input.
+The library multiplies Pauli strings as columns of one letter matrix and
+conjugates and matches them as packed x and z planes. These definitions
+take one string at a time, straight from the letter rules, with no input
+checks: callers pass valid input.
 
 The dense matrices here are the exact oracle's independent ground truth:
 built from fixed 2x2 and 4x4 tables, a string's with np.kron and a gate's by
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tern2jw import PauliString
-from tern2jw.tree import XYZ, jw_decode
+from tern2jw.tree import XYZ
 
 _SIGNS = ("+", "+i", "-", "-i")
 
@@ -66,11 +67,28 @@ def jw_generator(m, rank):
 
 
 def jw_match(p):
-    """(rank, sign) with p = sign * jw_generator(m, rank), or None: jw_decode on one column."""
-    ranks, signs = jw_decode(
-        np.array(p.letters, dtype=np.uint8)[:, None], np.array([p.phase], dtype=np.uint8)
-    )
-    return (int(ranks[0]), int(signs[0])) if ranks[0] else None
+    """(rank, sign) with p = sign * jw_generator(m, rank), or None, found
+    by comparing p with every JW generator in turn."""
+    m = p.num_qubits
+    for rank in range(1, 2 * m + 2):
+        if p.letters == jw_generator(m, rank).letters and p.phase in (0, 2):
+            return rank, 1 - p.phase
+    return None
+
+
+def certify_columns(strings, signs=None):
+    """certify's verdicts, one string at a time: string j passes when it
+    matches a JW generator, with sign signs[j] if given, at a rank no
+    earlier passing string took."""
+    taken, results = set(), []
+    for j, p in enumerate(strings):
+        match = jw_match(p)
+        good = match is not None and (signs is None or match[1] == signs[j])
+        good = good and match[0] not in taken
+        if good:
+            taken.add(match[0])
+        results.append(good)
+    return tuple(results)
 
 
 @dataclass(frozen=True, eq=False)

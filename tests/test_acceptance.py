@@ -33,7 +33,7 @@ from tern2jw import (
     verify_transform,
 )
 from tern2jw.engine import conjugate_inplace, encode_gates
-from tern2jw.pauli import LETTERS, PauliString
+from tern2jw.pauli import LETTERS, PauliString, pack_letters, unpack_planes
 
 from conftest import TRIPLE_FORK
 
@@ -185,22 +185,22 @@ def _exhaustive_gate_list():
 
 def test_criterion_8_engine_oracle_agreement(report):
     ok = True
+    # every two-qubit string and phase, one packed batch per gate; the 64
+    # inputs and the first again make 65 columns, one past a 64-bit word
+    inputs = [PauliString((a, b), phase) for a in range(4) for b in range(4) for phase in range(4)]
+    inputs.append(inputs[0])
     for g in _exhaustive_gate_list():
         circuit = Circuit(2, (g,))
         ops = encode_gates([(g.kind, g.targets)])
-        for a in range(4):
-            for b in range(4):
-                for phase in range(4):
-                    p = PauliString((a, b), phase)
-                    want = oracle_conjugate(circuit, p)
-                    got = conjugate_circuit(circuit, p)
-                    letters = np.array([[a], [b]], dtype=np.uint8)
-                    phases = np.array([phase], dtype=np.uint8)
-                    conjugate_inplace(letters, phases, ops)
-                    engine_img = PauliString(
-                        (int(letters[0, 0]), int(letters[1, 0])), int(phases[0])
-                    )
-                    ok = ok and got == want and engine_img == want
+        planes = pack_letters(np.array([p.letters for p in inputs], dtype=np.uint8).T)
+        phases = np.array([p.phase for p in inputs], dtype=np.uint8)
+        conjugate_inplace(planes, phases, ops)
+        images = unpack_planes(planes, len(inputs)).T.tolist()
+        for p, letters, phase in zip(inputs, images, phases.tolist()):
+            want = oracle_conjugate(circuit, p)
+            got = conjugate_circuit(circuit, p)
+            engine_img = PauliString(tuple(letters), phase)
+            ok = ok and got == want and engine_img == want
     rng = random.Random(8)
     kinds_1 = ("H", "S", "SDG", "X", "Y", "Z")
     kinds_2 = ("CZ", "CX", "SWAP")

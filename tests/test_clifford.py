@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -16,6 +17,8 @@ from tern2jw import (
     peephole_cancel,
     tree_generators,
 )
+from tern2jw.engine import conjugate_inplace
+from tern2jw.pauli import pack_letters, unpack_planes
 
 from reference import pauli_parse
 
@@ -133,26 +136,35 @@ def test_cz_plus_rows():
         assert _conjugate_gate(cz, pauli_parse(inp)) == pauli_parse(out)
 
 
+def _batch_images(c, strings):
+    """The strings conjugated through c by the engine as one packed batch."""
+    planes = pack_letters(np.array([p.letters for p in strings], dtype=np.uint8).T)
+    phases = np.array([p.phase for p in strings], dtype=np.uint8)
+    conjugate_inplace(planes, phases, c.ops)
+    images = unpack_planes(planes, len(strings)).T.tolist()
+    return [PauliString(tuple(l), int(ph)) for l, ph in zip(images, phases)]
+
+
+def _check_exhaustively(g, m):
+    # every string on m qubits at every phase, one at a time and as one
+    # batch widened past a 64-bit word (65 or 17 columns)
+    c = Circuit(m, (g,))
+    strings = [PauliString(col[:m], col[m]) for col in itertools.product(range(4), repeat=m + 1)]
+    strings.append(strings[-1])
+    want = [oracle_conjugate(c, p) for p in strings]
+    assert [_conjugate_gate(g, p) for p in strings] == want, str(g)
+    assert _batch_images(c, strings) == want, str(g)
+
+
 def test_cx_rows_match_oracle_exhaustively():
     for kind in ("CX", "CZ", "SWAP"):
         for ta, tb in ((1, 2), (2, 1)):
-            g = Gate(kind, (ta, tb))
-            c = Circuit(2, (g,))
-            for a in range(4):
-                for b in range(4):
-                    for phase in range(4):
-                        p = PauliString((a, b), phase)
-                        assert _conjugate_gate(g, p) == oracle_conjugate(c, p)
+            _check_exhaustively(Gate(kind, (ta, tb)), 2)
 
 
 def test_single_gates_match_oracle_exhaustively():
     for kind in ("H", "S", "SDG", "X", "Y", "Z"):
-        g = Gate(kind, (1,))
-        c = Circuit(1, (g,))
-        for a in range(4):
-            for phase in range(4):
-                p = PauliString((a,), phase)
-                assert _conjugate_gate(g, p) == oracle_conjugate(c, p)
+        _check_exhaustively(Gate(kind, (1,)), 1)
 
 
 def test_six_chain_generators_map_to_the_tree_free_set():
@@ -196,6 +208,16 @@ def test_peephole_cancel():
     kept = peephole_cancel(Circuit(2, (h, Gate("CZ", (1, 2)), h)))
     assert len(kept.gates) == 3
     assert peephole_cancel(Circuit(1, (s, s))).gates == (s, s)
+    # across gates on other wires, with cascades
+    h2, h3 = Gate("H", (2,)), Gate("H", (3,))
+    cz, cx = Gate("CZ", (1, 2)), Gate("CX", (2, 1))
+    assert peephole_cancel(Circuit(3, (s, h2, cz, h3, cz, h2, sdg))).gates == (h3,)
+    assert peephole_cancel(Circuit(3, (cx, h3, Gate("CX", (1, 2)), h3))).gates == (
+        cx, Gate("CX", (1, 2)),
+    )
+    # a gate sharing one wire blocks: CZ 1 2 and X 2 do not commute here
+    blocked = (cz, Gate("X", (2,)), cz)
+    assert peephole_cancel(Circuit(2, blocked)).gates == blocked
 
 
 def test_peephole_preserves_action():
@@ -289,14 +311,19 @@ def _reference_inverse(c):
 
 
 def _reference_cancel(c):
-    # the Gate-level stack pass, one Gate object per gate
-    stack = []
+    # the Gate-level pass, one Gate object per gate: each gate looks back
+    # past kept gates on disjoint wires and cancels the first one that
+    # shares a wire with it if that one is its inverse
+    kept = []
     for g in c.gates:
-        if stack and stack[-1] == _gate_inverse(g):
-            stack.pop()
+        i = len(kept) - 1
+        while i >= 0 and not set(kept[i].targets) & set(g.targets):
+            i -= 1
+        if i >= 0 and kept[i] == _gate_inverse(g):
+            del kept[i]
         else:
-            stack.append(g)
-    return Circuit(c.num_qubits, tuple(stack))
+            kept.append(g)
+    return Circuit(c.num_qubits, tuple(kept))
 
 
 def test_op_array_matches_gate_level_reference():

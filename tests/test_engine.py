@@ -8,7 +8,7 @@ import pytest
 from tern2jw import Circuit, Gate, conjugate_circuit, oracle_conjugate
 from tern2jw.engine import conjugate_inplace, encode_gates
 from tern2jw.oracle import dense_conjugate
-from tern2jw.pauli import PauliString
+from tern2jw.pauli import PauliString, pack_letters, unpack_planes
 
 SINGLE = ("H", "S", "SDG", "X", "Y", "Z")
 PAIR = ("CZ", "CX", "SWAP")
@@ -33,12 +33,23 @@ def _random_letters(rng, m, n):
     return letters, phases
 
 
+def _padding_clear(planes, n):
+    """No bit past column n - 1 is set in any row of the planes."""
+    return all(sum(int(w) << 64 * k for k, w in enumerate(row)) >> n == 0 for row in planes)
+
+
+def _run(conjugate, ops, letters, phases):
+    """letters and phases through one conjugator as a packed batch, unpacked
+    again; the padding bits must stay clear."""
+    planes, out_phases = pack_letters(letters), phases.copy()
+    conjugate(planes, out_phases, ops)
+    assert _padding_clear(planes, len(phases))
+    return unpack_planes(planes, len(phases)), out_phases
+
+
 def _run_engine(circuit, letters, phases):
     ops = encode_gates([(g.kind, g.targets) for g in circuit.gates])
-    out_letters = letters.copy()
-    out_phases = phases.copy()
-    conjugate_inplace(out_letters, out_phases, ops)
-    return out_letters, out_phases
+    return _run(conjugate_inplace, ops, letters, phases)
 
 
 def test_encode_gates_layout():
@@ -48,14 +59,15 @@ def test_encode_gates_layout():
     assert encode_gates([]).shape == (0, 3)
     letters = np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.uint8)
     phases = np.array([0, 1, 2, 3], dtype=np.uint8)
-    out_letters, out_phases = letters.copy(), phases.copy()
-    conjugate_inplace(out_letters, out_phases, encode_gates([]))
+    out_letters, out_phases = _run(conjugate_inplace, encode_gates([]), letters, phases)
     assert np.array_equal(out_letters, letters) and np.array_equal(out_phases, phases)
 
 
 def _check_batch_against_oracle(g, m):
-    # one column per (letters, phase): every input of the gate in one batch
-    cols = list(itertools.product(*[range(4)] * m, range(4)))
+    # one column per (letters, phase): every input of the gate in one
+    # batch, repeated out to 101 columns, which leave 27 padding bits in
+    # the second word
+    cols = (list(itertools.product(*[range(4)] * m, range(4))) * 7)[:101]
     letters = np.array([c[:m] for c in cols], dtype=np.uint8).T.copy()
     phases = np.array([c[m] for c in cols], dtype=np.uint8)
     circuit = Circuit(m, (g,))
@@ -128,10 +140,8 @@ def test_engine_and_oracle_agree_batch_for_batch():
         phases = np.array([j % 4 for j in range(n)], dtype=np.uint8)
         c = _random_circuit(rng, m, rng.randint(0, 20))
         kinds.update(g.kind for g in c.gates)
-        engine = letters.copy(), phases.copy()
-        oracle = letters.copy(), phases.copy()
-        conjugate_inplace(*engine, c.ops)
-        dense_conjugate(*oracle, c.ops)
+        engine = _run(conjugate_inplace, c.ops, letters, phases)
+        oracle = _run(dense_conjugate, c.ops, letters, phases)
         assert np.array_equal(engine[0], oracle[0]), c
         assert np.array_equal(engine[1], oracle[1]), c
     assert kinds == set(SINGLE + PAIR)
@@ -147,10 +157,8 @@ def test_engine_and_oracle_agree_across_stacks():
         phases[:] = [j % 4 for j in range(n)]
         gates = [Gate("H", (q,)) for q in range(1, m + 1)]
         c = Circuit(m, tuple(gates) + _random_circuit(rng, m, 30).gates)
-        engine = letters.copy(), phases.copy()
-        oracle = letters.copy(), phases.copy()
-        conjugate_inplace(*engine, c.ops)
-        dense_conjugate(*oracle, c.ops)
+        engine = _run(conjugate_inplace, c.ops, letters, phases)
+        oracle = _run(dense_conjugate, c.ops, letters, phases)
         assert np.array_equal(engine[0], oracle[0]) and np.array_equal(engine[1], oracle[1])
         for j in range(n):
             one = oracle_conjugate(c, PauliString(letters[:, j].tolist(), int(phases[j])))
@@ -158,15 +166,15 @@ def test_engine_and_oracle_agree_across_stacks():
 
 
 def test_dense_conjugate_refuses_13_rows_before_allocating():
-    letters = np.zeros((13, 3), dtype=np.uint8)
+    planes = pack_letters(np.zeros((13, 3), dtype=np.uint8))
     phases = np.zeros(3, dtype=np.uint8)
     ops = Circuit(13, (Gate("H", (1,)),)).ops
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MAX_ORACLE_QUBITS"):
-            dense_conjugate(letters, phases, ops)
+            dense_conjugate(planes, phases, ops)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # 13-qubit letter tables alone would take 1.2 MiB
-    assert not letters.any() and not phases.any()
+    assert not planes.any() and not phases.any()

@@ -6,6 +6,7 @@ own tests; these checks make it fail them.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 import sys
@@ -68,3 +69,11 @@ def test_conjugate_probe_sees_verify_but_not_the_oracle(monkeypatch):
     assert len(calls) == 2
     assert oracle_check(t, r).ok
     assert len(calls) == 2
+    # the probe's counter reads its call's batch and ops; a batch it could
+    # not read would mark engine.ops, engine.cells and engine.matrix_bytes
+    # absent in a traced run
+    totals = collections.defaultdict(float)
+    for args in calls:
+        _load_layers()._count_engine(totals, args, None)
+    assert totals["engine.ops"] == 2 * len(r.circuit.ops)
+    assert totals["engine.cells"] > 0 and totals["engine.matrix_bytes"] > 0

@@ -9,12 +9,15 @@ import pytest
 pytest.importorskip("hypothesis")
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tern2jw import (
+    Circuit,
+    Gate,
     fix_signs,
     full_ternary,
     oracle_check,
+    peephole_cancel,
     random_tree,
     straighten,
     tree_format,
@@ -23,7 +26,7 @@ from tern2jw import (
     tree_parse,
     verify_transform,
 )
-from tern2jw.tree import _letters_matrix
+from tern2jw.tree import _letters_matrix, _planes
 from conftest import comb, rename
 from reference import path_product
 
@@ -98,14 +101,30 @@ def test_straighten_emits_children_first(t):
         done.add(q)
 
 
+def _word_rows(planes):
+    """Each row of packed planes as one int, word k at bit 64 k."""
+    return [sum(int(w) << 64 * k for k, w in enumerate(row)) for row in planes]
+
+
 @settings(max_examples=150, deadline=None)
 @given(trees())
+@example(random_tree(31, 1))  # 63 columns: one bit short of a word
+@example(comb(32, "z", "x", length=0))  # 65 columns: one bit into the second word
+@example(rename(random_tree(64, 5), list(range(64, 0, -1))))  # 129 columns
 def test_letters_matrix_matches_path_products(t):
-    # the slice-filled letter matrix that tree_generators returns, against
-    # the paper's definition: one path product per leaf, in canonical order
+    # the packed planes certification conjugates and the letter matrix
+    # that tree_generators returns, against the paper's definition: one
+    # path product per leaf, in canonical order; x bits where the letter
+    # is X or Y, z bits where it is Y or Z, the padding bits clear
     gens = [path_product(t, path) for path in tree_leaves(t)]
     assert all(p.phase == 0 for p in gens)
     stacked = np.array([p.letters for p in gens], dtype=np.uint8).T
+    m, n = stacked.shape
+    planes = _planes(t)
+    assert planes.dtype == np.uint64 and planes.shape == (2 * m, (n + 63) // 64)
+    want_x = [sum(1 << j for j, l in enumerate(row) if l in (1, 2)) for row in stacked.tolist()]
+    want_z = [sum(1 << j for j, l in enumerate(row) if l in (2, 3)) for row in stacked.tolist()]
+    assert _word_rows(planes) == want_x + want_z
     assert np.array_equal(_letters_matrix(t), stacked)
     assert np.array_equal(tree_generators(t).letters, stacked)
 
@@ -114,3 +133,29 @@ def test_letters_matrix_matches_path_products(t):
 @given(trees())
 def test_format_parse_round_trip(t):
     assert tree_parse(tree_format(t)) == t
+
+
+@st.composite
+def circuits(draw):
+    """Circuits on 1..4 wires over a few gates and their inverses, so that
+    many pairs cancel."""
+    m = draw(st.integers(1, 4))
+    single = st.builds(Gate, st.sampled_from(("H", "S", "SDG", "X")), st.tuples(st.integers(1, m)))
+    gate = single
+    if m >= 2:
+        pair = st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True).map(tuple)
+        gate = st.one_of(single, st.builds(Gate, st.sampled_from(("CZ", "CX")), pair))
+    return Circuit(m, draw(st.lists(gate, max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), st.randoms(use_true_random=False))
+def test_cancelled_length_ignores_the_order_of_commuting_gates(c, rnd):
+    # swapping neighbouring gates on disjoint wires gives the same circuit;
+    # peephole_cancel must keep as many gates of it either way
+    gates = list(c.gates)
+    for _ in range(3 * len(gates)):
+        i = rnd.randrange(max(len(gates) - 1, 1))
+        if i + 1 < len(gates) and not set(gates[i].targets) & set(gates[i + 1].targets):
+            gates[i], gates[i + 1] = gates[i + 1], gates[i]
+    assert len(peephole_cancel(Circuit(c.num_qubits, gates))) == len(peephole_cancel(c))

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 
@@ -31,7 +32,7 @@ from tern2jw import (
     tree_parse,
     verify_transform,
 )
-from tern2jw.pauli import PauliString
+from tern2jw.pauli import PauliString, pack_letters
 from tern2jw.straighten import MAX_LETTER_CELLS, _jw_product
 from tern2jw.tree import _letters_matrix
 
@@ -263,8 +264,8 @@ def test_fix_signs_clears_all_movable_ranks():
 
 
 def test_fix_signs_refuses_oversized_result():
-    # one flipped rank is enough to need the JW letter matrix, which is
-    # refused before it is allocated
+    # one flipped rank is enough to need the JW generators' planes, which
+    # are refused before they are allocated
     m = math.isqrt(MAX_LETTER_CELLS // 2) + 1
     r = StraightenResult(
         circuit=Circuit(m, ()),
@@ -325,6 +326,15 @@ def test_map_between_size_mismatch():
 def test_map_between_self_cancels(triple_fork):
     mr = map_between(triple_fork, triple_fork)
     assert peephole_cancel(mr.circuit).gates == ()
+
+
+def test_map_between_cancels_across_other_wires():
+    # the H 2 and S 2 pairs of this map sit on either side of H 1, which
+    # commutes with them; only H 1 is left
+    a = tree_parse("(q1 :x (q2 :y (q3)))")
+    b = tree_parse("(q1 :z (q2 :y (q3)))")
+    mr = map_between(a, b)
+    assert [str(g) for g in peephole_cancel(mr.circuit).gates] == ["H 1"]
 
 
 def test_map_between_reproduces_target_generators(binary3):
@@ -421,20 +431,20 @@ def test_verify_transform_rejects_corruption(triple_fork):
 def test_certify_reports_ranks_signs_and_duplicates():
     # m=2 columns: +XI (rank 1), -ZY (rank 4), +ZZ (rank 5), +XI again,
     # +iXI (imaginary phase) and +IX (not of JW shape)
-    letters = np.array([[1, 3, 3, 1, 1, 0], [0, 2, 3, 0, 0, 1]], dtype=np.uint8)
+    planes = pack_letters(np.array([[1, 3, 3, 1, 1, 0], [0, 2, 3, 0, 0, 1]], dtype=np.uint8))
     phases = np.array([0, 2, 0, 0, 1, 0], dtype=np.uint8)
-    report = certify(letters, phases, (1, -1, 1, 1, 1, 1))
+    report = certify(planes, phases, (1, -1, 1, 1, 1, 1))
     assert report.results == (True, True, True, False, False, False)
     assert report.failed_ranks == (4, 5, 6)
     assert report.ranks == (1, 4, 5, 1, 0, 0)
     assert report.signs == (1, -1, 1, 1, 0, 0)
     # a wrong declared sign fails that column only, and frees its rank
     # for the later duplicate
-    assert certify(letters, phases, (-1, -1, 1, 1, 1, 1)).results[:4] == (
+    assert certify(planes, phases, (-1, -1, 1, 1, 1, 1)).results[:4] == (
         False, True, True, True,
     )
     # without declared signs any plain sign passes
-    assert certify(letters, phases).results == report.results
+    assert certify(planes, phases).results == report.results
 
 
 def test_verify_transform_size_mismatch(triple_fork):
@@ -503,26 +513,26 @@ def test_cz_budget_on_random_trees():
 
 
 def _patch_conjugator(monkeypatch, corrupt):
-    """Wrap straighten's conjugate_inplace so corrupt(letters, phases) runs
+    """Wrap straighten's conjugate_inplace so corrupt(planes, phases) runs
     after every batch; the package attribute tern2jw.straighten is the
     function, so the module is looked up by name."""
     module = importlib.import_module("tern2jw.straighten")
     original = module.conjugate_inplace
 
-    def wrapped(letters, phases, ops):
-        original(letters, phases, ops)
-        corrupt(letters, phases)
+    def wrapped(planes, phases, ops):
+        original(planes, phases, ops)
+        corrupt(planes, phases)
 
     monkeypatch.setattr(module, "conjugate_inplace", wrapped)
 
 
-def _flip_first_sign(letters, phases):
+def _flip_first_sign(planes, phases):
     phases[0] ^= 2
 
 
 def test_straighten_self_check_fires(monkeypatch):
-    def zero_first(letters, phases):
-        letters[:, 0] = 0
+    def zero_first(planes, phases):
+        planes[:, 0] &= ~np.uint64(1)  # column 0 becomes the identity
 
     _patch_conjugator(monkeypatch, zero_first)
     with pytest.raises(RuntimeError, match="conjugated generators left the signed JW set"):
@@ -559,3 +569,22 @@ def test_tree_generators_self_check_fires(monkeypatch):
     monkeypatch.setattr(tree_mod, "_letters_matrix", duplicated)
     with pytest.raises(RuntimeError, match="internal invariant violation"):
         tree_generators(random_tree(6, 3))
+
+
+def _traced_peak(run):
+    """run()'s result and the tracemalloc peak, in bytes, while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certification_memory_peak_at_full_ternary_6():
+    # packed planes take two bits a letter: 0.58 MiB for these 1,093
+    # qubits, whose byte letter matrix alone would be 2.28 MiB
+    t = full_ternary(6)
+    r, peak = _traced_peak(lambda: straighten(t))
+    assert peak <= 3 << 20, peak
+    report, peak = _traced_peak(lambda: verify_transform(t, r))
+    assert report.ok and peak <= 3 << 20, peak

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from tern2jw import (
@@ -17,9 +18,14 @@ from tern2jw import (
     tree_leaves,
     tree_parse,
 )
-from tern2jw.tree import MAX_QUBITS, _letters_matrix
+from tern2jw import certify
+from tern2jw.engine import conjugate_inplace
+from tern2jw.oracle import dense_conjugate
+from tern2jw.pauli import pack_letters
+from tern2jw.tree import MAX_QUBITS, _letters_matrix, jw_decode
 
 from reference import (
+    certify_columns,
     jw_generator,
     jw_match,
     path_product,
@@ -344,16 +350,96 @@ def test_check_generator_set_matches_pairwise_reference():
         assert check_generator_set(strings) == _pairwise_report(strings)
 
 
+def _batch(strings):
+    """The strings as one packed batch: planes and phases."""
+    letters = np.array([p.letters for p in strings], dtype=np.uint8).T
+    return pack_letters(letters), np.array([p.phase for p in strings], dtype=np.uint8)
+
+
+def _decode_columns(strings):
+    """The library's jw_decode on the strings as one batch, read like jw_match."""
+    ranks, signs = jw_decode(*_batch(strings))
+    return [(int(r), int(s)) if r else None for r, s in zip(ranks, signs)]
+
+
 def test_jw_match():
-    assert jw_match(pauli_parse("+ZZXI")) == (5, 1)
-    assert jw_match(pauli_parse("-ZZYI")) == (6, -1)
-    assert jw_match(pauli_parse("+ZZZ")) == (7, 1)
-    assert jw_match(pauli_parse("+XII")) == (1, 1)
-    assert jw_match(pauli_parse("+ZZI")) is None
-    assert jw_match(pauli_parse("+ZXX")) is None
-    assert jw_match(pauli_parse("+iXII")) is None
+    for text, want in (
+        ("+ZZXI", (5, 1)),
+        ("-ZZYI", (6, -1)),
+        ("+ZZZ", (7, 1)),
+        ("+XII", (1, 1)),
+        ("+ZZI", None),
+        ("+ZXX", None),
+        ("+iXII", None),
+    ):
+        p = pauli_parse(text)
+        assert jw_match(p) == want
+        assert _decode_columns([p]) == [want]
     for m in (1, 2, 4):
         for rank in range(1, 2 * m + 2):
             g = jw_generator(m, rank)
             assert jw_match(g) == (rank, 1)
             assert jw_match(PauliString(g.letters, 2)) == (rank, -1)
+
+
+def _decode_test_column(rng, m):
+    """A string of one kind the matcher must tell apart: a signed JW
+    generator, one with a lead I, with support after its lead letter or
+    with an odd phase, the all-Z string, or any string at all."""
+    kind = rng.choice(("jw", "lead I", "trailing", "odd phase", "all Z", "any"))
+    k = rng.randint(1, m)  # the lead row, 1-based
+    tail = [rng.randrange(4) for _ in range(m - k)]
+    phase = rng.choice((0, 2))
+    if kind == "jw":
+        letters = jw_generator(m, rng.randint(1, 2 * m + 1)).letters
+    elif kind == "lead I":
+        letters = (3,) * (k - 1) + (0,) + tuple(tail)
+    elif kind == "trailing" and k < m:
+        tail[rng.randrange(len(tail))] = rng.randint(1, 3)
+        letters = (3,) * (k - 1) + (rng.randint(1, 2),) + tuple(tail)
+    elif kind == "odd phase":
+        letters, phase = jw_generator(m, rng.randint(1, 2 * m + 1)).letters, rng.choice((1, 3))
+    elif kind == "all Z":
+        letters = (3,) * m
+    else:
+        letters, phase = tuple(rng.randrange(4) for _ in range(m)), rng.randrange(4)
+    return PauliString(letters, phase)
+
+
+def test_jw_decode_matches_the_per_column_reference():
+    # packed batches with every failure kind, on widths on and off the
+    # 64-bit word boundary; certify's verdicts, duplicate ranks included
+    rng = random.Random(29)
+    for n in (1, 5, 63, 64, 65, 129, 200):
+        for m in (1, 2, 3, 5, 9, 40):
+            strings = [_decode_test_column(rng, m) for _ in range(n)]
+            assert _decode_columns(strings) == [jw_match(p) for p in strings], (m, n)
+            declared = [rng.choice((1, -1)) for _ in range(n)]
+            for signs in (declared, None):
+                report = certify(*_batch(strings), signs)
+                assert report.results == certify_columns(strings, signs), (m, n)
+
+
+def test_packed_batch_entry_points_refuse_other_arrays():
+    # a uint8 letter matrix, planes of the wrong width or with an odd row
+    # count are refused at every entry point that takes a packed batch,
+    # and so is a set padding bit, which no column can hold
+    t = jw_chain(4)
+    n = 2 * t.num_qubits + 1
+    phases = np.zeros(n, dtype=np.uint8)
+    ops = np.zeros((0, 3), dtype=np.int32)
+    planes = pack_letters(_letters_matrix(t))
+    for wrong in (_letters_matrix(t), np.zeros((8, 2), dtype=np.uint64), planes[1:]):
+        for call in (
+            lambda: jw_decode(wrong, phases),
+            lambda: certify(wrong, phases),
+            lambda: conjugate_inplace(wrong.copy(), phases.copy(), ops),
+            lambda: dense_conjugate(wrong.copy(), phases.copy(), ops),
+        ):
+            with pytest.raises(ValueError, match="planes for 9 strings"):
+                call()
+    padded = planes.copy()
+    padded[-1, 0] |= np.uint64(1) << np.uint64(n)
+    with pytest.raises(ValueError, match="past column 9"):
+        jw_decode(padded, phases)
+    assert certify(planes, phases).ok
