@@ -10,16 +10,25 @@ the entry being i^phase[r] at [r, source[r]]. k matrices are a (k, 2^m)
 source array and a (k, 2^m) phase array, 2^m facts each in place of 4^m
 entries.
 
+A string's form is closed in its x and z masks (qubit q at bit m - q of
+a basis index): X flips the bit, Z adds 2 where it is set, and Y, whose
+rows hold -i and i, flips it and adds 3, plus 2 where it is set. So i^p
+times the string has source r ^ x and phase p + 3 |x & z| + 2 parity(r & z)
+in row r. dense_conjugate builds every column's form from the masks it
+reads off the packed planes, with popcounts from one table (_POPCOUNT; no
+numpy-2-only call). Phases are uint8 exponents, whose wraparound mod 256
+keeps them right mod 4.
+
 Every gate but H is monomial too. Its form, written out per local row in
 _GATE_FORMS and embedded on the 2^m basis states, acts as
 (U M)[r] = i^e[r] M[src[r]], and a run of such gates composes into one
-such pair. Row r of U M U-dagger then holds
+such pair at two takes a gate. Row r of U M U-dagger then holds
 i^(e[r] + phase[src[r]] - e[c]) at column c = inv[source[src[r]]], where
-inv is the inverse permutation of src. A circuit's op rows are compiled
-once into its H gates and the composed pair (and its inverse) of each
-maximal run between them, and every string conjugated through them shares
-them. A string's letters are the X, Y and Z gates, so its form is built for
-the whole string at once from per-qubit tables of theirs.
+inv is the inverse permutation of src. _compile reads a circuit's int32
+op rows straight into its H gates and the composed pair (and its inverse)
+of each maximal run between them, and every string conjugated through
+them shares them. _gate_form caches each embedded gate, and each H's
+partner and bit arrays, read-only and bounded.
 
 H is stored unnormalized as [[1,1],[1,-1]]. It mixes each basis state only
 with its partner across the target's bit (Dehaene and De Moor,
@@ -32,10 +41,10 @@ OracleError.
 dense_conjugate has engine.conjugate_inplace's batch contract (packed x
 and z planes and a phase row) and works in place, so
 straighten.oracle_check differs from verify_transform only in the
-conjugator; it unpacks the planes into a letter matrix at its boundary and
-packs the result back. oracle_conjugate is its one-column call. One
-decoder, _decode, reads forms back as strings and rejects any form that
-is not a signed Pauli matrix's.
+conjugator. oracle_conjugate is its one-column call. One decoder,
+_decode, reads forms back as x and z masks and phases, which go back into
+the planes in one write, and rejects any form that is not a signed Pauli
+matrix's.
 
 Intended for small qubit counts (verify's --oracle-cap is 8); every entry
 point refuses m > MAX_ORACLE_QUBITS before any allocation. It imports
@@ -46,16 +55,24 @@ built apart from it in tests/reference.py."""
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
-from .clifford import Circuit, _kind_targets, _one_column
-from .pauli import PauliString, check_planes, pack_letters, unpack_planes
+from .clifford import _NAMES, Circuit, _kind_targets, _one_column
+from .pauli import PauliString, check_planes, mask_planes, plane_masks, unpack_planes
 
 # The largest m the test suite measures (oracle_check's tracemalloc peak is
-# about 7 MiB there); _letter_tables' int16 flips would hold up to m = 15.
+# 4.2 MiB there, the embedded gates included).
 MAX_ORACLE_QUBITS = 12
+
+_H = _NAMES.index("H")
+
+# |v|, the set bits of every mask v below 2^MAX_ORACLE_QUBITS (<= 2^16:
+# two bytes a value), summed
+_POPCOUNT = np.unpackbits(
+    np.arange(1 << MAX_ORACLE_QUBITS, dtype=">u2")[:, None].view(np.uint8), axis=1
+).sum(axis=1, dtype=np.uint8)
+_POPCOUNT.setflags(write=False)
 
 
 class OracleError(Exception):
@@ -77,31 +94,33 @@ _GATE_FORMS = {
 }
 
 
-def _monomial(kind: str, targets: tuple[int, ...], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """A non-H gate's monomial form embedded on the 2^m basis (qubit 1 the
-    most significant bit of a basis index, the first target the most
+# 256 embedded gates: all 6m + 2m(m - 1) for m <= 10 (160, or 0.4 MiB, at
+# m = 8), at most 9 MiB of arrays at m = MAX_ORACLE_QUBITS
+@functools.lru_cache(maxsize=256)
+def _gate_form(code: int, a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gate of op row (code, a, b) on the 2^m basis states, as two
+    read-only arrays, since every caller shares them: for H, each state's
+    partner across the target's bit and that bit; for any other gate its
+    monomial form, source and phase, embedded from _GATE_FORMS (qubit 1
+    the most significant bit of a basis index, the first target the most
     significant bit of the gate's own index)."""
-    flips, phases = zip(*_GATE_FORMS[kind])
+    kind, targets = _kind_targets((code, a, b))
     rows = np.arange(1 << m)
-    local = (rows >> (m - targets[0])) & 1
-    for t in targets[1:]:
-        local = (local << 1) | ((rows >> (m - t)) & 1)
-    # each local flip moved onto the targets' bits of a basis index
-    k = len(targets)
-    spread = [
-        sum(((f >> (k - 1 - j)) & 1) << (m - t) for j, t in enumerate(targets))
-        for f in flips
-    ]
-    return rows ^ np.array(spread).take(local), np.array(phases).take(local)
-
-
-def _compose(monomials, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """One monomial form for a sequence of them, the first acting first;
-    the empty sequence gives the identity."""
-    source, phase = np.arange(1 << m), np.zeros(1 << m, dtype=np.int64)
-    for s, e in monomials:
-        source, phase = source.take(s), (e + phase.take(s)) & 3
-    return source, phase
+    shifts = [m - t for t in targets]
+    local = (rows >> shifts[0]) & 1
+    for shift in shifts[1:]:
+        local = (local << 1) | ((rows >> shift) & 1)
+    if kind == "H":
+        form = rows ^ (1 << shifts[0]), local.astype(np.uint8)
+    else:
+        flips, phases = zip(*_GATE_FORMS[kind])
+        # each local flip moved onto the targets' bits of a basis index
+        k = len(targets)
+        spread = [sum(((f >> (k - 1 - j)) & 1) << s for j, s in enumerate(shifts)) for f in flips]
+        form = rows ^ np.array(spread).take(local), np.array(phases, dtype=np.uint8).take(local)
+    for array in form:
+        array.setflags(write=False)
+    return form
 
 
 def _check_cap(m: int) -> None:
@@ -112,37 +131,13 @@ def _check_cap(m: int) -> None:
         )
 
 
-@functools.cache
-def _letter_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every letter's monomial form at every qubit of the 2^m basis, as
-    (4m, 2^m) tables whose row 4 (q - 1) + code is the letter's at qubit q:
-    the bits it flips in each basis index, and its phase there (code 0, I,
-    is all zeros). Built from the X, Y and Z gates' forms on first use for
-    each m, in narrow dtypes (m <= MAX_ORACLE_QUBITS), and read-only, since
-    every caller shares them."""
+def _forms(xmask: np.ndarray, zmask: np.ndarray, phases, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2^m) monomial forms, sources and phases, of the k strings
+    i^phases[j] times the one with x mask xmask[j] and z mask zmask[j]:
+    row r's source is r ^ x, its phase p + 3 |x & z| + 2 |r & z| mod 4."""
     rows = np.arange(1 << m)
-    flips = np.zeros((m, 4, 1 << m), dtype=np.int16)
-    phases = np.zeros((m, 4, 1 << m), dtype=np.int8)
-    for code, kind in enumerate("XYZ", 1):
-        for q in range(m):
-            source, phases[q, code] = _monomial(kind, (q + 1,), m)
-            flips[q, code] = source ^ rows
-    flips, phases = flips.reshape(4 * m, -1), phases.reshape(4 * m, -1)
-    flips.setflags(write=False)
-    phases.setflags(write=False)
-    return flips, phases
-
-
-def _pauli_parts(letters: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
-    """The monomial forms, (k, 2^m) sources and phases, of the k strings of
-    an (m, k) letter block (one code per qubit and column) times i^phases:
-    the letters of a column act on distinct qubits, so their flips and
-    phases add, each from its qubit's row of the tables."""
-    m = len(letters)
-    flips, table = _letter_tables(m)
-    at = 4 * np.arange(m)[:, None] + letters
-    source = np.arange(1 << m) ^ np.bitwise_xor.reduce(flips.take(at, axis=0), axis=0)
-    phase = table.take(at, axis=0).sum(axis=0, dtype=np.int64) + np.asarray(phases)[:, None]
+    source = rows ^ xmask[:, None]
+    phase = (phases + 3 * _POPCOUNT[xmask & zmask])[:, None] + 2 * _POPCOUNT[rows & zmask[:, None]]
     return source, phase & 3
 
 
@@ -151,14 +146,16 @@ def _compile(ops: np.ndarray, m: int) -> list:
     and per maximal run of other gates its composed monomial form and the
     form's inverse permutation."""
     steps: list = []
-    gates = map(_kind_targets, ops.tolist())
-    for is_h, run in itertools.groupby(gates, lambda kind_targets: kind_targets[0] == "H"):
-        if is_h:
-            steps.extend(t for _, (t,) in run)
+    for code, a, b in ops.tolist():
+        if code == _H:
+            steps.append(a + 1)
+        elif steps and not isinstance(steps[-1], int):
+            src, e = steps[-1]
+            s, g = _gate_form(code, a, b, m)
+            steps[-1] = src.take(s), (g + e.take(s)) & 3
         else:
-            src, e = _compose((_monomial(kind, t, m) for kind, t in run), m)
-            steps.append((src, e, np.argsort(src)))
-    return steps
+            steps.append(_gate_form(code, a, b, m))
+    return [step if isinstance(step, int) else (*step, np.argsort(step[0])) for step in steps]
 
 
 def _hadamard(source: np.ndarray, phase: np.ndarray, m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,54 +169,56 @@ def _hadamard(source: np.ndarray, phase: np.ndarray, m: int, t: int) -> tuple[np
     it is twice a unit, when B = +-A. Otherwise the row raises OracleError.
     """
     shift = m - t
-    rows = np.arange(1 << m)
-    partner, r_b = rows ^ (1 << shift), (rows >> shift) & 1
+    partner, r_b = _gate_form(_H, t - 1, 0, m)
     turn = phase.take(partner, axis=1) - phase  # B = i^turn (-1)^(r_b) A
-    if ((source.take(partner, axis=1) ^ source ^ (1 << shift)) | (turn & 1)).any():
+    if (source.take(partner, axis=1) ^ source != 1 << shift).any() or (turn & 1).any():
         raise OracleError(f"inexact rescale after H {t}")
     # B = (-1)^sign A: the nonzero sum sits at s when s_b == sign, as
     # (-1)^(s_b) 2A, and at s ^ b otherwise, as 2A; only bit 0 counts
-    s_b, sign = source >> shift, (turn >> 1) ^ r_b
-    return source ^ (((s_b ^ sign) & 1) << shift), (phase + ((r_b ^ (s_b & sign)) << 1)) & 3
+    s_b, sign = (source >> shift).astype(np.uint8), (turn >> 1) ^ r_b
+    away = np.left_shift((s_b ^ sign) & 1, shift, dtype=source.dtype)
+    return source ^ away, (phase + ((r_b ^ (s_b & sign)) << 1)) & 3
 
 
-def _decode(source: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (m, k) letters and k phases of k signed Pauli matrices, given as
-    their (k, 2^m) monomial forms; raise OracleError if any form is not one.
+def _decode(source: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x masks, z masks and phases of k signed Pauli matrices, given
+    as their (k, 2^m) monomial forms; raise OracleError if any form is not
+    one.
 
-    Each x-mask is row 0's source; z-bits come from the sign ratio of the
-    single-bit rows, each of whose entries must sit at the row ^ x-mask
-    and be +- row 0's; the phase is row 0's corrected by i^{#Y}. The
-    decoded strings are re-encoded and compared with the whole forms, every
-    row's source and phase, so any non-Pauli form is rejected.
+    Each x mask is row 0's source; z bits come from the sign ratio of the
+    single-bit rows, each of whose entries must sit at the row ^ x mask
+    and be +- row 0's; the phase is row 0's less 3 per Y. The decoded
+    strings are re-encoded and compared with the whole forms, every row's
+    source and phase, so any non-Pauli form is rejected.
     """
     xmask = source[:, 0]
-    rows = 1 << np.arange(m - 1, -1, -1)[:, None]  # qubit q's bit, at q - 1
-    turn = (phase[:, rows[:, 0]].T - phase[:, 0]) & 3  # (m, k)
-    bad = (source[:, rows[:, 0]].T != rows ^ xmask) | (turn & 1 != 0)
+    bits = 1 << np.arange(m - 1, -1, -1)  # qubit q's bit, at q - 1
+    turn = (phase[:, bits] - phase[:, :1]) & 3  # (k, m)
+    bad = (source[:, bits] != bits ^ xmask[:, None]) | (turn & 1 != 0)
     if bad.any():
-        r = rows[bad.any(axis=1).argmax(), 0]
+        r = bits[bad.any(axis=0).argmax()]
         raise OracleError(f"entry at row {r} is not +- the reference entry")
-    has_z = turn == 2
-    letters = np.where((rows & xmask) != 0, 1 + has_z, 3 * has_z)  # I X Y Z = 0 1 2 3
-    phases = (phase[:, 0] + (letters == 2).sum(axis=0)) & 3
-    want_source, want_phase = _pauli_parts(letters, phases)
+    zmask = (turn >> 1) @ bits
+    phases = (phase[:, 0] + _POPCOUNT[xmask & zmask]) & 3
+    want_source, want_phase = _forms(xmask, zmask, phases, m)
     wrong = (want_source != source) | (want_phase != phase)
     if wrong.any():
         j = wrong.any(axis=1).argmax()
-        candidate = PauliString(letters[:, j].tolist(), int(phases[j]))
+        letters = unpack_planes(mask_planes(xmask[j : j + 1], zmask[j : j + 1], m), 1)[:, 0]
+        candidate = PauliString(letters.tolist(), int(phases[j]))
         raise OracleError(f"decode self-check failed for candidate {candidate}")
-    return letters, phases
+    return xmask, zmask, phases
 
 
 def dense_conjugate(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
     """engine.conjugate_inplace with exact matrices: the batch's columns
     become monomial forms, conjugated through the compiled circuit and
     decoded back."""
-    check_planes(planes, len(phases))
+    n = len(phases)
+    check_planes(planes, n)
     m = len(planes) // 2
     _check_cap(m)
-    source, phase = _pauli_parts(unpack_planes(planes, len(phases)), phases)
+    source, phase = _forms(*plane_masks(planes, n), phases, m)
     for step in _compile(ops, m):
         if isinstance(step, int):
             source, phase = _hadamard(source, phase, m, step)
@@ -227,8 +226,8 @@ def dense_conjugate(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> 
             src, e, inv = step
             source = inv.take(source.take(src, axis=1))
             phase = (e + phase.take(src, axis=1) - e.take(source)) & 3
-    letters, phases[:] = _decode(source, phase, m)
-    planes[:] = pack_letters(letters)
+    xmask, zmask, phases[:] = _decode(source, phase, m)
+    planes[:] = mask_planes(xmask, zmask, m)
 
 
 def oracle_conjugate(c: Circuit, p: PauliString) -> PauliString:

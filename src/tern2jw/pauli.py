@@ -17,8 +17,9 @@ and x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
 2m rows of W = ceil(n / 64) little-endian words: qubit q's x bits in row
 q - 1, its z bits in row m + q - 1, column j at bit j % 64 of word j // 64,
 and the padding bits past column n - 1 zero. The helpers below are the
-only place that converts between the two forms. A PauliString is one
-column with its phase.
+only place that converts between the two forms, and between planes and
+each column's x and z bits as two int masks, qubit q at bit m - q (the
+oracle's basis-index order). A PauliString is one column with its phase.
 """
 
 from __future__ import annotations
@@ -90,12 +91,17 @@ def xz_bits(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (letters ^ z) & 1, z
 
 
+def _pack_bits(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The (2m, W) planes of (m, n) x and z bit arrays of 0/1."""
+    m, n = x.shape
+    bits = np.zeros((2 * m, 64 * (-(-n // 64))), dtype=np.uint8)
+    bits[:m, :n], bits[m:, :n] = x, z
+    return np.packbits(bits, axis=1, bitorder="little").view(WORD)
+
+
 def pack_letters(letters: np.ndarray) -> np.ndarray:
     """The (2m, W) planes of an (m, n) letter matrix, one string per column."""
-    m, n = letters.shape
-    bits = np.zeros((2 * m, 64 * (-(-n // 64))), dtype=np.uint8)
-    bits[:m, :n], bits[m:, :n] = xz_bits(letters)
-    return np.packbits(bits, axis=1, bitorder="little").view(WORD)
+    return _pack_bits(*xz_bits(letters))
 
 
 def check_planes(planes: np.ndarray, n: int) -> None:
@@ -115,6 +121,21 @@ def unpack_planes(planes: np.ndarray, n: int) -> np.ndarray:
     m = len(bits) // 2
     x, z = bits[:m], bits[m:]
     return (x ^ z) | (z << 1)
+
+
+def plane_masks(planes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the n columns' x bits and z bits as two (n,) int64 masks,
+    qubit q at bit m - q; for m <= 62."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=1, count=n, bitorder="little")
+    m = len(bits) // 2
+    x, z = (1 << np.arange(m - 1, -1, -1)) @ bits.reshape(2, m, n)
+    return x, z
+
+
+def mask_planes(xmask: np.ndarray, zmask: np.ndarray, m: int) -> np.ndarray:
+    """The (2m, W) planes of plane_masks' x and z masks."""
+    shifts = np.arange(m - 1, -1, -1)[:, None]  # qubit q's bit, at row q - 1
+    return _pack_bits((xmask >> shifts) & 1, (zmask >> shifts) & 1)
 
 
 def planes_from_rows(rows, n: int) -> np.ndarray:

@@ -30,11 +30,11 @@ original qubit pi(i)); with swaps=True a SWAP network realizing pi is
 appended instead and pi collapses to the identity. Signs are tracked
 exactly by conjugating all 2m+1 generators through the circuit in one
 packed batch, the tree's x and z planes at one bit per generator, and
-matching the renamed planes against the JW set with tree.jw_decode;
-fix_signs appends a single-qubit Pauli layer that forces ranks 1..2m
-positive (rank 2m+1 is pinned by the conserved total product), and the
-same engine and matcher check the signs that layer leaves on the chain's
-planes.
+matching them against the JW set with tree.jw_decode, which reads their
+rows in chain order; fix_signs appends a single-qubit Pauli layer that
+forces ranks 1..2m positive (rank 2m+1 is pinned by the conserved total
+product), and the same engine and matcher check the signs that layer
+leaves on the chain's planes, read in their own order.
 verify_transform and oracle_check are one certificate check, _check, run
 with the engine's conjugate_inplace or the oracle's dense_conjugate.
 """
@@ -268,17 +268,14 @@ def _emit_subtree(kids, root, emit) -> None:
         _emit_straighten_fork(kids, q, [size[c] for c in kids[q - 1]], emit)
 
 
-def _conjugated_images(
-    t: TernaryTree, c: Circuit, perm: Sequence[int], conjugate
-) -> tuple[np.ndarray, np.ndarray]:
+def _conjugated_images(t: TernaryTree, c: Circuit, conjugate) -> tuple[np.ndarray, np.ndarray]:
     """t's generators conjugated through c by conjugate (a batch conjugator
-    like engine.conjugate_inplace), as packed planes and phases, their
-    rows renamed into chain order through perm."""
+    like engine.conjugate_inplace), as packed planes and phases, on the
+    original wires: certify reads them in chain order."""
     planes = _planes(t)
     phases = np.zeros(2 * t.num_qubits + 1, dtype=np.uint8)
     conjugate(planes, phases, c.ops)
-    rows = np.asarray(perm, dtype=np.int64) - 1
-    return planes[np.concatenate((rows, rows + t.num_qubits))], phases
+    return planes, phases
 
 
 def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
@@ -324,7 +321,7 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
         chain = list(range(1, m + 1))
 
     circuit = Circuit.from_ops(m, rows)
-    report = certify(*_conjugated_images(t, circuit, chain, conjugate_inplace))
+    report = certify(*_conjugated_images(t, circuit, conjugate_inplace), chain)
     if not report.ok:
         raise RuntimeError("conjugated generators left the signed JW set")
     return StraightenResult(
@@ -382,7 +379,7 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     expected = [1] * (2 * m + 1)
     last = r.signs[r.ranks.index(2 * m + 1)]
     expected[2 * m] = -last if odd else last
-    report = certify(jw, phases, expected)
+    report = certify(jw, phases, range(1, m + 1), expected)
     if not report.ok:
         raise RuntimeError("sign correction failed to clear ranks 1..2m")
     layer[:, 1] = np.asarray(r.permutation)[sites] - 1  # back on the original wires
@@ -508,17 +505,22 @@ class TransformReport:
 
 
 def certify(
-    renamed: np.ndarray, phases: np.ndarray, signs: Sequence[int] | None = None
+    planes: np.ndarray,
+    phases: np.ndarray,
+    order: Sequence[int],
+    signs: Sequence[int] | None = None,
 ) -> TransformReport:
-    """Check generator images, already renamed into chain order, against JW.
+    """Check generator images, renamed into chain order, against JW.
 
-    renamed holds the packed x and z planes of the images, one column per
-    generator, and phases their phase exponents. Image j passes when it
-    decodes as a signed JW generator whose sign is signs[j] (any sign when
-    signs is None) and whose rank no earlier passing image took. All 2m+1
-    images pass exactly when the matched ranks cover 1..2m+1.
+    planes holds the packed x and z planes of the images, one column per
+    generator, and phases their phase exponents; order is the PERM that
+    renames them (chain position i holds qubit order[i - 1]), read by
+    jw_decode in place. Image j passes when it decodes as a signed JW
+    generator whose sign is signs[j] (any sign when signs is None) and
+    whose rank no earlier passing image took. All 2m+1 images pass exactly
+    when the matched ranks cover 1..2m+1.
     """
-    ranks, decoded = jw_decode(renamed, phases)
+    ranks, decoded = jw_decode(planes, phases, order)
     good = np.flatnonzero(ranks if signs is None else decoded == np.asarray(signs))
     _, first = np.unique(ranks[good], return_index=True)
     results = np.zeros(len(ranks), dtype=bool)
@@ -535,8 +537,8 @@ def _check(t: TernaryTree, cert: Certificate, conjugate) -> TransformReport:
         raise ValueError(
             f"certificate spans {cert.num_qubits} qubits but the tree has {t.num_qubits} qubits"
         )
-    renamed, phases = _conjugated_images(t, cert.circuit, cert.permutation, conjugate)
-    return certify(renamed, phases, cert.signs)
+    planes, phases = _conjugated_images(t, cert.circuit, conjugate)
+    return certify(planes, phases, cert.permutation, cert.signs)
 
 
 def verify_transform(t: TernaryTree, cert: Certificate) -> TransformReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -527,12 +527,13 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
 
 # Letters allowed in the (m, 2m+1) batch of a tree's generators; 2**28
 # admits m up to 11584. Certification holds that batch as packed x and z
-# planes, two bits a letter (64 MiB at the cap). The measured tracemalloc
-# peak of straighten and of verify_transform is about twice the planes,
-# because the renamed copy sits beside the conjugated one: 1.98 and
-# 1.26 MiB for the 0.58 MiB planes of full_ternary(6), 18.6 and 16.2 MiB
-# for the 7.7 MiB ones at m=4000, 142 and 134 MiB at the cap (fix_signs:
-# 1.2, 10.5 and 75 MiB). tree_generators, and so the generators and stats
+# planes, two bits a letter (64 MiB at the cap), and jw_decode reads their
+# rows in PERM order, so no renamed copy is made. The measured tracemalloc
+# peak of straighten and of verify_transform is 1.82 and 1.19 MiB for the
+# 0.58 MiB planes of full_ternary(6) (its circuit's 5,102 op rows, held as
+# Python lists, weigh more than the planes there), 12.9 and 10.5 MiB for
+# the 7.7 MiB ones at m=4000, 84 and 76 MiB at the cap (fix_signs: 1.2,
+# 10.5 and 75 MiB). tree_generators, and so the generators and stats
 # commands, fill the letter matrix in place, one byte a letter, and peak
 # just above it: 2.48 MiB for the 2.28 MiB matrix of full_ternary(6),
 # 31.3 MiB for 30.5 MiB at m=4000, 258 MiB for 256 MiB at the cap.
@@ -548,14 +549,20 @@ def _check_letter_cells(m: int) -> None:
         )
 
 
-def jw_decode(planes: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Match each column of a packed batch against the signed JW generators.
+def jw_decode(
+    planes: np.ndarray, phases: np.ndarray, order: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match each column of a packed batch, its qubits renamed into chain
+    order, against the signed JW generators.
 
     planes holds the batch's (2m, W) x and z planes, one string per
-    column, and phases its (n,) phase exponents. Returns int64 (ranks,
-    signs): column j is signs[j] times the JW generator at rank ranks[j].
-    Columns that are not of the form Z^(k-1) X I..., Z^(k-1) Y I... or all
-    Z, or whose phase is not a plain sign, get rank 0 and sign 0.
+    column, and phases its (n,) phase exponents. order is a PERM: chain
+    position i holds qubit order[i - 1], whose rows are read in its place,
+    so no renamed copy of the planes is made (range(1, m + 1) reads them
+    as they are). Returns int64 (ranks, signs): column j is signs[j] times
+    the JW generator at rank ranks[j]. Columns that are not of the form
+    Z^(k-1) X I..., Z^(k-1) Y I... or all Z, or whose phase is not a plain
+    sign, get rank 0 and sign 0.
 
     One pass down the rows, each read as one int, keeps the mask of the
     columns whose lead row (the first that is not Z) is not found yet.
@@ -564,18 +571,20 @@ def jw_decode(planes: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.nd
     fails the column. Columns that never lead are all Z, rank 2m+1. The
     ranks are read off the set bits of the lead masks, each column once.
     Raises ValueError unless planes are (2m, ceil(n/64)) uint64 words
-    with every padding bit clear.
+    with every padding bit clear and order is a permutation of 1..m.
     """
     m, n = len(planes) // 2, len(phases)
     check_planes(planes, n)
+    if sorted(order) != list(range(1, m + 1)):
+        raise ValueError(f"order is not a permutation of 1..{m}")
     step = 8 * planes.shape[1]  # bytes per row
     data = memoryview(np.ascontiguousarray(planes)).cast("B")
     ranks = [2 * m + 1] * n
     open_ = (1 << n) - 1
     bad = 0
-    for i in range(m):
-        x = int.from_bytes(data[i * step : (i + 1) * step], "little")
-        z = int.from_bytes(data[(m + i) * step : (m + i + 1) * step], "little")
+    for i, q in enumerate(order):
+        x = int.from_bytes(data[(q - 1) * step : q * step], "little")
+        z = int.from_bytes(data[(m + q - 1) * step : (m + q) * step], "little")
         bad |= (x | z) & ~open_
         lead = (x | ~z) & open_
         if lead:

@@ -19,15 +19,17 @@ from tern2jw import (
     straighten,
     verify_transform,
 )
-from tern2jw.engine import PAIR_GATES, SINGLE_GATES
+from tern2jw.engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES
 from tern2jw.oracle import (
     OracleError,
     _decode,
+    _forms,
+    _gate_form,
     _hadamard,
-    _monomial,
-    _pauli_parts,
+    dense_conjugate,
     oracle_conjugate,
 )
+from tern2jw.pauli import pack_letters, plane_masks, unpack_planes
 
 from conftest import rename
 from reference import (
@@ -83,24 +85,32 @@ def test_dense_pauli_is_multiplicative():
 
 def _scattered(source, phase):
     """One monomial form's own matrix: i^phase[r] at [r, source[r]]."""
-    rows = np.arange(len(source))
+    rows, phase = np.arange(len(source)), phase.astype(np.int64)  # uint8 would wrap below 0
     a = np.zeros((2, len(rows), len(rows)), dtype=np.int64)
     a[phase & 1, rows, source] = 1 - (phase & 2)
     return ExactMatrix(*a)
 
 
+def _planes_forms(letters, phases):
+    """The oracle's monomial forms of an (m, n) letter block times
+    i^phases, built as dense_conjugate builds them: from the masks read
+    off the packed planes."""
+    m, n = letters.shape
+    return _forms(*plane_masks(pack_letters(letters), n), np.asarray(phases, dtype=np.uint8), m)
+
+
 def test_dense_pauli_kron_consistency():
-    # the oracle's forms of every string on 1..3 qubits at every phase,
-    # scattered into a matrix, are the reference's Kronecker fold of the
-    # letter matrices
+    # the oracle's forms, from the packed planes, of every string on 1..3
+    # qubits at every phase, scattered into a matrix, are the reference's
+    # Kronecker fold of the letter matrices
     for m in range(1, 4):
         strings = [
             PauliString(codes, phase)
             for codes in itertools.product(range(4), repeat=m)
             for phase in range(4)
         ]
-        letters = np.array([p.letters for p in strings]).T
-        source, phase = _pauli_parts(letters, [p.phase for p in strings])
+        letters = np.array([p.letters for p in strings], dtype=np.uint8).T
+        source, phase = _planes_forms(letters, [p.phase for p in strings])
         for p, s, e in zip(strings, source, phase):
             assert _scattered(s, e) == dense_pauli(p), p
 
@@ -229,6 +239,46 @@ def test_oracle_conjugate_matches_matrix_products_on_random_circuits():
     assert {(m, t) for m in (5, 6, 7, 8) for t in range(1, m + 1)} <= seen
 
 
+def test_dense_conjugate_is_the_same_at_every_batch_width():
+    # widths on either side of a 64-bit word: a batch's columns come out as
+    # the widest batch's first columns and as each string alone, and every
+    # padding bit past the last column stays clear
+    rng = random.Random(47)
+    m, widest = 4, 129
+    gates = _random_circuit(rng, m) + [Gate("H", (2,))] + _random_circuit(rng, m)
+    c = Circuit(m, gates)
+    letters = rng.choices(range(4), k=m * widest)
+    letters = np.array(letters, dtype=np.uint8).reshape(m, widest)
+    phases = np.array(rng.choices(range(4), k=widest), dtype=np.uint8)
+    images = {}
+    for n in (1, 63, 65, widest):
+        planes, out = pack_letters(letters[:, :n]), phases[:n].copy()
+        dense_conjugate(planes, out, c.ops)
+        bits = np.unpackbits(planes.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, n:].any(), n
+        images[n] = unpack_planes(planes, n), out
+    wide_letters, wide_phases = images[widest]
+    for n, (got_letters, got_phases) in images.items():
+        assert np.array_equal(got_letters, wide_letters[:, :n]), n
+        assert np.array_equal(got_phases, wide_phases[:n]), n
+    for j in range(widest):
+        p = PauliString(letters[:, j].tolist(), int(phases[j]))
+        want = PauliString(wide_letters[:, j].tolist(), int(wide_phases[j]))
+        assert oracle_conjugate(c, p) == want, (gates, p)
+
+
+def test_cached_gate_forms_are_read_only_and_bounded():
+    # every compiled circuit shares the cached embedded gates and H arrays,
+    # so none may be written through, and the cache holds a bounded number
+    for code in GATE_CODES.values():
+        b = 0 if code < N_SINGLE else 2
+        for array in _gate_form(code, 1, b, 3):
+            assert not array.flags.writeable, code
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+    assert _gate_form.cache_info().maxsize is not None
+
+
 def test_oracle_conjugate_empty_circuit():
     p = pauli_parse("-iXZY")
     assert oracle_conjugate(Circuit(3, ()), p) == p
@@ -298,12 +348,13 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
     # form made non-Pauli, first, in the middle or last, fails the whole
     # decode with the check it breaks
     rng = np.random.default_rng(3)
-    letters = rng.integers(0, 4, size=(3, 5))
+    letters = rng.integers(0, 4, size=(3, 5), dtype=np.uint8)
     letters[:, 2] = (1, 2, 3)  # X, Y and Z in one string
     phases = np.arange(5) % 4
-    source, phase = _pauli_parts(letters, phases)
-    got_letters, got_phases = _decode(source.copy(), phase.copy(), 3)
-    assert np.array_equal(got_letters, letters) and np.array_equal(got_phases, phases)
+    source, phase = _planes_forms(letters, phases)
+    *masks, got_phases = _decode(source.copy(), phase.copy(), 3)
+    assert np.array_equal(masks, plane_masks(pack_letters(letters), 5))
+    assert np.array_equal(got_phases, phases)
 
     # a form has one unit entry in every row, so it can break a Pauli
     # matrix only by a wrong phase or a moved entry, in a single-bit row
@@ -337,18 +388,19 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
 def test_hadamard_step_rejects_forms_that_are_not_pauli():
     # S's own matrix diag(1, i) is monomial, but H S H is not: row 0 meets
     # 1 and i, whose sums 1 + i and 1 - i do not halve
-    s_source, s_phase = _monomial("S", (1,), 1)
+    s_source, s_phase = _gate_form(GATE_CODES["S"], 0, 0, 1)
     with pytest.raises(OracleError, match="inexact rescale after H 1"):
         _hadamard(s_source[None], s_phase[None], 1, 1)
     # SWAP's own matrix has all phases 0, but rows 0 and 2, partners on
     # qubit 1's bit, take columns 0 and 1, which are not
-    swap_source, swap_phase = _monomial("SWAP", (1, 2), 2)
+    swap_source, swap_phase = _gate_form(GATE_CODES["SWAP"], 0, 1, 2)
     assert swap_source.tolist() == [0, 2, 1, 3] and not swap_phase.any()
     with pytest.raises(OracleError, match="inexact rescale after H 1"):
         _hadamard(swap_source[None], swap_phase[None], 2, 1)
-    # a Pauli form passes through: H on qubit 2 takes -iXX to -iXZ
-    source, phase = _hadamard(*_pauli_parts(np.array([[1], [1]]), [3]), 2, 2)
-    assert [s.tolist() for s in _decode(source, phase, 2)] == [[[1], [3]], [3]]
+    # a Pauli form passes through: H on qubit 2 takes -iXX (x mask 11,
+    # z mask 00) to -iXZ (x mask 10, z mask 01)
+    source, phase = _hadamard(*_planes_forms(np.array([[1], [1]], dtype=np.uint8), [3]), 2, 2)
+    assert [s.tolist() for s in _decode(source, phase, 2)] == [[2], [1], [3]]
 
 
 def test_decode_pauli_round_trip():
@@ -455,8 +507,9 @@ def test_failing_ranks_stay_with_their_columns():
 
 
 def test_oracle_check_memory_peak_at_8_qubits():
-    # the README's figure: 0.34 MiB, all (2m+1) x 2^m monomial forms and
-    # their temporaries, where one dense int64 matrix would take 16 * 4^m = 1 MiB
+    # the README's figure: 0.18 MiB, all (2m+1) x 2^m monomial forms and
+    # their temporaries, under a quarter of the 16 * 4^m = 1 MiB one dense
+    # int64 matrix would take
     t = random_tree(8, seed=5)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok  # gate tables are built on first use
@@ -466,12 +519,13 @@ def test_oracle_check_memory_peak_at_8_qubits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 4**8
+    assert peak <= 4 * 4**8
 
 
-def test_oracle_check_at_12_qubits_agrees_with_the_engine_in_16_mib():
-    # the largest m the oracle takes, with its letter tables built inside
-    # the measurement: the README's figure is about 7 MiB
+def test_oracle_check_at_12_qubits_agrees_with_the_engine_in_6_mib():
+    # the largest m the oracle takes, with its embedded gates built inside
+    # the measurement unless an earlier test built them: the README's
+    # figure is 4.2 MiB
     t = random_tree(12, seed=1)
     r = fix_signs(straighten(t))
     want = verify_transform(t, r)
@@ -482,7 +536,7 @@ def test_oracle_check_at_12_qubits_agrees_with_the_engine_in_16_mib():
     finally:
         tracemalloc.stop()
     assert got == want and got.ok
-    assert peak < 16 << 20
+    assert peak < 6 << 20
 
 
 def _imports(path):
@@ -523,7 +577,7 @@ def test_reference_imports_nothing_from_the_oracle():
 
 
 def test_oracle_check_memory_peak_at_6_qubits():
-    # the README's figure: 0.07 MiB
+    # the README's figure: 0.04 MiB
     t = random_tree(6, seed=1)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok
@@ -533,4 +587,4 @@ def test_oracle_check_memory_peak_at_6_qubits():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 18
+    assert peak < 1 << 16

@@ -433,18 +433,18 @@ def test_certify_reports_ranks_signs_and_duplicates():
     # +iXI (imaginary phase) and +IX (not of JW shape)
     planes = pack_letters(np.array([[1, 3, 3, 1, 1, 0], [0, 2, 3, 0, 0, 1]], dtype=np.uint8))
     phases = np.array([0, 2, 0, 0, 1, 0], dtype=np.uint8)
-    report = certify(planes, phases, (1, -1, 1, 1, 1, 1))
+    report = certify(planes, phases, (1, 2), (1, -1, 1, 1, 1, 1))
     assert report.results == (True, True, True, False, False, False)
     assert report.failed_ranks == (4, 5, 6)
     assert report.ranks == (1, 4, 5, 1, 0, 0)
     assert report.signs == (1, -1, 1, 1, 0, 0)
     # a wrong declared sign fails that column only, and frees its rank
     # for the later duplicate
-    assert certify(planes, phases, (-1, -1, 1, 1, 1, 1)).results[:4] == (
+    assert certify(planes, phases, (1, 2), (-1, -1, 1, 1, 1, 1)).results[:4] == (
         False, True, True, True,
     )
     # without declared signs any plain sign passes
-    assert certify(planes, phases).results == report.results
+    assert certify(planes, phases, (1, 2)).results == report.results
 
 
 def test_verify_transform_size_mismatch(triple_fork):
@@ -582,9 +582,11 @@ def _traced_peak(run):
 
 def test_certification_memory_peak_at_full_ternary_6():
     # packed planes take two bits a letter: 0.58 MiB for these 1,093
-    # qubits, whose byte letter matrix alone would be 2.28 MiB
+    # qubits, whose byte letter matrix alone would be 2.28 MiB; the
+    # measured peaks are 1.82 and 1.19 MiB, with no renamed copy of the
+    # planes
     t = full_ternary(6)
     r, peak = _traced_peak(lambda: straighten(t))
-    assert peak <= 3 << 20, peak
+    assert peak <= 9 << 18, peak
     report, peak = _traced_peak(lambda: verify_transform(t, r))
-    assert report.ok and peak <= 3 << 20, peak
+    assert report.ok and peak <= 3 << 19, peak

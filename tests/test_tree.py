@@ -351,9 +351,11 @@ def test_check_generator_set_matches_pairwise_reference():
 
 
 def _batch(strings):
-    """The strings as one packed batch: planes and phases."""
+    """The strings as one packed batch: planes and phases, and the order
+    that reads the rows as they are."""
     letters = np.array([p.letters for p in strings], dtype=np.uint8).T
-    return pack_letters(letters), np.array([p.phase for p in strings], dtype=np.uint8)
+    phases = np.array([p.phase for p in strings], dtype=np.uint8)
+    return pack_letters(letters), phases, range(1, len(letters) + 1)
 
 
 def _decode_columns(strings):
@@ -420,6 +422,26 @@ def test_jw_decode_matches_the_per_column_reference():
                 assert report.results == certify_columns(strings, signs), (m, n)
 
 
+def test_jw_decode_reads_the_rows_in_perm_order():
+    # strings in chain order, their rows moved onto the wires a PERM names:
+    # read in that order they decode as before, with no renamed copy; an
+    # order that is no permutation of 1..m is refused
+    rng = random.Random(31)
+    for m, n in ((1, 3), (3, 7), (5, 65), (9, 129)):
+        strings = [_decode_test_column(rng, m) for _ in range(n)]
+        chain_planes, phases, _ = _batch(strings)
+        order = rng.sample(range(1, m + 1), m)
+        wires = np.argsort(order)  # wire q - 1 holds chain row wires[q - 1]
+        planes = chain_planes[np.concatenate((wires, wires + m))]
+        ranks, signs = jw_decode(planes, phases, order)
+        got = [(int(r), int(s)) if r else None for r, s in zip(ranks, signs)]
+        assert got == [jw_match(p) for p in strings], (m, n)
+    planes, phases, _ = _batch([pauli_parse("XI")])
+    for order in ((1, 1), (1,), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="order is not a permutation of 1..2"):
+            certify(planes, phases, order)
+
+
 def test_packed_batch_entry_points_refuse_other_arrays():
     # a uint8 letter matrix, planes of the wrong width or with an odd row
     # count are refused at every entry point that takes a packed batch,
@@ -431,8 +453,8 @@ def test_packed_batch_entry_points_refuse_other_arrays():
     planes = pack_letters(_letters_matrix(t))
     for wrong in (_letters_matrix(t), np.zeros((8, 2), dtype=np.uint64), planes[1:]):
         for call in (
-            lambda: jw_decode(wrong, phases),
-            lambda: certify(wrong, phases),
+            lambda: jw_decode(wrong, phases, range(1, 5)),
+            lambda: certify(wrong, phases, range(1, 5)),
             lambda: conjugate_inplace(wrong.copy(), phases.copy(), ops),
             lambda: dense_conjugate(wrong.copy(), phases.copy(), ops),
         ):
@@ -441,5 +463,5 @@ def test_packed_batch_entry_points_refuse_other_arrays():
     padded = planes.copy()
     padded[-1, 0] |= np.uint64(1) << np.uint64(n)
     with pytest.raises(ValueError, match="past column 9"):
-        jw_decode(padded, phases)
-    assert certify(planes, phases).ok
+        jw_decode(padded, phases, range(1, 5))
+    assert certify(planes, phases, range(1, 5)).ok
