@@ -15,6 +15,11 @@ packed row and adds them to the phases once; one string
 array they read is the only stored form of a circuit (clifford.Circuit.ops);
 encode_gates builds one from (kind, targets) pairs.
 
+single_qubit_classes derives the 24 single-qubit Clifford classes (up to
+phase) from the same rules, by conjugating a one-qubit batch of X, Y and
+Z: which gate takes each class to which, the shortest word of each, and
+each class split as a word followed by a diagonal gate in {I, S, Z, SDG}.
+
 The test suite re-derives every rule from the exact oracle for every
 letter, letter pair and phase, in batches whose width is no multiple of 64:
 acceptance criterion 8 one gate per batch, test_engine one batch per gate,
@@ -22,6 +27,8 @@ test_clifford through one-gate circuits.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -32,6 +39,7 @@ PAIR_GATES = ("CZ", "CX", "SWAP")
 GATE_CODES = {name: i for i, name in enumerate(SINGLE_GATES + PAIR_GATES)}
 N_SINGLE = len(SINGLE_GATES)
 _H, _S, _SDG, _X, _Y, _Z, _CZ, _CX, _SWAP = range(len(GATE_CODES))
+_BLOCK = 1024  # op rows conjugate_inplace turns into Python ints at once
 
 
 def conjugate_rows(code: int, x, z, a: int, b: int):
@@ -95,6 +103,43 @@ def conjugate_inplace(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -
     m = len(planes) // 2
     x, z = planes[:m], planes[m:]
     flips = np.zeros(planes.shape[1], dtype=planes.dtype)
-    for code, a, b in ops.tolist():
-        flips ^= conjugate_rows(code, x, z, a, b)
+    for start in range(0, len(ops), _BLOCK):  # Python ints for one block of rows at a time
+        for code, a, b in zip(*ops[start : start + _BLOCK].T.tolist()):
+            flips ^= conjugate_rows(code, x, z, a, b)
     phases ^= np.unpackbits(flips.view(np.uint8), count=len(phases), bitorder="little") << 1
+
+
+@functools.cache
+def single_qubit_classes() -> tuple[tuple, tuple, tuple, tuple]:
+    """The 24 single-qubit Clifford classes up to phase, class 0 being I, as
+    (compose, words, head, carry).
+
+    compose[c][g] is the class of c followed by the gate of code g, and
+    words[c] a shortest gate-code word of c (at most 3 gates). Class c is
+    also head[c] followed by the diagonal class carry[c] (I, S, Z or SDG),
+    head[c] as short as any such split allows, carrying I on a tie; a
+    diagonal gate commutes with CZ, so carry[c] can move past one. Built
+    once from conjugate_inplace: a class is the one-qubit batch X, Y, Z
+    conjugated through it, and a breadth-first walk over the six single
+    gates from I reaches each class first by a shortest word.
+    """
+    states, words, compose = [(0b011, 0b110, 0, 0, 0)], [()], []  # x, z words of X, Y, Z; phases
+    for c, state in enumerate(states):  # breadth first: states grows as it goes
+        row = []
+        for g in range(N_SINGLE):
+            planes = np.array(state[:2], dtype=np.uint64)[:, None]
+            phases = np.array(state[2:], dtype=np.uint8)
+            conjugate_inplace(planes, phases, np.array([[g, 0, 0]], dtype=np.int32))
+            nxt = (*planes[:, 0].tolist(), *phases.tolist())
+            if nxt not in states:
+                states.append(nxt)
+                words.append(words[c] + (g,))
+            row.append(states.index(nxt))
+        compose.append(tuple(row))
+    head, carry = [None] * len(words), [0] * len(words)
+    for d in (0, compose[0][_S], compose[0][_Z], compose[0][_SDG]):  # I first, so it wins ties
+        for n, word in enumerate(words):
+            c = compose[n][words[d][0]] if d else n  # n, then d's one gate
+            if head[c] is None or len(word) < len(head[c]):
+                head[c], carry[c] = word, d
+    return tuple(compose), tuple(words), tuple(head), tuple(carry)

@@ -23,15 +23,25 @@ than log2(m) times, and the circuit has at most m*ceil(log2 m) CZ gates
 (the heavy-path argument of Sleator and Tarjan).
 
 The surgeries emit op rows (gate code, row a, row b), the engine's form
-of a circuit, and the emitted circuit acts on the original wire names; the
-self-check conjugates through those rows as they are. StraightenResult
-carries the renaming as the permutation pi (chain position i holds
-original qubit pi(i)); with swaps=True a SWAP network realizing pi is
-appended instead and pi collapses to the identity. Signs are tracked
-exactly by conjugating all 2m+1 generators through the circuit in one
-packed batch, the tree's x and z planes at one bit per generator, and
-matching them against the JW set with tree.jw_decode, which reads their
-rows in chain order; fix_signs appends a single-qubit Pauli layer that
+of a circuit, and the emitted circuit acts on the original wire names.
+straighten passes them through a fusing emitter, which keeps one pending
+single-qubit Clifford class per wire (engine.single_qubit_classes). At a
+CZ each of its wires emits the shortest word N such that its class is N
+followed by a diagonal D in {I, S, Z, SDG} and carries D on, since
+diagonal gates commute with CZ; a SWAP swaps two pending classes, and
+what is pending at the end goes out as shortest words. So the circuit is
+the same Clifford up to global phase, with the same CZ and SWAP rows in
+the same order and never more single-qubit gates: on a z-spine
+caterpillar each tooth's H S H . CZ . S H becomes SDG H . CZ . H, 3 gates
+a tooth instead of 5. relabel, fork_move and straighten_fork keep their
+canonical words, and the self-check conjugates through the rows as they
+are. StraightenResult carries the renaming as the permutation pi (chain
+position i holds original qubit pi(i)); with swaps=True a SWAP network
+realizing pi is appended instead and pi collapses to the identity.
+Signs are tracked exactly by conjugating all 2m+1 generators through the
+circuit in one packed batch, the tree's x and z planes at one bit per
+generator, and matching them against the JW set with tree.jw_decode,
+which reads their rows in chain order; fix_signs appends a single-qubit Pauli layer that
 forces ranks 1..2m positive (rank 2m+1 is pinned by the conserved total
 product), and the same engine and matcher check the signs that layer
 leaves on the chain's planes, read in their own order.
@@ -47,7 +57,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clifford import Circuit, Gate, invert_circuit
-from .engine import GATE_CODES, SINGLE_GATES, conjugate_inplace
+from .engine import GATE_CODES, N_SINGLE, SINGLE_GATES, conjugate_inplace, single_qubit_classes
 from .engine import encode_gates  # noqa: F401 -- perfbench's engine.encode_s probe binds it
 from .oracle import dense_conjugate
 from .tree import (
@@ -77,6 +87,7 @@ _RELABEL_GATES = {
 }
 
 _SLOT = {"x": 0, "y": 1, "z": 2}
+_CZ = GATE_CODES["CZ"]
 
 
 @dataclass(frozen=True)
@@ -268,6 +279,44 @@ def _emit_subtree(kids, root, emit) -> None:
         _emit_straighten_fork(kids, q, [size[c] for c in kids[q - 1]], emit)
 
 
+def _fusing_emitter(m: int, rows: list[int]):
+    """emit and flush for straighten's op rows, appended to rows flat.
+
+    Each wire holds one pending single-qubit class: a single-qubit row
+    only updates it. At a CZ each wire first emits the shortest word N
+    with pending class N then D, D diagonal, and keeps D, which commutes
+    with the CZ; a SWAP swaps the two pending classes. flush() emits what
+    is still pending, as shortest words. The circuit is the same Clifford
+    up to global phase, with the same CZ and SWAP rows in the same order.
+    """
+    compose, words, head, carry = single_qubit_classes()
+    pending = [0] * m
+    extend = rows.extend
+
+    def emit(row) -> None:
+        code, a, b = row
+        if code < N_SINGLE:
+            pending[a] = compose[pending[a]][code]
+            return
+        if code == _CZ:
+            if head[pending[a]] or head[pending[b]]:  # else both carry on as they are
+                for w in (a, b):
+                    c = pending[w]
+                    for g in head[c]:
+                        extend((g, w, 0))
+                    pending[w] = carry[c]
+        else:  # SWAP
+            pending[a], pending[b] = pending[b], pending[a]
+        extend(row)
+
+    def flush() -> None:
+        for w, c in enumerate(pending):
+            for g in words[c]:
+                extend((g, w, 0))
+
+    return emit, flush
+
+
 def _conjugated_images(t: TernaryTree, c: Circuit, conjugate) -> tuple[np.ndarray, np.ndarray]:
     """t's generators conjugated through c by conjugate (a batch conjugator
     like engine.conjugate_inplace), as packed planes and phases, on the
@@ -278,20 +327,13 @@ def _conjugated_images(t: TernaryTree, c: Circuit, conjugate) -> tuple[np.ndarra
     return planes, phases
 
 
-def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
-    """Reduce t to the z-chain and certify the reduction.
-
-    Straightens every node once, children first: a fork is drained into
-    its largest branch, a lone x-link costs an H and a lone y-link the
-    S, H word. With swaps=False the chain lives on reordered wires and the
-    reordering is reported as the permutation; with swaps=True a SWAP
-    network realizing it is appended and the permutation is the identity.
-    """
+def _synthesize(t: TernaryTree, swaps: bool) -> tuple[Circuit, list[int]]:
+    """straighten's circuit and PERM; the emitted rows are freed on return,
+    before certification allocates the planes."""
     m = t.num_qubits
-    _check_letter_cells(m)  # before any synthesis work
     kids = [list(row) for row in t.children]
-    rows: list[tuple[int, int, int]] = []
-    emit = rows.append
+    rows: list[int] = []
+    emit, flush = _fusing_emitter(m, rows)
     _emit_subtree(kids, t.root, emit)
     chain: list[int] = []
     cur = t.root
@@ -319,8 +361,23 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
             for a, b in zip(reversed(cycle[:-1]), reversed(cycle[1:])):
                 emit((GATE_CODES["SWAP"], a - 1, b - 1))
         chain = list(range(1, m + 1))
+    flush()
+    return Circuit.from_ops(m, rows), chain
 
-    circuit = Circuit.from_ops(m, rows)
+
+def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
+    """Reduce t to the z-chain and certify the reduction.
+
+    Straightens every node once, children first: a fork is drained into
+    its largest branch, a lone x-link costs an H and a lone y-link the
+    S, H word, and each wire's single-qubit gates between its CZs are
+    fused into one shortest word. With swaps=False the chain lives on
+    reordered wires and the reordering is reported as the permutation;
+    with swaps=True a SWAP network realizing it is appended and the
+    permutation is the identity.
+    """
+    _check_letter_cells(t.num_qubits)  # before any synthesis work
+    circuit, chain = _synthesize(t, swaps)
     report = certify(*_conjugated_images(t, circuit, conjugate_inplace), chain)
     if not report.ok:
         raise RuntimeError("conjugated generators left the signed JW set")

@@ -528,15 +528,17 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
 # Letters allowed in the (m, 2m+1) batch of a tree's generators; 2**28
 # admits m up to 11584. Certification holds that batch as packed x and z
 # planes, two bits a letter (64 MiB at the cap), and jw_decode reads their
-# rows in PERM order, so no renamed copy is made. The measured tracemalloc
-# peak of straighten and of verify_transform is 1.82 and 1.19 MiB for the
-# 0.58 MiB planes of full_ternary(6) (its circuit's 5,102 op rows, held as
-# Python lists, weigh more than the planes there), 12.9 and 10.5 MiB for
-# the 7.7 MiB ones at m=4000, 84 and 76 MiB at the cap (fix_signs: 1.2,
-# 10.5 and 75 MiB). tree_generators, and so the generators and stats
-# commands, fill the letter matrix in place, one byte a letter, and peak
-# just above it: 2.48 MiB for the 2.28 MiB matrix of full_ternary(6),
-# 31.3 MiB for 30.5 MiB at m=4000, 258 MiB for 256 MiB at the cap.
+# rows in PERM order, so no renamed copy is made. straighten frees its
+# emitted rows before it allocates the planes, and the engine turns one
+# block of 1,024 op rows at a time into Python ints. The measured
+# tracemalloc peak of straighten and of verify_transform is 1.02 and
+# 0.86 MiB for the 0.58 MiB planes of full_ternary(6), 9.5 and 9.2 MiB
+# for the 7.7 MiB ones at m=4000, 72.7 and 72.0 MiB at the cap
+# (fix_signs: 1.2, 10.4 and 75 MiB). tree_generators, and so the
+# generators and stats commands, fill the letter matrix in place, one
+# byte a letter, and peak just above it: 2.48 MiB for the 2.28 MiB matrix
+# of full_ternary(6), 31.3 MiB for 30.5 MiB at m=4000, 258 MiB for
+# 256 MiB at the cap.
 MAX_LETTER_CELLS = 1 << 28
 
 

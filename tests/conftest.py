@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from tern2jw import TernaryTree, tree_augment, tree_parse
+from tern2jw import TernaryTree, straighten, tree_augment, tree_parse
 from tern2jw.tree import TERMINAL
 
 # 7-qubit triple fork: two-node branches on all three slots of the root
@@ -44,3 +46,12 @@ def rename(t, ids):
     for q, row in enumerate(t.children, start=1):
         children[new[q] - 1] = tuple(new[c] for c in row)
     return TernaryTree(t.num_qubits, new[t.root], tuple(children))
+
+
+def unfused(t, swaps=False):
+    """straighten(t, swaps) with every surgery's gate word kept as emitted:
+    the raw children-first rows, then the SWAP network, certified as usual."""
+    module = sys.modules["tern2jw.straighten"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_fusing_emitter", lambda m, rows: (rows.extend, lambda: None))
+        return straighten(t, swaps)

@@ -81,15 +81,18 @@ def test_straighten_fixed_point_golden(capsys):
 def test_straighten_golden_same_depth_forks(capsys):
     # nodes take their turns in reversed walk order, children first: the
     # fork on the z branch (q4) before the fork on the x branch (q5), then
-    # the root; the gate order pins that order
+    # the root; the CZ order pins that order. Single-qubit gates wait on
+    # their wire for its next CZ (the root's S rides past CZ 1 3 as a
+    # diagonal remainder) or for the end.
     tree = "(q1 :x (q5 :x (q2) :y (q6)) :y (q3) :z (q4 :y (q7) :z (q8)))"
     code, out, err = _run(capsys, "straighten", "-e", tree)
     assert code == 0 and err == ""
     assert out == (
         "QUBITS 8\n"
-        "H 4\nCZ 4 8\nS 4\nH 4\n"
-        "CZ 2 5\nS 5\nH 5\n"
-        "S 1\nCZ 1 3\nH 1\nCZ 1 4\nCZ 1 8\nCZ 1 7\nS 1\nH 1\n"
+        "H 4\nCZ 4 8\n"
+        "CZ 2 5\n"
+        "CZ 1 3\nS 1\nH 1\nS 4\nH 4\nCZ 1 4\nCZ 1 8\nCZ 1 7\n"
+        "S 1\nH 1\nS 5\nH 5\n"
         "PERM 1 7 8 4 3 5 2 6\n"
         "SIGNS - + - - - - + - + - - - + - - - -\n"
     )

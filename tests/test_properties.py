@@ -26,8 +26,9 @@ from tern2jw import (
     tree_parse,
     verify_transform,
 )
+from tern2jw.engine import GATE_CODES, N_SINGLE, conjugate_inplace
 from tern2jw.tree import _letters_matrix, _planes
-from conftest import comb, rename
+from conftest import comb, rename, unfused
 from reference import path_product
 
 
@@ -75,9 +76,10 @@ def test_oracle_accepts_small_certificates(t):
 @settings(max_examples=150, deadline=None)
 @given(trees())
 def test_straighten_emits_children_first(t):
-    # a gate's owner is its single target, or the CZ target that is the
-    # other's ancestor in t; each owner's gates form one block, and no
-    # block comes after the block of one of its owner's ancestors
+    # on the raw surgery rows, before fusion: a gate's owner is its single
+    # target, or the CZ target that is the other's ancestor in t; each
+    # owner's gates form one block, and no block comes after the block of
+    # one of its owner's ancestors. Fusion keeps the CZ rows in order.
     parent = {c: q for q, row in enumerate(t.children, start=1) for c in row if c}
     above = {}
     for q in range(1, t.num_qubits + 1):
@@ -85,8 +87,12 @@ def test_straighten_emits_children_first(t):
         while p in parent:
             p = parent[p]
             above[q].add(p)
+    raw = unfused(t).circuit
+    cz = GATE_CODES["CZ"]
+    fused = straighten(t).circuit.ops
+    assert np.array_equal(fused[fused[:, 0] == cz], raw.ops[raw.ops[:, 0] == cz])
     blocks = []
-    for g in straighten(t).circuit.gates:
+    for g in raw.gates:
         a, *rest = g.targets
         if rest:
             (b,) = rest
@@ -99,6 +105,29 @@ def test_straighten_emits_children_first(t):
     for q in blocks:
         assert not above[q] & done, f"q{q} comes after an ancestor: {blocks}"
         done.add(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(), st.booleans(), st.booleans())
+def test_fusion_keeps_the_clifford(t, swaps, signs):
+    # against the raw emission: the same CZ and SWAP rows in the same
+    # order, never more single-qubit gates, the same PERM, SIGNS and ranks,
+    # and bit-identical images of the tree's planes
+    fused, raw = straighten(t, swaps), unfused(t, swaps)
+    if signs:
+        fused, raw = fix_signs(fused), fix_signs(raw)
+    a, b = fused.circuit.ops, raw.circuit.ops
+    assert np.array_equal(a[a[:, 0] >= N_SINGLE], b[b[:, 0] >= N_SINGLE])
+    assert np.count_nonzero(a[:, 0] < N_SINGLE) <= np.count_nonzero(b[:, 0] < N_SINGLE)
+    assert (fused.permutation, fused.signs, fused.ranks) == (raw.permutation, raw.signs, raw.ranks)
+    images = []
+    for ops in (a, b):
+        planes, phases = _planes(t), np.zeros(2 * t.num_qubits + 1, dtype=np.uint8)
+        conjugate_inplace(planes, phases, ops)
+        images.append((planes, phases))
+    assert all(np.array_equal(x, y) for x, y in zip(*images))
+    if t.num_qubits <= 8:
+        assert oracle_check(t, fused).ok
 
 
 def _word_rows(planes):

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import random
@@ -23,6 +24,7 @@ from tern2jw import (
     jw_chain,
     map_between,
     oracle_check,
+    oracle_conjugate,
     peephole_cancel,
     random_tree,
     relabel,
@@ -32,12 +34,14 @@ from tern2jw import (
     tree_parse,
     verify_transform,
 )
+from tern2jw.engine import GATE_CODES, N_SINGLE, SINGLE_GATES, single_qubit_classes
 from tern2jw.pauli import PauliString, pack_letters
 from tern2jw.straighten import MAX_LETTER_CELLS, _jw_product
 from tern2jw.tree import _letters_matrix
 
-from conftest import comb
+from conftest import comb, unfused
 from reference import jw_generator
+from shapes import realize, shapes
 
 
 def _images(circuit, tree):
@@ -583,10 +587,118 @@ def _traced_peak(run):
 def test_certification_memory_peak_at_full_ternary_6():
     # packed planes take two bits a letter: 0.58 MiB for these 1,093
     # qubits, whose byte letter matrix alone would be 2.28 MiB; the
-    # measured peaks are 1.82 and 1.19 MiB, with no renamed copy of the
-    # planes
+    # measured peaks are 1.02 and 0.86 MiB, with no renamed copy of the
+    # planes, the emitted rows freed before certification and the engine
+    # holding one block of rows as Python ints
     t = full_ternary(6)
     r, peak = _traced_peak(lambda: straighten(t))
-    assert peak <= 9 << 18, peak
+    assert peak <= 5 << 18, peak
     report, peak = _traced_peak(lambda: verify_transform(t, r))
-    assert report.ok and peak <= 3 << 19, peak
+    assert report.ok and peak <= 1 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# single-qubit fusion
+
+# the diagonal classes a wire may carry past a CZ, each with its inverse
+_DIAGONALS = {(): (), ("S",): ("SDG",), ("Z",): ("Z",), ("SDG",): ("S",)}
+
+
+@functools.cache
+def _oracle_class(word):
+    """A word of single-gate names up to phase: the oracle's images of X, Y, Z."""
+    c = Circuit(1, [Gate(name, (1,)) for name in word])
+    return tuple(oracle_conjugate(c, PauliString((letter,))) for letter in (1, 2, 3))
+
+
+@functools.cache
+def _fewest_gates():
+    """Each class's fewest single gates, by breadth-first search on the oracle."""
+    dist, frontier = {_oracle_class(()): 0}, [()]
+    while frontier:
+        longer = []
+        for word in frontier:
+            for name in SINGLE_GATES:
+                key = _oracle_class(word + (name,))
+                if key not in dist:
+                    dist[key] = len(word) + 1
+                    longer.append(word + (name,))
+        frontier = longer
+    return dist
+
+
+def test_single_qubit_class_table_matches_the_oracle():
+    compose, codes, heads, carries = single_qubit_classes()
+    words = [tuple(SINGLE_GATES[g] for g in w) for w in codes]
+    keys = [_oracle_class(w) for w in words]
+    dist = _fewest_gates()
+    assert len(set(keys)) == len(keys) == len(dist) == 24
+    assert [dist[k] for k in keys] == list(map(len, words)), "a stored word is not shortest"
+    assert max(map(len, words)) == 3
+    for c, word in enumerate(words):
+        for g, name in enumerate(SINGLE_GATES):
+            assert keys[compose[c][g]] == _oracle_class(word + (name,))
+        head = tuple(SINGLE_GATES[g] for g in heads[c])
+        carry = words[carries[c]]
+        assert carry in _DIAGONALS and _oracle_class(head + carry) == keys[c], word
+        # the head is as short as any diagonal remainder allows
+        assert len(head) == min(dist[_oracle_class(word + inv)] for inv in _DIAGONALS.values())
+
+
+def _fewest_fused_gates(t):
+    """The fewest single-qubit gates of a circuit with the raw emission's CZ
+    rows whose single-qubit gates change only by diagonal remainders moved
+    past CZs: per wire, a DP over the four remainders."""
+    dist = _fewest_gates()
+    segments = [[()] for _ in range(t.num_qubits)]  # per wire, the words between its CZs
+    for g in unfused(t).circuit.gates:
+        if g.kind == "CZ":
+            for q in g.targets:
+                segments[q - 1].append(())
+        else:
+            segments[g.targets[0] - 1][-1] += (g.kind,)
+    total = 0
+    for wire in segments:
+        cost = {(): 0}  # diagonal carried into the next segment -> fewest gates so far
+        for segment in wire[:-1]:
+            cost = {
+                carry: min(
+                    c + dist[_oracle_class(held + segment + inverse)] for held, c in cost.items()
+                )
+                for carry, inverse in _DIAGONALS.items()
+            }
+        total += min(c + dist[_oracle_class(held + wire[-1])] for held, c in cost.items())
+    return total
+
+
+def test_fused_single_qubit_count_is_the_per_wire_optimum():
+    # every shape with m <= 7, and random trees with their own slot orders
+    trees = [realize(shape) for m in range(1, 8) for shape in shapes(m)]
+    trees += [random_tree(m, seed) for m in range(8, 25) for seed in range(3)]
+    for t in trees:
+        ops = straighten(t).circuit.ops
+        assert np.count_nonzero(ops[:, 0] < N_SINGLE) == _fewest_fused_gates(t), str(t)
+
+
+def test_z_spine_comb_costs_three_single_gates_a_tooth():
+    # each tooth's H S H . CZ . S H becomes SDG H . CZ . H: the tail's S is
+    # diagonal and is carried back past the CZ, and the rest merges
+    for k in range(1, 40):
+        t = comb(k)
+        for r, single in ((straighten(t), 3 * (k - 1) + 1), (unfused(t), 5 * (k - 1) + 1)):
+            cz = np.count_nonzero(r.circuit.ops[:, 0] == GATE_CODES["CZ"])
+            assert (cz, len(r.circuit) - cz) == (k - 1, single), k
+
+
+def test_circuit_cost_ledger():
+    # CZ and gate counts of stand-ins for the benchmark's workloads: the
+    # caterpillar, full_ternary(6) from bushy, and one bushy-sized random
+    # tree; a change that moves a count must update this ledger on purpose
+    ledger = {
+        "comb(200)": (comb(200), 199, 797),
+        "full_ternary(6)": (full_ternary(6), 4010, 5102),
+        "random_tree(600, 7)": (random_tree(600, 7), 1349, 2110),
+    }
+    for name, (t, cz, gates) in ledger.items():
+        ops = straighten(t).circuit.ops
+        assert (np.count_nonzero(ops[:, 0] == GATE_CODES["CZ"]), len(ops)) == (cz, gates), name
