@@ -2,11 +2,11 @@
 
 The pieces fit together like this: pauli holds the signed string type and
 the packed x/z bit planes that batches of strings travel in, tree turns
-trees into generator sets, as one letter matrix or one packed batch,
-engine runs the gate rules on packed batches (clifford: on one string as
-one column), straighten synthesizes the tree-to-chain circuits and checks
-them, oracle conjugates the same batches exactly, each string's matrix
-held as one unit entry per row, and cli fronts the lot.
+trees into generator sets as one packed batch, engine runs the gate rules
+on packed batches (clifford: on one string as one column), straighten
+synthesizes the tree-to-chain circuits and checks them, oracle conjugates
+the same batches exactly, each string's matrix held as one unit entry per
+row, and cli fronts the lot.
 """
 
 __version__ = "0.1.0"

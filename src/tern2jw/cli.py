@@ -12,9 +12,9 @@ subcommand). run_cli parses the TREE inputs and hands the handler the
 trees and the raw text of any other input.
 
 Exit codes: 0 success, 1 verification failed, 2 parse or usage error, a
-tree too large to certify (over MAX_LETTER_CELLS letter-matrix cells), or
-a tree past the exact oracle's limit (m > MAX_ORACLE_QUBITS = 12,
-whatever --oracle-cap says).
+tree too large to certify (over MAX_LETTER_CELLS generator letters), or a
+tree past the exact oracle's limit (m > MAX_ORACLE_QUBITS = 12, whatever
+--oracle-cap says).
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import argparse
 import functools
 import sys
 from collections import Counter
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .clifford import circuit_format, peephole_cancel
-from .pauli import LETTERS
+from .pauli import LETTERS, letter_blocks
 from .straighten import (
     TransformReport,
     certificate_format,
@@ -37,7 +38,7 @@ from .straighten import (
     straighten,
     verify_transform,
 )
-from .tree import TernaryTree, _batch_product, tree_format, tree_generators, tree_parse
+from .tree import TernaryTree, _leaf_runs, _planes_product, tree_format, tree_generators, tree_parse
 
 _LETTER_BYTES = bytes.maketrans(bytes(range(4)), LETTERS.encode())
 DEFAULT_CAP = 8  # verify's default --oracle-cap; the library's oracle has none
@@ -123,9 +124,10 @@ def _read_inputs(args: argparse.Namespace) -> list:
 
 def _cmd_generators(args: argparse.Namespace, t: TernaryTree) -> int:
     gens = tree_generators(t)
-    for j, column in enumerate(gens.letters.T, start=1):  # each of phase +1
-        print(f"e{j} +{column.tobytes().translate(_LETTER_BYTES).decode()}")
-    print(f"product {_batch_product(gens.letters, 0)}")
+    strings = (s for block in letter_blocks(gens.planes, len(gens)) for s in block)
+    for j, letters in enumerate(strings, start=1):  # each of phase +1
+        print(f"e{j} +{letters.tobytes().translate(_LETTER_BYTES).decode()}")
+    print(f"product {_planes_product(gens.planes, len(gens), 0)}")
     return 0
 
 
@@ -163,7 +165,13 @@ def _print_report(check: str, report: TransformReport) -> bool:
 
 
 def _cmd_stats(args: argparse.Namespace, t: TernaryTree) -> int:
-    weights = (tree_generators(t).letters != 0).sum(axis=0).tolist()
+    # qubit q is not I on its subtree's columns, x run start to z run end
+    x_runs, z_runs = _leaf_runs(t)
+    cover = [0] * (2 * t.num_qubits + 2)  # differences of the counts
+    for (lo, _), (_, hi) in zip(x_runs, z_runs):
+        cover[lo] += 1
+        cover[hi] -= 1
+    weights = list(accumulate(cover[:-1]))
     hist = Counter(weights)
     for w in sorted(hist):
         print(f"weight {w} {hist[w]}")

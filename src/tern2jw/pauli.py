@@ -1,5 +1,5 @@
-"""Signed Pauli strings: letter codes, the product phase table, and the
-one-string type with its text form.
+"""Signed Pauli strings: letter codes, the one-string type with its text
+form, and the packed x/z planes that batches of strings travel in.
 
 A Pauli string is a phase i^k (k in Z4) times a tensor product of letters
 I, X, Y, Z over m qubits. Letters are stored as integer codes
@@ -9,17 +9,17 @@ I, X, Y, Z over m qubits. Letters are stored as integer codes
 with qubit 1 as the first (leftmost) tensor factor. The code of a letter
 product is the XOR of the factor codes; the phase contribution comes from
 the cyclic rule XY = iZ, YZ = iX, ZX = iY (reversed order gives -i).
-The library multiplies strings as the columns of a letter matrix
-(tree.check_generator_set) and conjugates them as packed batches (engine).
-A packed batch holds each letter as an x bit and a z bit, z = code >> 1
-and x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
-(x ^ z) | (z << 1) is the code again. Its planes are one uint64 array of
+The library multiplies, checks and conjugates strings as packed batches,
+which hold each letter as an x bit and a z bit, z = code >> 1 and
+x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
+(x ^ z) | (z << 1) is the code again. Their planes are one uint64 array of
 2m rows of W = ceil(n / 64) little-endian words: qubit q's x bits in row
 q - 1, its z bits in row m + q - 1, column j at bit j % 64 of word j // 64,
 and the padding bits past column n - 1 zero. The helpers below are the
-only place that converts between the two forms, and between planes and
-each column's x and z bits as two int masks, qubit q at bit m - q (the
-oracle's basis-index order). A PauliString is one column with its phase.
+only place that converts between letters and planes (letter_blocks a
+bounded block of columns at a time), and between planes and each column's
+x and z bits as two int masks, qubit q at bit m - q (the oracle's
+basis-index order). A PauliString is one column with its phase.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LETTERS = "IXYZ"
-
-# Phase exponent of the single-letter product a*b: i^PROD_PHASE[a][b].
-# Rows/columns indexed by letter code; diagonal and identity rows are 0.
-PROD_PHASE = (
-    (0, 0, 0, 0),
-    (0, 0, 1, 3),
-    (0, 3, 0, 1),
-    (0, 1, 3, 0),
-)
 
 _SIGN_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -85,12 +76,6 @@ def pauli_format(a: PauliString) -> str:
 WORD = np.dtype("<u8")  # one word of a packed plane row
 
 
-def xz_bits(letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The x and z bits of a letter array, as new uint8 arrays of 0/1."""
-    z = letters >> 1
-    return (letters ^ z) & 1, z
-
-
 def _pack_bits(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The (2m, W) planes of (m, n) x and z bit arrays of 0/1."""
     m, n = x.shape
@@ -101,7 +86,8 @@ def _pack_bits(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def pack_letters(letters: np.ndarray) -> np.ndarray:
     """The (2m, W) planes of an (m, n) letter matrix, one string per column."""
-    return _pack_bits(*xz_bits(letters))
+    z = letters >> 1
+    return _pack_bits((letters ^ z) & 1, z)
 
 
 def check_planes(planes: np.ndarray, n: int) -> None:
@@ -121,6 +107,15 @@ def unpack_planes(planes: np.ndarray, n: int) -> np.ndarray:
     m = len(bits) // 2
     x, z = bits[:m], bits[m:]
     return (x ^ z) | (z << 1)
+
+
+def letter_blocks(planes: np.ndarray, n: int):
+    """The letters of n-column planes, one (k, m) uint8 block of strings at
+    a time, so no (m, n) letter matrix is built: k is a whole number of
+    words, as many as unpack from 2^20 bits at most, or one word."""
+    words = max(1, (1 << 20) // (64 * len(planes)))
+    for w in range(0, planes.shape[1], words):
+        yield unpack_planes(planes[:, w : w + words], min(n - 64 * w, 64 * words)).T
 
 
 def plane_masks(planes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,7 @@ label the path leaves through. Any two distinct path products anticommute
 there, and act on disjoint qubits below it). _leaf_runs lays out their
 x and z bits, one run of leaf columns each per qubit; _planes packs the
 runs as one batch (the pauli module's x and z planes), which
-certification conjugates, and _letters_matrix writes the same runs as the
-(m, 2m+1) letter matrix that tree_generators holds. jw_decode matches a
+tree_generators holds and certification conjugates. jw_decode matches a
 packed batch against the Jordan-Wigner generators.
 
 Canonical leaf order is depth-first with x < y < z. Qubit ids must be
@@ -34,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .pauli import PROD_PHASE, PauliString, check_planes, planes_from_rows, xz_bits
+from .pauli import PauliString, check_planes, letter_blocks, pack_letters, planes_from_rows
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
@@ -86,16 +85,17 @@ class TernaryTree:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """The 2m+1 path products in leaf order: read-only (m, 2m+1) letters, phase +1."""
+    """The 2m+1 path products in leaf order, phase +1, as read-only planes."""
 
-    letters: np.ndarray
+    planes: np.ndarray
 
     @property
     def strings(self) -> tuple[PauliString, ...]:
-        return tuple(PauliString(tuple(col)) for col in self.letters.T.tolist())
+        blocks = letter_blocks(self.planes, len(self))
+        return tuple(PauliString(tuple(s)) for block in blocks for s in block.tolist())
 
     def __len__(self) -> int:
-        return self.letters.shape[1]
+        return len(self.planes) + 1
 
 
 @dataclass(frozen=True)
@@ -370,13 +370,11 @@ def tree_leaves(t: TernaryTree) -> tuple[LeafPath, ...]:
             continue
         frames[-1] = (qid, li + 1)
         child = t.children[qid - 1][li]
-        pair = (qid, XYZ[li])
+        path.append((qid, XYZ[li]))
         if child == TERMINAL:
-            path.append(pair)
             out.append(tuple(path))
             path.pop()
         else:
-            path.append(pair)
             frames.append((child, 0))
     return tuple(out)
 
@@ -439,36 +437,23 @@ def _planes(t: TernaryTree) -> np.ndarray:
     )
 
 
-def _letters_matrix(t: TernaryTree) -> np.ndarray:
-    """(m, 2m+1) uint8 letter codes of the path products, one per column:
-    the letters of _planes' runs, X where x only, Y where both, Z where z
-    only, filled in place so the matrix is the only array of its size."""
-    x_runs, z_runs = _leaf_runs(t)
-    letters = np.zeros((t.num_qubits, 2 * t.num_qubits + 1), dtype=np.uint8)
-    for row, (x_lo, x_hi), (z_lo, z_hi) in zip(letters, x_runs, z_runs):
-        row[x_lo:x_hi] = 1
-        row[z_lo:z_hi] = 3
-        row[max(x_lo, z_lo) : min(x_hi, z_hi)] = 2
-    return letters
-
-
-# Largest m tree_generators validates. The check's (2m+1)^2 matrix product
-# takes 0.5 ms at m=64, 2.7 ms at m=128, 69 ms at m=600 (2-vCPU x86-64 VM;
-# the pairwise loop before it took 28 ms at m=64), but the float64 matrix is
-# 4.3 GB at the MAX_LETTER_CELLS cap, 16 times the letter matrix it checks.
+# Largest m tree_generators validates. The check's time grows with the
+# generators' total weight times n: at m=64 and 600 it takes 0.7 and 11 ms
+# on random trees, 1.1 and 90 ms on the JW chain, whose weight is quadratic
+# (2-vCPU x86-64 VM), holding n^2/8 bytes of parity rows (0.25 MiB at 600).
 VALIDATE_LIMIT = 64
 
 
 def tree_generators(t: TernaryTree) -> GeneratorSet:
-    """All 2m+1 path products in canonical leaf order, as one letter matrix.
+    """All 2m+1 path products in canonical leaf order, as one packed batch.
 
     Validation (pairwise anticommutation, unit squares, total product a
     phase times identity) runs for m <= VALIDATE_LIMIT only; a failure is
     a library bug and raises RuntimeError. Trees over MAX_LETTER_CELLS
-    raise ValueError before the matrix is allocated.
+    raise ValueError before the planes are allocated.
     """
-    gens = GeneratorSet(_letters_matrix(t))
-    gens.letters.setflags(write=False)
+    gens = GeneratorSet(_planes(t))
+    gens.planes.setflags(write=False)
     if t.num_qubits <= VALIDATE_LIMIT:
         report = check_generator_set(gens)
         if not report.ok:
@@ -476,13 +461,35 @@ def tree_generators(t: TernaryTree) -> GeneratorSet:
     return gens
 
 
-def _batch_product(letters: np.ndarray, phase: int) -> PauliString:
-    """Product in listed order of a batch whose phase exponents sum to phase:
-    per row, the XOR prefix and PROD_PHASE of each prefix and next letter."""
-    prefix = np.bitwise_xor.accumulate(letters, axis=1)
-    steps = np.asarray(PROD_PHASE, dtype=np.uint8)[prefix[:, :-1], letters[:, 1:]]
-    phase += int(steps.sum(dtype=np.int64))
-    return PauliString(tuple(prefix[:, -1].tolist()), phase & 3)
+def _plane_rows(planes: np.ndarray):
+    """Each qubit's x and z rows of a packed batch as two ints, qubit 1 first."""
+    x, z = np.ascontiguousarray(planes).view(np.uint8).reshape(2, len(planes) // 2, -1)
+    return ((int.from_bytes(a, "little"), int.from_bytes(b, "little")) for a, b in zip(x, z))
+
+
+def _set_bits(mask: int):
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _planes_product(planes: np.ndarray, n: int, phase: int) -> PauliString:
+    """Product in listed order of the n strings of a packed batch whose
+    phase exponents sum to phase. Per qubit, with x and z its rows and
+    Y = iXZ: i^(x.z) times the X^x_j Z^z_j in column order, a sign flip per
+    z bit before an x bit, and X^px Z^pz = i^(-px.pz) times (px, pz)."""
+    letters = []
+    for x, z in _plane_rows(planes):
+        prefix, shift = z, 1  # inclusive XOR prefix of z along the columns
+        while shift < n:
+            prefix ^= prefix << shift
+            shift <<= 1
+        px, pz = x.bit_count() & 1, z.bit_count() & 1
+        phase += (x & z).bit_count() + 2 * (x & prefix << 1).bit_count() - px * pz
+        letters.append((px ^ pz) | (pz << 1))
+    return PauliString(tuple(letters), phase & 3)
 
 
 def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> ValidationReport:
@@ -491,11 +498,12 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
     Reports pairwise anticommutation, squares equal to +identity, and the
     total product in listed order (a complete tree set multiplies to a
     phase times identity; the phase is whatever it is and is reported).
-    Pairs anticommute where x_a.z_b + z_a.x_b is odd (Aaronson and
-    Gottesman), one product of the stacked x and z planes for all pairs.
+    Strings a and b anticommute where x_a.z_b + z_a.x_b is odd (Aaronson
+    and Gottesman): bit b of the XOR of the z rows where a has an x bit
+    and the x rows where it has a z bit.
     """
     if isinstance(gens, GeneratorSet):
-        letters, phases = gens.letters, np.zeros(len(gens), dtype=np.uint8)
+        planes, phases = gens.planes, [0] * len(gens)
     else:
         strings = tuple(gens)
         if not strings:
@@ -504,41 +512,30 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
         for p in strings:
             if p.num_qubits != m:
                 raise ValueError(f"size mismatch: {m} vs {p.num_qubits}")
-        letters = np.array([p.letters for p in strings], dtype=np.uint8).T
-        phases = np.array([p.phase for p in strings], dtype=np.uint8)
-
-    x, z = xz_bits(letters)
-    # x_a.z_b + z_a.x_b for every pair, exact in float64: entries are at most 2m
-    symplectic = np.concatenate((x, z)).T.astype(np.float64) @ np.concatenate((z, x))
-    commuting = np.triu(symplectic % 2 == 0, k=1)
-    anti_failures = tuple(map(tuple, (np.argwhere(commuting) + 1).tolist()))
-    square_failures = tuple((np.flatnonzero(phases & 1) + 1).tolist())
-    product = _batch_product(letters, int(phases.sum()))
-
-    return ValidationReport(
-        anticommuting=not anti_failures,
-        anticommute_failures=anti_failures,
-        unit_squares=not square_failures,
-        square_failures=square_failures,
-        product=product,
-        product_is_identity=all(l == 0 for l in product.letters),
+        planes = pack_letters(np.array([p.letters for p in strings], dtype=np.uint8).T)
+        phases = [p.phase for p in strings]
+    n = len(phases)
+    odd = [0] * n  # bit b of odd[a]: x_a.z_b + z_a.x_b is odd
+    for x, z in _plane_rows(planes):
+        for bits, rows in ((x, z), (z, x)):
+            for a in _set_bits(bits):
+                odd[a] ^= rows
+    anti = tuple(  # the pairs a < b whose bit is clear
+        (a + 1, b + 1) for a, row in enumerate(odd) for b in _set_bits(~row & (1 << n) - (2 << a))
     )
+    squares = tuple(j + 1 for j, phase in enumerate(phases) if phase & 1)
+    product = _planes_product(planes, n, sum(phases))
+    return ValidationReport(not anti, anti, not squares, squares, product, not any(product.letters))
 
 
 # Letters allowed in the (m, 2m+1) batch of a tree's generators; 2**28
-# admits m up to 11584. Certification holds that batch as packed x and z
-# planes, two bits a letter (64 MiB at the cap), and jw_decode reads their
-# rows in PERM order, so no renamed copy is made. straighten frees its
-# emitted rows before it allocates the planes, and the engine turns one
-# block of 1,024 op rows at a time into Python ints. The measured
-# tracemalloc peak of straighten and of verify_transform is 1.02 and
-# 0.86 MiB for the 0.58 MiB planes of full_ternary(6), 9.5 and 9.2 MiB
-# for the 7.7 MiB ones at m=4000, 72.7 and 72.0 MiB at the cap
-# (fix_signs: 1.2, 10.4 and 75 MiB). tree_generators, and so the
-# generators and stats commands, fill the letter matrix in place, one
-# byte a letter, and peak just above it: 2.48 MiB for the 2.28 MiB matrix
-# of full_ternary(6), 31.3 MiB for 30.5 MiB at m=4000, 258 MiB for
-# 256 MiB at the cap.
+# admits m up to 11584. No command builds it as a byte letter matrix: all
+# but stats (which reads the weights off the leaf runs) hold packed planes,
+# two bits a letter, 7.7 MiB at m=4000 and 64 MiB at the cap. Tracemalloc
+# peaks on random_tree(m, 42), m=4000 / cap, in MiB: straighten 9.5 / 72.7,
+# verify_transform 9.2 / 72.0, fix_signs 10.4 / 75.4; whole commands, tree
+# parse included: generators 11.2 / 74.1 (one block of columns at a time),
+# stats 2.7 / 9.0.
 MAX_LETTER_CELLS = 1 << 28
 
 

@@ -1,9 +1,10 @@
 """A one-string model of the Pauli algebra, for checking the library's batch path.
 
-The library multiplies Pauli strings as columns of one letter matrix and
-conjugates and matches them as packed x and z planes. These definitions
-take one string at a time, straight from the letter rules, with no input
-checks: callers pass valid input.
+The library multiplies, conjugates and matches Pauli strings as packed x
+and z planes. These definitions take one string at a time, straight from
+the letter rules, with no input checks: callers pass valid input.
+letters_matrix stacks a tree's path products, built one path at a time,
+as an (m, 2m+1) letter matrix, one column per generator.
 
 The dense matrices here are the exact oracle's independent ground truth:
 built from fixed 2x2 and 4x4 tables, a string's with np.kron and a gate's by
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tern2jw import PauliString
+from tern2jw import PauliString, tree_leaves
 from tern2jw.tree import XYZ
 
 _SIGNS = ("+", "+i", "-", "-i")
@@ -56,6 +57,12 @@ def path_product(t, path):
     for q, label in path:
         letters[q - 1] = XYZ.index(label) + 1
     return PauliString(tuple(letters))
+
+
+def letters_matrix(t):
+    """(m, 2m+1) uint8 letter codes of the path products, one column per
+    leaf in canonical order."""
+    return np.array([path_product(t, path).letters for path in tree_leaves(t)], dtype=np.uint8).T
 
 
 def jw_generator(m, rank):

@@ -31,6 +31,7 @@ from tern2jw.straighten import MAX_LETTER_CELLS
 
 from conftest import BINARY3, TRIPLE_FORK
 from reference import path_product, pauli_mul, pauli_weight
+from shapes import realize, shapes
 
 JW4 = "(q1 :z (q2 :z (q3 :z (q4))))"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -244,10 +245,16 @@ def _stats_text(t):
     return "\n".join(lines) + "\n"
 
 
+# every shape with m <= 7, and two trees wide enough that generators
+# prints them in more than one block of columns (448 and 832 columns a
+# block), shared out among the seeds below
+_SHAPES_AND_WIDE = [realize(s) for m in range(1, 8) for s in shapes(m)]
+_SHAPES_AND_WIDE += [full_ternary(6), random_tree(600, 7)]
+
+
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_generators_and_stats_match_path_products(capsys, seed):
-    for m in range(1, 41):
-        t = random_tree(m, seed)
+    for t in [random_tree(m, seed) for m in range(1, 41)] + _SHAPES_AND_WIDE[seed::3]:
         text = tree_format(t)
         assert _run(capsys, "generators", "-e", text) == (0, _generators_text(t), "")
         assert _run(capsys, "stats", "-e", text) == (0, _stats_text(t), "")

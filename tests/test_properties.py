@@ -27,7 +27,7 @@ from tern2jw import (
     verify_transform,
 )
 from tern2jw.engine import GATE_CODES, N_SINGLE, conjugate_inplace
-from tern2jw.tree import _letters_matrix, _planes
+from tern2jw.tree import _planes
 from conftest import comb, rename, unfused
 from reference import path_product
 
@@ -141,10 +141,11 @@ def _word_rows(planes):
 @example(comb(32, "z", "x", length=0))  # 65 columns: one bit into the second word
 @example(rename(random_tree(64, 5), list(range(64, 0, -1))))  # 129 columns
 def test_letters_matrix_matches_path_products(t):
-    # the packed planes certification conjugates and the letter matrix
-    # that tree_generators returns, against the paper's definition: one
-    # path product per leaf, in canonical order; x bits where the letter
-    # is X or Y, z bits where it is Y or Z, the padding bits clear
+    # the packed planes that certification conjugates and tree_generators
+    # returns, and the strings unpacked from them, against the paper's
+    # definition: one path product per leaf, in canonical order; x bits
+    # where the letter is X or Y, z bits where it is Y or Z, the padding
+    # bits clear
     gens = [path_product(t, path) for path in tree_leaves(t)]
     assert all(p.phase == 0 for p in gens)
     stacked = np.array([p.letters for p in gens], dtype=np.uint8).T
@@ -154,8 +155,8 @@ def test_letters_matrix_matches_path_products(t):
     want_x = [sum(1 << j for j, l in enumerate(row) if l in (1, 2)) for row in stacked.tolist()]
     want_z = [sum(1 << j for j, l in enumerate(row) if l in (2, 3)) for row in stacked.tolist()]
     assert _word_rows(planes) == want_x + want_z
-    assert np.array_equal(_letters_matrix(t), stacked)
-    assert np.array_equal(tree_generators(t).letters, stacked)
+    assert np.array_equal(tree_generators(t).planes, planes)
+    assert tree_generators(t).strings == tuple(gens)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import importlib
 import math
@@ -30,17 +31,18 @@ from tern2jw import (
     relabel,
     straighten,
     straighten_fork,
+    tree_format,
     tree_generators,
     tree_parse,
     verify_transform,
 )
+from tern2jw.cli import run_cli
 from tern2jw.engine import GATE_CODES, N_SINGLE, SINGLE_GATES, single_qubit_classes
 from tern2jw.pauli import PauliString, pack_letters
 from tern2jw.straighten import MAX_LETTER_CELLS, _jw_product
-from tern2jw.tree import _letters_matrix
 
 from conftest import comb, unfused
-from reference import jw_generator
+from reference import jw_generator, letters_matrix
 from shapes import realize, shapes
 
 
@@ -287,7 +289,7 @@ def test_jw_product_matches_the_letter_matrix_reduce():
     # no rank, every rank and three random sets on each m = 1..60
     rng = np.random.default_rng(11)
     for m in range(1, 61):
-        jw = _letters_matrix(jw_chain(m))
+        jw = letters_matrix(jw_chain(m))
         sets = [np.zeros(2 * m + 1, dtype=bool), np.ones(2 * m + 1, dtype=bool)]
         sets += [rng.random(2 * m + 1) < density for density in (0.1, 0.5, 0.9)]
         for chosen in sets:
@@ -563,14 +565,15 @@ def test_oracle_catches_a_sign_the_engine_agrees_with(monkeypatch):
 
 def test_tree_generators_self_check_fires(monkeypatch):
     tree_mod = importlib.import_module("tern2jw.tree")
-    original = tree_mod._letters_matrix
+    original = tree_mod._planes
 
-    def duplicated(t):
-        letters = original(t)
-        letters[:, 1] = letters[:, 0]
-        return letters
+    def duplicated(t):  # column 1 a copy of column 0, so the two commute
+        planes = original(t)
+        low = planes[:, 0] & np.uint64(1)
+        planes[:, 0] = planes[:, 0] & ~np.uint64(2) | low << np.uint64(1)
+        return planes
 
-    monkeypatch.setattr(tree_mod, "_letters_matrix", duplicated)
+    monkeypatch.setattr(tree_mod, "_planes", duplicated)
     with pytest.raises(RuntimeError, match="internal invariant violation"):
         tree_generators(random_tree(6, 3))
 
@@ -595,6 +598,27 @@ def test_certification_memory_peak_at_full_ternary_6():
     assert peak <= 5 << 18, peak
     report, peak = _traced_peak(lambda: verify_transform(t, r))
     assert report.ok and peak <= 1 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "command, m, bound",  # bounds in MiB; the planes take 7.7 MiB at m=4000
+    [("stats", 4000, 6), ("stats", 11584, 16), ("generators", 4000, 24)],
+)
+def test_generators_and_stats_memory_peaks(tmp_path, command, m, bound):
+    # the whole command, tree parse included, with its output sent to a
+    # file: stats reads the weights off the leaf runs, and generators
+    # prints from the planes one bounded block of columns at a time, so
+    # neither builds the (m, 2m+1) letter matrix (30.5 MiB at m=4000,
+    # 256 MiB at the MAX_LETTER_CELLS cap, m=11584)
+    tree = tmp_path / "tree.txt"
+    tree.write_text(tree_format(random_tree(m, 42)))
+
+    def run():
+        with open(tmp_path / "out.txt", "w") as out, contextlib.redirect_stdout(out):
+            return run_cli([command, str(tree)])
+
+    code, peak = _traced_peak(run)
+    assert code == 0 and peak <= bound << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,14 @@ from tern2jw import (
 from tern2jw import certify
 from tern2jw.engine import conjugate_inplace
 from tern2jw.oracle import dense_conjugate
-from tern2jw.pauli import pack_letters
-from tern2jw.tree import MAX_QUBITS, _letters_matrix, jw_decode
+from tern2jw.pauli import pack_letters, unpack_planes
+from tern2jw.tree import MAX_QUBITS, _planes, jw_decode
 
 from reference import (
     certify_columns,
     jw_generator,
     jw_match,
+    letters_matrix,
     path_product,
     pauli_commutes,
     pauli_identity,
@@ -201,7 +202,7 @@ def test_generators_of_augmented_binary_tree(binary3):
         "+ZII",
     ]
     assert len(gens) == 7
-    assert not gens.letters.flags.writeable
+    assert not gens.planes.flags.writeable
 
 
 def test_jw_chain_generators_match_construction():
@@ -217,10 +218,10 @@ def test_jw_chain_generators_match_construction():
 
 def test_jw_generator_agrees_with_chain():
     # fix_signs reads the JW generator at rank k off column k-1 of the
-    # chain's letter matrix
+    # chain's planes
     for m in (1, 3, 5):
         strings = tree_generators(jw_chain(m)).strings
-        letters = _letters_matrix(jw_chain(m))
+        letters = unpack_planes(_planes(jw_chain(m)), 2 * m + 1)
         for rank in range(1, 2 * m + 2):
             assert jw_generator(m, rank) == strings[rank - 1]
             assert tuple(letters[:, rank - 1].tolist()) == jw_generator(m, rank).letters
@@ -327,12 +328,20 @@ def _pairwise_report(strings):
 
 def test_check_generator_set_matches_pairwise_reference():
     rng = random.Random(31)
-    for _ in range(300):
-        m, n = rng.randint(1, 6), rng.randint(1, 10)
+    # short batches, then batches one bit short of, at and one bit past
+    # one and two 64-column words, where the packed rows' prefix and
+    # popcounts change word
+    sizes = [(rng.randint(1, 6), rng.randint(1, 10)) for _ in range(300)]
+    sizes += [(m, n) for n in (63, 64, 65, 128, 129) for m in (1, 2, 5)]
+    for m, n in sizes:
         strings = [
             PauliString(tuple(rng.randint(0, 3) for _ in range(m)), rng.randint(0, 3))
             for _ in range(n)
         ]
+        assert check_generator_set(strings) == _pairwise_report(strings)
+    # tree sets of 63, 65 and 129 columns, each string given a random phase
+    for t in (random_tree(31, 1), random_tree(32, 2), random_tree(64, 5)):
+        strings = [PauliString(p.letters, rng.randint(0, 3)) for p in tree_generators(t).strings]
         assert check_generator_set(strings) == _pairwise_report(strings)
     trees = [random_tree(m, s) for m in range(1, 25) for s in range(3)]
     for t in trees + [full_ternary(1), full_ternary(2)]:
@@ -450,8 +459,8 @@ def test_packed_batch_entry_points_refuse_other_arrays():
     n = 2 * t.num_qubits + 1
     phases = np.zeros(n, dtype=np.uint8)
     ops = np.zeros((0, 3), dtype=np.int32)
-    planes = pack_letters(_letters_matrix(t))
-    for wrong in (_letters_matrix(t), np.zeros((8, 2), dtype=np.uint64), planes[1:]):
+    planes = pack_letters(letters_matrix(t))
+    for wrong in (letters_matrix(t), np.zeros((8, 2), dtype=np.uint64), planes[1:]):
         for call in (
             lambda: jw_decode(wrong, phases, range(1, 5)),
             lambda: certify(wrong, phases, range(1, 5)),
