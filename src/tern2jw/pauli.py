@@ -17,9 +17,10 @@ x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
 q - 1, its z bits in row m + q - 1, column j at bit j % 64 of word j // 64,
 and the padding bits past column n - 1 zero. The helpers below are the
 only place that converts between letters and planes (letter_blocks a
-bounded block of columns at a time), and between planes and each column's
-x and z bits as two int masks, qubit q at bit m - q (the oracle's
-basis-index order). A PauliString is one column with its phase.
+bounded block of columns at a time), between planes and each qubit's x and
+z rows as two ints (plane_rows, read in place), and between planes and
+each column's x and z bits as two int masks, qubit q at bit m - q (the
+oracle's basis-index order). A PauliString is one column with its phase.
 """
 
 from __future__ import annotations
@@ -141,3 +142,15 @@ def planes_from_rows(rows, n: int) -> np.ndarray:
     for r in rows:  # one row's bytes at a time, not a list of them all
         buf += r.to_bytes(width, "little")
     return np.frombuffer(buf, dtype=WORD).reshape(-1, width // 8)
+
+
+def plane_rows(planes: np.ndarray, order=None):
+    """Each qubit's x and z rows of planes as two ints, bit j for column j,
+    qubit 1 first or qubit q for each q in order (a sequence of 1..m),
+    sliced from the planes' bytes in place, so no reordered copy is made."""
+    m = len(planes) // 2
+    step = 8 * planes.shape[1]  # bytes per row
+    data = memoryview(np.ascontiguousarray(planes)).cast("B")
+    for q in range(1, m + 1) if order is None else order:
+        x, z = data[(q - 1) * step : q * step], data[(m + q - 1) * step : (m + q) * step]
+        yield int.from_bytes(x, "little"), int.from_bytes(z, "little")

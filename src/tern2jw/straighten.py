@@ -40,13 +40,13 @@ position i holds original qubit pi(i)); with swaps=True a SWAP network
 realizing pi is appended instead and pi collapses to the identity.
 Signs are tracked exactly by conjugating all 2m+1 generators through the
 circuit in one packed batch, the tree's x and z planes at one bit per
-generator, and matching them against the JW set with tree.jw_decode,
-which reads their rows in chain order; fix_signs appends a single-qubit Pauli layer that
-forces ranks 1..2m positive (rank 2m+1 is pinned by the conserved total
-product), and the same engine and matcher check the signs that layer
-leaves on the chain's planes, read in their own order.
-verify_transform and oracle_check are one certificate check, _check, run
-with the engine's conjugate_inplace or the oracle's dense_conjugate.
+generator (_conjugated_images), and matching them against the signed JW
+set with certify, which reads their rows in chain order. fix_signs appends
+a single-qubit Pauli layer that forces ranks 1..2m positive (rank 2m+1 is
+pinned by the conserved total product) and certifies the sign it puts on
+each JW generator the same way. verify_transform and oracle_check are one
+certificate check, _check, run with the engine's conjugate_inplace or the
+oracle's dense_conjugate.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .clifford import Circuit, Gate, invert_circuit
 from .engine import GATE_CODES, N_SINGLE, SINGLE_GATES, conjugate_inplace, single_qubit_classes
 from .engine import encode_gates  # noqa: F401 -- perfbench's engine.encode_s probe binds it
 from .oracle import dense_conjugate
+from .pauli import check_planes, plane_rows
 from .tree import (
     MAX_LETTER_CELLS,  # noqa: F401 -- re-exported, the cap straighten enforces
     TERMINAL,
@@ -70,7 +71,6 @@ from .tree import (
     _subtree_sizes,
     _walk,
     jw_chain,
-    jw_decode,
     tree_leaves,  # noqa: F401 -- unused here; perfbench's tree.leaves_s probe binds it
 )
 
@@ -317,13 +317,13 @@ def _fusing_emitter(m: int, rows: list[int]):
     return emit, flush
 
 
-def _conjugated_images(t: TernaryTree, c: Circuit, conjugate) -> tuple[np.ndarray, np.ndarray]:
-    """t's generators conjugated through c by conjugate (a batch conjugator
-    like engine.conjugate_inplace), as packed planes and phases, on the
-    original wires: certify reads them in chain order."""
+def _conjugated_images(t: TernaryTree, ops: np.ndarray, conjugate) -> tuple[np.ndarray, np.ndarray]:
+    """t's generators conjugated through the op rows ops by conjugate (a
+    batch conjugator like engine.conjugate_inplace), as packed planes and
+    phases, on the original wires: certify reads them in chain order."""
     planes = _planes(t)
     phases = np.zeros(2 * t.num_qubits + 1, dtype=np.uint8)
-    conjugate(planes, phases, c.ops)
+    conjugate(planes, phases, ops)
     return planes, phases
 
 
@@ -378,7 +378,7 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     """
     _check_letter_cells(t.num_qubits)  # before any synthesis work
     circuit, chain = _synthesize(t, swaps)
-    report = certify(*_conjugated_images(t, circuit, conjugate_inplace), chain)
+    report = certify(*_conjugated_images(t, circuit.ops, conjugate_inplace), chain)
     if not report.ok:
         raise RuntimeError("conjugated generators left the signed JW set")
     return StraightenResult(
@@ -407,8 +407,9 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     chain coordinates and emitted as one Pauli gate per non-identity
     letter, back on the original wires. Rank 2m+1 ends up flipped exactly
     when |F| is odd: the total product is conserved, so that sign is
-    reported rather than forced. The engine conjugates the JW generators
-    through the layer and certify checks these signs. Already-positive
+    reported rather than forced. The engine conjugates the unsigned JW
+    generators through the layer, and certify checks that it puts each
+    rank's wanted sign times its current sign on it. Already-positive
     results pass through unchanged.
     """
     m = r.num_qubits
@@ -427,21 +428,18 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
     layer[:, 0] = correction[sites] + (GATE_CODES["X"] - 1)
     layer[:, 1] = sites
 
-    # conjugate the JW generators, in rank order and with their current
-    # signs, through the layer in chain coordinates
-    phases = np.zeros(2 * m + 1, dtype=np.uint8)
-    phases[np.asarray(r.ranks) - 1] = 1 - np.asarray(r.signs)
-    jw = _planes(jw_chain(m))  # column k-1: the JW generator at rank k
-    conjugate_inplace(jw, phases, layer)
-    expected = [1] * (2 * m + 1)
-    last = r.signs[r.ranks.index(2 * m + 1)]
-    expected[2 * m] = -last if odd else last
-    report = certify(jw, phases, range(1, m + 1), expected)
+    # the chain's column k-1 is rank k, and the layer must put on it the
+    # wanted sign times rank k's current one: a flip on 2m+1 when odd
+    relative = np.empty(2 * m + 1, dtype=np.int64)
+    relative[np.asarray(r.ranks) - 1] = r.signs
+    relative[2 * m] = 1 - 2 * odd
+    images = _conjugated_images(jw_chain(m), layer, conjugate_inplace)
+    report = certify(*images, range(1, m + 1), relative)
     if not report.ok:
         raise RuntimeError("sign correction failed to clear ranks 1..2m")
     layer[:, 1] = np.asarray(r.permutation)[sites] - 1  # back on the original wires
     circuit = Circuit.from_ops(m, np.concatenate((r.circuit.ops, layer)))
-    signs = tuple(report.signs[rank - 1] for rank in r.ranks)
+    signs = tuple(s * report.signs[rank - 1] for s, rank in zip(r.signs, r.ranks))
     signfix = tuple(Gate(SINGLE_GATES[code], (q + 1,)) for code, q, _ in layer.tolist())
     return replace(r, circuit=circuit, signs=signs, signfix=signfix)
 
@@ -561,26 +559,62 @@ class TransformReport:
         return tuple(j + 1 for j, good in enumerate(self.results) if not good)
 
 
+_PHASE_SIGN = np.array((1, 0, -1, 0))  # i^k for k mod 4: a sign, or 0 when imaginary
+
+
 def certify(
     planes: np.ndarray,
     phases: np.ndarray,
     order: Sequence[int],
     signs: Sequence[int] | None = None,
 ) -> TransformReport:
-    """Check generator images, renamed into chain order, against JW.
+    """Match generator images, renamed into chain order, against the signed
+    JW generators: planes holds their (2m, W) packed x and z planes, one
+    column per image, phases their (n,) phase exponents, read mod 4, and
+    order a PERM (chain position i holds qubit order[i - 1], whose rows
+    plane_rows reads in place). An image decodes as its JW rank and sign,
+    or as rank 0 and sign 0 when it is not Z^(k-1) X I..., Z^(k-1) Y I...
+    or all Z, or its phase is not a plain sign. Image j passes when it
+    decodes with sign signs[j] (any when signs is None) and no earlier
+    passing image took its rank: all 2m+1 pass iff the ranks cover 1..2m+1.
 
-    planes holds the packed x and z planes of the images, one column per
-    generator, and phases their phase exponents; order is the PERM that
-    renames them (chain position i holds qubit order[i - 1]), read by
-    jw_decode in place. Image j passes when it decodes as a signed JW
-    generator whose sign is signs[j] (any sign when signs is None) and
-    whose rank no earlier passing image took. All 2m+1 images pass exactly
-    when the matched ranks cover 1..2m+1.
+    One pass down the rows, each read as one int, keeps the mask of the
+    columns whose lead row (the first that is not Z) is not found yet.
+    Row i leads the open columns where it is not Z, at rank 2i+1 for X
+    and 2i+2 for Y; a lead I, or any letter in a row below the lead,
+    fails the column. Columns that never lead are all Z, rank 2m+1.
+    Raises ValueError unless planes are (2m, ceil(n/64)) uint64 words
+    with every padding bit clear, order is a permutation of 1..m and
+    signs, if given, has n entries.
     """
-    ranks, decoded = jw_decode(planes, phases, order)
-    good = np.flatnonzero(ranks if signs is None else decoded == np.asarray(signs))
+    m, n = len(planes) // 2, len(phases)
+    check_planes(planes, n)
+    if sorted(order) != list(range(1, m + 1)):
+        raise ValueError(f"order is not a permutation of 1..{m}")
+    if signs is not None and len(signs) != n:
+        raise ValueError(f"signs lists {len(signs)} entries for {n} images")
+    ranks = [2 * m + 1] * n
+    open_ = (1 << n) - 1
+    bad = 0
+    for i, (x, z) in enumerate(plane_rows(planes, order)):
+        bad |= (x | z) & ~open_
+        lead = (x | ~z) & open_
+        if lead:
+            open_ ^= lead
+            bad |= lead & ~x
+            lead &= x
+            while lead:  # one set bit, one column, at a time
+                low = lead & -lead
+                ranks[low.bit_length() - 1] = 2 * i + 1 + (low & z != 0)
+                lead ^= low
+    if bad >> n:  # every padding bit lands in bad: no column holds it
+        raise ValueError(f"planes set bits past column {n}")
+    bad = np.frombuffer(bad.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    decoded = np.where(np.unpackbits(bad, count=n, bitorder="little"), 0, _PHASE_SIGN[phases & 3])
+    ranks = np.where(decoded, ranks, 0)
+    good = np.flatnonzero(ranks if signs is None else decoded * np.asarray(signs) == 1)
     _, first = np.unique(ranks[good], return_index=True)
-    results = np.zeros(len(ranks), dtype=bool)
+    results = np.zeros(n, dtype=bool)
     results[good[first]] = True
     return TransformReport(
         tuple(results.tolist()), tuple(ranks.tolist()), tuple(decoded.tolist())
@@ -594,7 +628,7 @@ def _check(t: TernaryTree, cert: Certificate, conjugate) -> TransformReport:
         raise ValueError(
             f"certificate spans {cert.num_qubits} qubits but the tree has {t.num_qubits} qubits"
         )
-    planes, phases = _conjugated_images(t, cert.circuit, conjugate)
+    planes, phases = _conjugated_images(t, cert.circuit.ops, conjugate)
     return certify(planes, phases, cert.permutation, cert.signs)
 
 

@@ -9,8 +9,7 @@ label the path leaves through. Any two distinct path products anticommute
 there, and act on disjoint qubits below it). _leaf_runs lays out their
 x and z bits, one run of leaf columns each per qubit; _planes packs the
 runs as one batch (the pauli module's x and z planes), which
-tree_generators holds and certification conjugates. jw_decode matches a
-packed batch against the Jordan-Wigner generators.
+tree_generators holds and certification conjugates.
 
 Canonical leaf order is depth-first with x < y < z. Qubit ids must be
 exactly 1..m; they double as tensor positions in the Pauli strings.
@@ -29,11 +28,11 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .pauli import PauliString, check_planes, letter_blocks, pack_letters, planes_from_rows
+from .pauli import PauliString, letter_blocks, pack_letters, plane_rows, planes_from_rows
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
@@ -461,12 +460,6 @@ def tree_generators(t: TernaryTree) -> GeneratorSet:
     return gens
 
 
-def _plane_rows(planes: np.ndarray):
-    """Each qubit's x and z rows of a packed batch as two ints, qubit 1 first."""
-    x, z = np.ascontiguousarray(planes).view(np.uint8).reshape(2, len(planes) // 2, -1)
-    return ((int.from_bytes(a, "little"), int.from_bytes(b, "little")) for a, b in zip(x, z))
-
-
 def _set_bits(mask: int):
     """The positions of mask's set bits, lowest first."""
     while mask:
@@ -481,7 +474,7 @@ def _planes_product(planes: np.ndarray, n: int, phase: int) -> PauliString:
     Y = iXZ: i^(x.z) times the X^x_j Z^z_j in column order, a sign flip per
     z bit before an x bit, and X^px Z^pz = i^(-px.pz) times (px, pz)."""
     letters = []
-    for x, z in _plane_rows(planes):
+    for x, z in plane_rows(planes):
         prefix, shift = z, 1  # inclusive XOR prefix of z along the columns
         while shift < n:
             prefix ^= prefix << shift
@@ -516,7 +509,7 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
         phases = [p.phase for p in strings]
     n = len(phases)
     odd = [0] * n  # bit b of odd[a]: x_a.z_b + z_a.x_b is odd
-    for x, z in _plane_rows(planes):
+    for x, z in plane_rows(planes):
         for bits, rows in ((x, z), (z, x)):
             for a in _set_bits(bits):
                 odd[a] ^= rows
@@ -546,57 +539,3 @@ def _check_letter_cells(m: int) -> None:
             f"m={m} needs a {cells}-cell letter matrix, over the cap of"
             f" {MAX_LETTER_CELLS} cells (MAX_LETTER_CELLS)"
         )
-
-
-def jw_decode(
-    planes: np.ndarray, phases: np.ndarray, order: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Match each column of a packed batch, its qubits renamed into chain
-    order, against the signed JW generators.
-
-    planes holds the batch's (2m, W) x and z planes, one string per
-    column, and phases its (n,) phase exponents. order is a PERM: chain
-    position i holds qubit order[i - 1], whose rows are read in its place,
-    so no renamed copy of the planes is made (range(1, m + 1) reads them
-    as they are). Returns int64 (ranks, signs): column j is signs[j] times
-    the JW generator at rank ranks[j]. Columns that are not of the form
-    Z^(k-1) X I..., Z^(k-1) Y I... or all Z, or whose phase is not a plain
-    sign, get rank 0 and sign 0.
-
-    One pass down the rows, each read as one int, keeps the mask of the
-    columns whose lead row (the first that is not Z) is not found yet.
-    Row i leads the open columns where it is not Z, at rank 2i+1 for X
-    and 2i+2 for Y; a lead I, or any letter in a row below the lead,
-    fails the column. Columns that never lead are all Z, rank 2m+1. The
-    ranks are read off the set bits of the lead masks, each column once.
-    Raises ValueError unless planes are (2m, ceil(n/64)) uint64 words
-    with every padding bit clear and order is a permutation of 1..m.
-    """
-    m, n = len(planes) // 2, len(phases)
-    check_planes(planes, n)
-    if sorted(order) != list(range(1, m + 1)):
-        raise ValueError(f"order is not a permutation of 1..{m}")
-    step = 8 * planes.shape[1]  # bytes per row
-    data = memoryview(np.ascontiguousarray(planes)).cast("B")
-    ranks = [2 * m + 1] * n
-    open_ = (1 << n) - 1
-    bad = 0
-    for i, q in enumerate(order):
-        x = int.from_bytes(data[(q - 1) * step : q * step], "little")
-        z = int.from_bytes(data[(m + q - 1) * step : (m + q) * step], "little")
-        bad |= (x | z) & ~open_
-        lead = (x | ~z) & open_
-        if lead:
-            open_ ^= lead
-            bad |= lead & ~x
-            lead &= x
-            while lead:  # one set bit, one column, at a time
-                low = lead & -lead
-                ranks[low.bit_length() - 1] = 2 * i + 1 + (low & z != 0)
-                lead ^= low
-    if bad >> n:  # every padding bit lands in bad: no column holds it
-        raise ValueError(f"planes set bits past column {n}")
-    bad_bits = np.frombuffer(bad.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
-    ok = (np.unpackbits(bad_bits, count=n, bitorder="little") == 0) & (phases & 1 == 0)
-    signs = 1 - phases.astype(np.int64)  # exponent 0 -> +1, 2 -> -1
-    return np.where(ok, ranks, 0), np.where(ok, signs, 0)

@@ -1,9 +1,11 @@
+import functools
 import random
 
 import numpy as np
 import pytest
 
 from tern2jw import PauliString, check_generator_set, pauli_format
+from tern2jw.pauli import pack_letters, plane_rows, unpack_planes
 
 from reference import pauli_commutes, pauli_identity, pauli_mul, pauli_parse, pauli_weight
 
@@ -76,6 +78,25 @@ def test_mul_associative_on_random_strings():
         )
         assert pauli_mul(pauli_mul(a, b), c) == pauli_mul(a, pauli_mul(b, c))
         assert _product(a, b, c) == pauli_mul(pauli_mul(a, b), c)
+    # batches on and off the 64-bit word boundary: their product, and the
+    # plane rows it reads, qubit 1 first or in a given order, against the
+    # letters the planes unpack to
+    for n in (1, 63, 64, 65, 127, 129):
+        m = rng.randint(1, 9)
+        strings = [
+            PauliString(tuple(rng.randrange(4) for _ in range(m)), rng.randrange(4))
+            for _ in range(n)
+        ]
+        assert _product(*strings) == functools.reduce(pauli_mul, strings)
+        planes = pack_letters(np.array([p.letters for p in strings], dtype=np.uint8).T)
+        letters = unpack_planes(planes, n).tolist()
+        rows = [
+            tuple(sum(1 << j for j, l in enumerate(row) if l in bit) for bit in ((1, 2), (2, 3)))
+            for row in letters
+        ]
+        order = rng.sample(range(1, m + 1), m)
+        assert list(plane_rows(planes)) == rows
+        assert list(plane_rows(planes, order)) == [rows[q - 1] for q in order]
 
 
 def test_hermitian_strings_square_to_identity():

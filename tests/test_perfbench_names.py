@@ -10,6 +10,7 @@ import collections
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -52,7 +53,7 @@ def test_conjugate_probe_sees_verify_but_not_the_oracle(monkeypatch):
     # tern2jw.straighten.conjugate_inplace; a conjugator bound at import
     # (a default argument, say) would hide verify_transform's batch from it
     straighten_mod = importlib.import_module("tern2jw.straighten")
-    from tern2jw import oracle_check, random_tree, straighten, verify_transform
+    from tern2jw import fix_signs, oracle_check, random_tree, straighten, verify_transform
 
     calls = []
     original = straighten_mod.conjugate_inplace
@@ -69,11 +70,23 @@ def test_conjugate_probe_sees_verify_but_not_the_oracle(monkeypatch):
     assert len(calls) == 2
     assert oracle_check(t, r).ok
     assert len(calls) == 2
+    # fix_signs conjugates the chain's generators through its layer in one
+    # call the probe sees too
+    j = r.ranks.index(1)
+    fixed = fix_signs(replace(r, signs=r.signs[:j] + (-r.signs[j],) + r.signs[j + 1 :]))
+    assert fixed.signfix and len(calls) == 3
     # the probe's counter reads its call's batch and ops; a batch it could
     # not read would mark engine.ops, engine.cells and engine.matrix_bytes
     # absent in a traced run
+    count_engine = _load_layers()._count_engine
     totals = collections.defaultdict(float)
     for args in calls:
-        _load_layers()._count_engine(totals, args, None)
-    assert totals["engine.ops"] == 2 * len(r.circuit.ops)
+        count_engine(totals, args, None)
+    assert totals["engine.ops"] == 2 * len(r.circuit.ops) + len(fixed.signfix)
     assert totals["engine.cells"] > 0 and totals["engine.matrix_bytes"] > 0
+    layer = collections.defaultdict(float)
+    count_engine(layer, calls[2], None)
+    width = -(-(2 * t.num_qubits + 1) // 64)  # words a plane row
+    assert layer["engine.ops"] == len(fixed.signfix)
+    assert layer["engine.cells"] == len(fixed.signfix) * width
+    assert layer["engine.matrix_bytes"] == 2 * t.num_qubits * width * 8 + 2 * t.num_qubits + 1

@@ -37,9 +37,9 @@ from tern2jw import (
     verify_transform,
 )
 from tern2jw.cli import run_cli
-from tern2jw.engine import GATE_CODES, N_SINGLE, SINGLE_GATES, single_qubit_classes
+from tern2jw.engine import GATE_CODES, N_SINGLE, SINGLE_GATES, conjugate_inplace, single_qubit_classes
 from tern2jw.pauli import PauliString, pack_letters
-from tern2jw.straighten import MAX_LETTER_CELLS, _jw_product
+from tern2jw.straighten import MAX_LETTER_CELLS, _conjugated_images, _jw_product
 
 from conftest import comb, unfused
 from reference import jw_generator, letters_matrix
@@ -451,6 +451,25 @@ def test_certify_reports_ranks_signs_and_duplicates():
     )
     # without declared signs any plain sign passes
     assert certify(planes, phases, (1, 2)).results == report.results
+    # a declared sign of 0, which an image that decodes as no JW generator
+    # reports, passes no image
+    assert certify(planes, phases, (1, 2), (0,) * 6).results == (False,) * 6
+    # a sign-fixed certificate's 7 images, all of phase exponent 0: SIGNS
+    # of any other length is refused, one entry that would broadcast over
+    # them all too, and exponents are read mod 4
+    t = random_tree(3, 0)
+    r = fix_signs(straighten(t))
+    planes, phases = _conjugated_images(t, r.circuit.ops, conjugate_inplace)
+    assert not phases.any()
+    for signs in ((1,), (), r.signs[:-1], r.signs + (1,)):
+        with pytest.raises(ValueError, match=f"signs lists {len(signs)} entries for 7 images"):
+            certify(planes, phases, r.permutation, signs)
+    report = certify(planes, phases, r.permutation, r.signs)
+    assert report.ok and set(report.signs) <= {1, -1}
+    for shift in (4, 8, 252):
+        assert certify(planes, phases + shift, r.permutation, r.signs) == report
+    flipped = certify(planes, phases + 6, r.permutation, r.signs)
+    assert flipped.signs == tuple(-s for s in report.signs) and not any(flipped.results)
 
 
 def test_verify_transform_size_mismatch(triple_fork):

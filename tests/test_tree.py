@@ -22,7 +22,7 @@ from tern2jw import certify
 from tern2jw.engine import conjugate_inplace
 from tern2jw.oracle import dense_conjugate
 from tern2jw.pauli import pack_letters, unpack_planes
-from tern2jw.tree import MAX_QUBITS, _planes, jw_decode
+from tern2jw.tree import MAX_QUBITS, _planes
 
 from reference import (
     certify_columns,
@@ -367,10 +367,24 @@ def _batch(strings):
     return pack_letters(letters), phases, range(1, len(letters) + 1)
 
 
-def _decode_columns(strings):
-    """The library's jw_decode on the strings as one batch, read like jw_match."""
-    ranks, signs = jw_decode(*_batch(strings))
-    return [(int(r), int(s)) if r else None for r, s in zip(ranks, signs)]
+def _on_wires(planes, order):
+    """Chain-order planes with their rows moved onto the wires a PERM names:
+    wire q - 1 holds chain row wires[q - 1], so read in order they are the
+    planes again."""
+    m = len(order)
+    wires = np.argsort(order)
+    return planes[np.concatenate((wires, wires + m))]
+
+
+def _decode_columns(strings, order=None):
+    """The library's certify on the strings as one batch, its ranks and
+    signs read like jw_match; with order, the rows moved onto the wires
+    that PERM names and read back in it."""
+    planes, phases, identity = _batch(strings)
+    if order is not None:
+        planes = _on_wires(planes, order)
+    report = certify(planes, phases, identity if order is None else order)
+    return [(r, s) if r else None for r, s in zip(report.ranks, report.signs)]
 
 
 def test_jw_match():
@@ -417,34 +431,32 @@ def _decode_test_column(rng, m):
     return PauliString(letters, phase)
 
 
-def test_jw_decode_matches_the_per_column_reference():
+def test_certify_decodes_like_the_per_column_reference():
     # packed batches with every failure kind, on widths on and off the
-    # 64-bit word boundary; certify's verdicts, duplicate ranks included
+    # 64-bit word boundary, read as they are and through a random PERM;
+    # certify's ranks, signs and verdicts, duplicate ranks included
     rng = random.Random(29)
-    for n in (1, 5, 63, 64, 65, 129, 200):
-        for m in (1, 2, 3, 5, 9, 40):
-            strings = [_decode_test_column(rng, m) for _ in range(n)]
-            assert _decode_columns(strings) == [jw_match(p) for p in strings], (m, n)
-            declared = [rng.choice((1, -1)) for _ in range(n)]
-            for signs in (declared, None):
-                report = certify(*_batch(strings), signs)
-                assert report.results == certify_columns(strings, signs), (m, n)
+    shapes = [(m, n) for n in (1, 5, 63, 64, 65, 129, 200) for m in (1, 2, 3, 5, 9, 40)]
+    for m, n in shapes + [(m, 2 * m + 1) for m in (31, 32, 63, 64)]:
+        strings = [_decode_test_column(rng, m) for _ in range(n)]
+        want = [jw_match(p) for p in strings]
+        order = rng.sample(range(1, m + 1), m)
+        assert _decode_columns(strings) == _decode_columns(strings, order) == want, (m, n)
+        declared = [rng.choice((1, -1)) for _ in range(n)]
+        for signs in (declared, None):
+            report = certify(*_batch(strings), signs)
+            assert report.results == certify_columns(strings, signs), (m, n)
 
 
-def test_jw_decode_reads_the_rows_in_perm_order():
+def test_certify_reads_the_rows_in_perm_order():
     # strings in chain order, their rows moved onto the wires a PERM names:
     # read in that order they decode as before, with no renamed copy; an
     # order that is no permutation of 1..m is refused
     rng = random.Random(31)
-    for m, n in ((1, 3), (3, 7), (5, 65), (9, 129)):
+    for m, n in ((1, 3), (3, 7), (5, 65), (9, 129), (31, 63), (32, 65), (63, 127), (64, 129)):
         strings = [_decode_test_column(rng, m) for _ in range(n)]
-        chain_planes, phases, _ = _batch(strings)
         order = rng.sample(range(1, m + 1), m)
-        wires = np.argsort(order)  # wire q - 1 holds chain row wires[q - 1]
-        planes = chain_planes[np.concatenate((wires, wires + m))]
-        ranks, signs = jw_decode(planes, phases, order)
-        got = [(int(r), int(s)) if r else None for r, s in zip(ranks, signs)]
-        assert got == [jw_match(p) for p in strings], (m, n)
+        assert _decode_columns(strings, order) == [jw_match(p) for p in strings], (m, n)
     planes, phases, _ = _batch([pauli_parse("XI")])
     for order in ((1, 1), (1,), (0, 1), (1, 2, 3)):
         with pytest.raises(ValueError, match="order is not a permutation of 1..2"):
@@ -462,15 +474,16 @@ def test_packed_batch_entry_points_refuse_other_arrays():
     planes = pack_letters(letters_matrix(t))
     for wrong in (letters_matrix(t), np.zeros((8, 2), dtype=np.uint64), planes[1:]):
         for call in (
-            lambda: jw_decode(wrong, phases, range(1, 5)),
             lambda: certify(wrong, phases, range(1, 5)),
             lambda: conjugate_inplace(wrong.copy(), phases.copy(), ops),
             lambda: dense_conjugate(wrong.copy(), phases.copy(), ops),
         ):
             with pytest.raises(ValueError, match="planes for 9 strings"):
                 call()
-    padded = planes.copy()
-    padded[-1, 0] |= np.uint64(1) << np.uint64(n)
-    with pytest.raises(ValueError, match="past column 9"):
-        jw_decode(padded, phases, range(1, 5))
+    for row in (0, -1):  # an x row and a z row, read in either order
+        padded = planes.copy()
+        padded[row, 0] |= np.uint64(1) << np.uint64(n)
+        for order in (range(1, 5), (4, 3, 2, 1)):
+            with pytest.raises(ValueError, match="past column 9"):
+                certify(padded, phases, order)
     assert certify(planes, phases, range(1, 5)).ok
