@@ -36,8 +36,9 @@ caterpillar each tooth's H S H . CZ . S H becomes SDG H . CZ . H, 3 gates
 a tooth instead of 5. relabel, fork_move and straighten_fork keep their
 canonical words, and the self-check conjugates through the rows as they
 are. StraightenResult carries the renaming as the permutation pi (chain
-position i holds original qubit pi(i)); with swaps=True a SWAP network
-realizing pi is appended instead and pi collapses to the identity.
+position i holds original qubit pi(i)); with swaps=True one SWAP for each
+wire not yet holding its chain letter carries the chain onto wires 1..m
+and pi collapses to the identity (map_between aims it at b's PERM).
 Signs are tracked exactly by conjugating all 2m+1 generators through the
 circuit in one packed batch, the tree's x and z planes at one bit per
 generator (_conjugated_images), and matching them against the signed JW
@@ -67,6 +68,7 @@ from .tree import (
     XYZ,
     TernaryTree,
     _check_letter_cells,
+    _ints,
     _planes,
     _subtree_sizes,
     _walk,
@@ -97,9 +99,9 @@ class Certificate:
     circuit acts on the original wires, first-listed gate first. The claim
     is that conjugating generator j through the circuit and renaming wire
     permutation[i] to i gives signs[j] times a JW generator, a different
-    one for every j. Building one checks its shape and raises ValueError
-    unless PERM is a permutation of 1..m, the circuit spans exactly m
-    wires and SIGNS holds 2m+1 entries of +1 or -1.
+    one for every j. Building one stores PERM and SIGNS as plain ints and
+    raises ValueError unless PERM is a permutation of 1..m, the circuit
+    spans exactly m wires and SIGNS holds 2m+1 entries of +1 or -1.
     """
 
     circuit: Circuit
@@ -107,8 +109,11 @@ class Certificate:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = len(self.permutation)
-        if sorted(self.permutation) != list(range(1, m + 1)):
+        perm = _ints(self.permutation, "PERM entries must be integers")
+        object.__setattr__(self, "permutation", perm)
+        object.__setattr__(self, "signs", _ints(self.signs, "SIGNS entries must be +1 or -1"))
+        m = len(perm)
+        if sorted(perm) != list(range(1, m + 1)):
             raise ValueError(f"PERM is not a permutation of 1..{m}")
         if self.circuit.num_qubits != m:
             raise ValueError(f"circuit spans {self.circuit.num_qubits} qubits but PERM lists {m}")
@@ -327,9 +332,10 @@ def _conjugated_images(t: TernaryTree, ops: np.ndarray, conjugate) -> tuple[np.n
     return planes, phases
 
 
-def _synthesize(t: TernaryTree, swaps: bool) -> tuple[Circuit, list[int]]:
+def _synthesize(t: TernaryTree, target: Sequence[int] | None) -> tuple[Circuit, list[int]]:
     """straighten's circuit and PERM; the emitted rows are freed on return,
-    before certification allocates the planes."""
+    before certification allocates the planes. A target wiring ends it in
+    one SWAP per chain position i not yet on wire target[i-1]."""
     m = t.num_qubits
     kids = [list(row) for row in t.children]
     rows: list[int] = []
@@ -342,27 +348,31 @@ def _synthesize(t: TernaryTree, swaps: bool) -> tuple[Circuit, list[int]]:
         cur = kids[cur - 1][2]
     if len(chain) != m:
         raise RuntimeError(f"chain covers {len(chain)} of {m} qubits")
-
-    if swaps:
-        # realize the renaming as gates: wire q's letter must travel to
-        # chain position dest[q]; walk each cycle back to front
-        dest = {q: i for i, q in enumerate(chain, start=1)}
-        done = set()
-        for start in range(1, m + 1):
-            if start in done or dest[start] == start:
-                done.add(start)
-                continue
-            cycle = [start]
-            nxt = dest[start]
-            while nxt != start:
-                cycle.append(nxt)
-                nxt = dest[nxt]
-            done.update(cycle)
-            for a, b in zip(reversed(cycle[:-1]), reversed(cycle[1:])):
-                emit((GATE_CODES["SWAP"], a - 1, b - 1))
-        chain = list(range(1, m + 1))
+    if target is not None:
+        held = {w: i for i, w in enumerate(chain)}  # the chain position on wire w
+        for i, w in enumerate(target):
+            v = chain[i]
+            if v != w:
+                emit((GATE_CODES["SWAP"], v - 1, w - 1))
+                j = held[w]
+                chain[i], chain[j], held[v], held[w] = w, v, j, i
     flush()
     return Circuit.from_ops(m, rows), chain
+
+
+def _straighten(t: TernaryTree, target: Sequence[int] | None) -> StraightenResult:
+    """straighten onto _synthesize's target wiring, certified."""
+    _check_letter_cells(t.num_qubits)  # before any synthesis work
+    circuit, chain = _synthesize(t, target)
+    report = certify(*_conjugated_images(t, circuit.ops, conjugate_inplace), chain)
+    if not report.ok:
+        raise RuntimeError("conjugated generators left the signed JW set")
+    return StraightenResult(
+        circuit=circuit,
+        permutation=tuple(chain),
+        signs=report.signs,
+        ranks=report.ranks,
+    )
 
 
 def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
@@ -373,20 +383,10 @@ def straighten(t: TernaryTree, swaps: bool = False) -> StraightenResult:
     S, H word, and each wire's single-qubit gates between its CZs are
     fused into one shortest word. With swaps=False the chain lives on
     reordered wires and the reordering is reported as the permutation;
-    with swaps=True a SWAP network realizing it is appended and the
-    permutation is the identity.
+    with swaps=True a SWAP network carrying it onto wires 1..m is
+    appended and the permutation is the identity.
     """
-    _check_letter_cells(t.num_qubits)  # before any synthesis work
-    circuit, chain = _synthesize(t, swaps)
-    report = certify(*_conjugated_images(t, circuit.ops, conjugate_inplace), chain)
-    if not report.ok:
-        raise RuntimeError("conjugated generators left the signed JW set")
-    return StraightenResult(
-        circuit=circuit,
-        permutation=tuple(chain),
-        signs=report.signs,
-        ranks=report.ranks,
-    )
+    return _straighten(t, range(1, t.num_qubits + 1) if swaps else None)
 
 
 def _jw_product(chosen: np.ndarray) -> np.ndarray:
@@ -452,8 +452,10 @@ def fix_signs(r: StraightenResult) -> StraightenResult:
 class MapResult:
     """Circuit turning tree a's generators into tree b's, plus both halves.
 
-    rank_map[j-1] is the leaf rank of b whose generator is the image of
-    a's generator j; signs[j-1] is the relative sign of that image.
+    result_b is b's plain reduction, and result_a is a's reduction onto
+    b's chain wires, so both carry b's permutation. rank_map[j-1] is the
+    leaf rank of b whose generator is the image of a's generator j;
+    signs[j-1] is the relative sign of that image.
     """
 
     circuit: Circuit
@@ -476,15 +478,17 @@ class MapResult:
 def map_between(a: TernaryTree, b: TernaryTree) -> MapResult:
     """Compose a's reduction with the inverse of b's.
 
-    Both halves carry their SWAP networks, so the two meet in the common
-    Jordan-Wigner frame on identically named wires and no renaming is left
-    over. The circuit is returned uncancelled; mapping a tree to itself
-    telescopes away entirely under peephole_cancel.
+    b is straightened as usual, and a's reduction ends in one SWAP network
+    that carries a's chain straight onto b's chain wires, m - cycles(sigma)
+    SWAPs for sigma sending a's chain wire i to b's; so both halves report
+    b's PERM and meet in the Jordan-Wigner frame on the same wires. The
+    circuit is returned uncancelled; mapping a tree to itself telescopes
+    away entirely under peephole_cancel.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError(f"qubit counts differ: {a.num_qubits} vs {b.num_qubits}")
-    ra = straighten(a, swaps=True)
-    rb = straighten(b, swaps=True)
+    rb = straighten(b)
+    ra = _straighten(a, rb.permutation)
     ops = np.concatenate((ra.circuit.ops, invert_circuit(rb.circuit).ops))
     return MapResult(Circuit.from_ops(a.num_qubits, ops), ra, rb)
 

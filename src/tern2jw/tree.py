@@ -25,9 +25,11 @@ canonical formatter omits terminals.
 
 from __future__ import annotations
 
+import operator
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -53,7 +55,12 @@ class TernaryTree:
     children: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        m = self.num_qubits
+        m, root = _ints((self.num_qubits, self.root), "qubit count and root must be integers")
+        children = self.children
+        if set(map(type, chain.from_iterable(children))) - {int}:  # parsed trees skip this
+            children = tuple(_ints(row, "child ids must be integers") for row in children)
+        for name, value in (("num_qubits", m), ("root", root), ("children", children)):
+            object.__setattr__(self, name, value)
         if m < 1:
             raise ValueError(f"qubit count must be positive, got {m}")
         if len(self.children) != m:
@@ -111,6 +118,16 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return self.anticommuting and self.unit_squares and self.product_is_identity
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as plain ints, through operator.index as Gate takes its
+    targets; the first value that is no integer raises ValueError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{what}, got {bad!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +553,6 @@ def _check_letter_cells(m: int) -> None:
     cells = m * (2 * m + 1)
     if cells > MAX_LETTER_CELLS:
         raise ValueError(
-            f"m={m} needs a {cells}-cell letter matrix, over the cap of"
+            f"m={m} gives a batch of {cells} generator letters, over the cap of"
             f" {MAX_LETTER_CELLS} cells (MAX_LETTER_CELLS)"
         )

@@ -290,7 +290,7 @@ def test_missing_file(capsys):
 
 
 def test_oversized_tree_exits_2(tmp_path, capsys):
-    m = math.isqrt(MAX_LETTER_CELLS // 2) + 1  # letter matrix just over the cap
+    m = math.isqrt(MAX_LETTER_CELLS // 2) + 1  # generator letters just over the cap
     tree = tmp_path / "chain.txt"
     tree.write_text(tree_format(jw_chain(m)))
     for command in ("straighten", "generators", "stats"):

@@ -90,3 +90,21 @@ def test_conjugate_probe_sees_verify_but_not_the_oracle(monkeypatch):
     assert layer["engine.ops"] == len(fixed.signfix)
     assert layer["engine.cells"] == len(fixed.signfix) * width
     assert layer["engine.matrix_bytes"] == 2 * t.num_qubits * width * 8 + 2 * t.num_qubits + 1
+
+
+def test_straighten_imports_nothing_unused_but_probe_targets():
+    # straighten.py imports encode_gates and tree_leaves only so that the
+    # engine.encode_s and tree.leaves_s probes can wrap them there; once a
+    # probe is gone, its import is dead and this names it
+    source = Path(importlib.import_module("tern2jw.straighten").__file__).read_text()
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    probed = {p.attr for p in _load_layers().PROBES if p.module == "tern2jw.straighten"}
+    stale = sorted(imported - used - probed - {"MAX_LETTER_CELLS"})  # re-exported
+    assert not stale, f"tern2jw/straighten.py imports {stale} for no use and no probe: delete them"

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import importlib
@@ -38,8 +39,9 @@ from tern2jw import (
 )
 from tern2jw.cli import run_cli
 from tern2jw.engine import GATE_CODES, N_SINGLE, SINGLE_GATES, conjugate_inplace, single_qubit_classes
-from tern2jw.pauli import PauliString, pack_letters
+from tern2jw.pauli import PauliString, pack_letters, unpack_planes
 from tern2jw.straighten import MAX_LETTER_CELLS, _conjugated_images, _jw_product
+from tern2jw.tree import _planes
 
 from conftest import comb, unfused
 from reference import jw_generator, letters_matrix
@@ -53,6 +55,43 @@ def _images(circuit, tree):
 def _strip_sign(p):
     assert p.phase in (0, 2)
     return PauliString(p.letters)
+
+
+def _swap_count(circuit):
+    return int(np.count_nonzero(circuit.ops[:, 0] == GATE_CODES["SWAP"]))
+
+
+def _cycles(source, target):
+    """Cycle count of the wire permutation sending source[i] to target[i]."""
+    sigma = dict(zip(source, target))
+    seen, cycles = set(), 0
+    for w in sigma:
+        cycles += w not in seen
+        while w not in seen:
+            seen.add(w)
+            w = sigma[w]
+    return cycles
+
+
+def _fork_moved(t, count):
+    """The trees of t's first count legal fork moves, by fork qubit."""
+    moved = []
+    for q in range(1, t.num_qubits + 1):
+        with contextlib.suppress(ValueError):
+            moved.append(fork_move(t, q)[1])
+        if len(moved) == count:
+            break
+    return moved
+
+
+def _assert_maps(a, b, mr, circuit):
+    """Conjugating a's generators through circuit, as one engine batch,
+    gives b's generators at mr.rank_map with mr.signs."""
+    n = 2 * a.num_qubits + 1
+    planes, phases = _conjugated_images(a, circuit.ops, conjugate_inplace)
+    want = unpack_planes(_planes(b), n)[:, np.asarray(mr.rank_map) - 1]
+    assert np.array_equal(unpack_planes(planes, n), want)
+    assert np.array_equal(phases & 3, np.where(np.asarray(mr.signs) == 1, 0, 2))
 
 
 def test_relabel_gate_words():
@@ -216,6 +255,12 @@ def test_straighten_swaps_mode(triple_fork):
     assert r.permutation == tuple(range(1, 8))
     assert any(g.kind == "SWAP" for g in r.circuit.gates)
     assert verify_transform(triple_fork, r).ok
+    # one SWAP per wire not yet holding its chain letter: m - cycles of
+    # the plain reduction's PERM
+    for t in (triple_fork, full_ternary(3), random_tree(9, 1000), random_tree(600, 1)):
+        m = t.num_qubits
+        want = m - _cycles(straighten(t).permutation, range(1, m + 1))
+        assert _swap_count(straighten(t, swaps=True).circuit) == want > 0
 
 
 def test_straighten_random_trees_engine_invariant():
@@ -358,18 +403,40 @@ def test_map_between_reproduces_target_generators(binary3):
 
 
 def test_map_between_random_pairs_engine_checked():
+    # random pairs, and trees one fork move apart at m = 100..300; the
+    # halves meet through one SWAP network, m - cycles(sigma) SWAPs for
+    # sigma taking a's chain wires onto b's, and both report b's PERM
     rng = random.Random(13)
+    pairs = []
     for trial in range(25):
         m = rng.randint(1, 7)
-        a = random_tree(m, seed=3000 + trial)
-        b = random_tree(m, seed=4000 + trial)
+        pairs.append((random_tree(m, seed=3000 + trial), random_tree(m, seed=4000 + trial)))
+    for m in (100, 200, 300):
+        a = random_tree(m, 11)
+        pairs += [(a, b) for b in _fork_moved(a, 2)]
+    for a, b in pairs:
         mr = map_between(a, b)
-        b_gens = tree_generators(b).strings
-        for j, p in enumerate(tree_generators(a).strings):
-            img = conjugate_circuit(mr.circuit, p)
-            want = b_gens[mr.rank_map[j] - 1]
-            assert img.letters == want.letters
-            assert img.phase == (0 if mr.signs[j] == 1 else 2)
+        assert mr.result_a.permutation == mr.result_b.permutation
+        m = a.num_qubits
+        assert _swap_count(mr.circuit) == m - _cycles(straighten(a).permutation, mr.result_b.permutation)
+        for circuit in (mr.circuit, peephole_cancel(mr.circuit)):
+            _assert_maps(a, b, mr, circuit)
+
+
+def test_map_between_fork_move_costs():
+    # trees one fork move apart cancel to a few gates: before the halves
+    # shared one SWAP network these cost 554 gates, and 10,922 CZ and
+    # 3,870 SWAP at m = 2000
+    a = random_tree(100, 11)
+    assert len(peephole_cancel(map_between(a, fork_move(a, 2)[1]).circuit).gates) <= 20
+    a = random_tree(2000, 3)
+    b = fork_move(a, 43)[1]
+    mr = map_between(a, b)
+    cancelled = peephole_cancel(mr.circuit)
+    kinds = collections.Counter(row[0] for row in cancelled.ops.tolist())
+    assert kinds[GATE_CODES["CZ"]] <= 210 and kinds[GATE_CODES["SWAP"]] <= 8
+    for circuit in (mr.circuit, cancelled):
+        _assert_maps(a, b, mr, circuit)
 
 
 def test_certificate_round_trip(triple_fork):
@@ -507,10 +574,17 @@ def test_certificate_refuses_malformed_shapes(triple_fork):
         ((3, 1, 2), (1,) * 6 + (0,), r"must be \+1 or -1, got 0"),
         ((3, 1, 2), (1, -1, 2, 1, 1, 1, 1), r"must be \+1 or -1, got 2"),
         ((3, 1, 2), ("+",) * 7, r"must be \+1 or -1, got '\+'"),
+        ((1.0, 2.0, 3.0), (1,) * 7, "PERM entries must be integers, got 1.0"),
+        ((3, 1, "2"), (1,) * 7, "PERM entries must be integers, got '2'"),
+        ((3, 1, 2), (1.0,) * 7, r"must be \+1 or -1, got 1.0"),
     ):
         with pytest.raises(ValueError, match=match):
             Certificate(circuit, perm, signs)
     assert Certificate(circuit, (3, 1, 2), (1, -1) * 3 + (-1,)).num_qubits == 3
+    # numpy integers are stored as plain ints, as Gate stores its targets
+    cert = Certificate(circuit, tuple(np.array([3, 1, 2])), tuple(np.ones(7, dtype=np.int64)))
+    assert {type(v) for v in cert.permutation + cert.signs} == {int}
+    assert certificate_parse(certificate_format(cert)) == cert
     # a StraightenResult is a Certificate, so editing one is checked too
     r = straighten(triple_fork)
     with pytest.raises(ValueError, match="SIGNS lists 14"):

@@ -12,6 +12,7 @@ from tern2jw import (
     full_ternary,
     jw_chain,
     random_tree,
+    straighten,
     tree_augment,
     tree_format,
     tree_generators,
@@ -124,6 +125,22 @@ def test_tree_validation():
         TernaryTree(0, 1, ())
     with pytest.raises(ValueError, match="^need 2 child records, got 1$"):
         TernaryTree(2, 1, ((0, 0, 0),))
+    # ids go through operator.index, as Gate's targets do: a float or text
+    # id is refused with a worded error, and numpy ints are stored as ints
+    for args, message in (
+        ((2.0, 1, ((2, 0, 0), (0, 0, 0))), "qubit count and root must be integers, got 2.0"),
+        ((2, 1.0, ((2, 0, 0), (0, 0, 0))), "qubit count and root must be integers, got 1.0"),
+        ((2, 1, ((2.0, 0, 0), (0, 0, 0))), "child ids must be integers, got 2.0"),
+        ((2, 1, (("2", 0, 0), (0, 0, 0))), "child ids must be integers, got '2'"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            TernaryTree(*args)
+        assert str(excinfo.value) == message
+    t = random_tree(6, 3)
+    wide = TernaryTree(np.int64(6), np.int64(t.root), tuple(map(tuple, np.array(t.children))))
+    assert wide == t
+    assert {type(v) for v in (wide.num_qubits, wide.root, *sum(wide.children, ()))} == {int}
+    assert {type(q) for q in straighten(wide).permutation} == {int}
 
 
 def test_format_is_canonical(binary3):
