@@ -3,17 +3,22 @@
 A batch is n Pauli strings held as packed x and z planes (the pauli
 module's layout: one uint64 array of 2m rows of ceil(n / 64) words, qubit
 q's x bits in row q - 1 and its z bits in row m + q - 1, one bit per
-string) with an (n,) uint8 row of phase exponents. conjugate_rows holds
+string) with an (n,) uint8 row of phase exponents. conjugate_inplace holds
 every gate's action on whole rows of the x and z planes as a few AND, XOR
 and NOT operations, with the sign rules of Aaronson and Gottesman
-(quant-ph/0406196): each flip adds 2 to the phase exponent. The rules act
+(quant-ph/0406196): each flip adds 2 to the phase exponent. It takes the
+caller's 2m plane rows as a list of 1-D views once per call, and every rule
+updates its rows through them with in-place operators, a few numpy row
+operations per gate: H and SWAP swap row contents by three XORs, so the
+planes are never copied and no row permutation is left to undo. The flips
+are gathered in one packed row and added to the phases once. The rules act
 on 64 strings per word and never set a padding bit, since every flip and
-every update ANDs or XORs rows whose padding is zero. conjugate_inplace
-runs them at a few numpy row operations per gate, gathers the flips in one
-packed row and adds them to the phases once; one string
+every update ANDs or XORs rows whose padding is zero. One string
 (clifford.conjugate_circuit) is a one-column batch. The int32 (L, 3) op
-array they read is the only stored form of a circuit (clifford.Circuit.ops);
-encode_gates builds one from (kind, targets) pairs.
+array it reads is the only stored form of a circuit (clifford.Circuit.ops);
+encode_gates builds one from (kind, targets) pairs, unchecked, so
+conjugate_inplace refuses a pair row whose two targets are equal (a SWAP
+of a row with itself would clear it) before any gate acts.
 
 single_qubit_classes derives the 24 single-qubit Clifford classes (up to
 phase) from the same rules, by conjugating a one-qubit batch of X, Y and
@@ -42,45 +47,6 @@ _H, _S, _SDG, _X, _Y, _Z, _CZ, _CX, _SWAP = range(len(GATE_CODES))
 _BLOCK = 1024  # op rows conjugate_inplace turns into Python ints at once
 
 
-def conjugate_rows(code: int, x, z, a: int, b: int):
-    """Conjugate qubit rows a and b of the x and z planes through one gate.
-
-    x and z are the (m, W) word planes of a packed batch, one bit per
-    string, updated in place. b is ignored by single-qubit gates; for CX,
-    a is the control. Returns the sign flips, one bit per string packed
-    like a plane row (0 for SWAP), computed from the bits before the
-    update.
-    """
-    if code == _H:
-        flip = x[a] & z[a]
-        x[a], z[a] = z[a].copy(), x[a].copy()
-    elif code == _S:
-        flip = x[a] & z[a]
-        z[a] ^= x[a]
-    elif code == _SDG:
-        flip = x[a] & ~z[a]
-        z[a] ^= x[a]
-    elif code == _X:
-        flip = z[a]
-    elif code == _Y:
-        flip = x[a] ^ z[a]
-    elif code == _Z:
-        flip = x[a]
-    elif code == _CZ:
-        flip = x[a] & x[b] & (z[a] ^ z[b])
-        z[a] ^= x[b]
-        z[b] ^= x[a]
-    elif code == _CX:
-        flip = x[a] & z[b] & ~(x[b] ^ z[a])
-        x[b] ^= x[a]
-        z[a] ^= z[b]
-    else:  # SWAP
-        flip = 0
-        x[[a, b]] = x[[b, a]]
-        z[[a, b]] = z[[b, a]]
-    return flip
-
-
 def encode_gates(gates) -> np.ndarray:
     """Encode (kind, targets) gate pairs as the int32 (L, 3) op array, unchecked."""
     ops = np.zeros((len(gates), 3), dtype=np.int32)
@@ -97,15 +63,59 @@ def conjugate_inplace(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -
 
     planes: uint64 (2m, W), the x plane over the z plane; phases: uint8
     (n,) with exponents mod 4; ops: int32 (L, 3) rows (gate code, row a,
-    row b); b is ignored for single-qubit codes. Gates act in listed order.
+    row b); b is ignored for single-qubit codes, and for CX a is the
+    control. Gates act in listed order. A pair row with a == b raises
+    ValueError before any gate acts.
     """
     check_planes(planes, len(phases))
-    m = len(planes) // 2
-    x, z = planes[:m], planes[m:]
-    flips = np.zeros(planes.shape[1], dtype=planes.dtype)
+    same = (ops[:, 0] >= N_SINGLE) & (ops[:, 1] == ops[:, 2])
+    if np.count_nonzero(same):
+        i = int(same.argmax())
+        code, a, _ = ops[i].tolist()
+        kind = PAIR_GATES[code - N_SINGLE]
+        raise ValueError(f"op row {i}: {kind} needs two distinct qubits, got qubit {a + 1} twice")
+    rows = list(planes)  # one 1-D view per row, so every rule below writes into planes
+    m = len(rows) // 2
+    x, z = rows[:m], rows[m:]
+    flips = np.zeros(planes.shape[1], dtype=planes.dtype)  # sign flips, packed like a row
     for start in range(0, len(ops), _BLOCK):  # Python ints for one block of rows at a time
         for code, a, b in zip(*ops[start : start + _BLOCK].T.tolist()):
-            flips ^= conjugate_rows(code, x, z, a, b)
+            xa, za = x[a], z[a]  # each flip is read off the bits before the update
+            if code == _CZ:
+                xb, zb = x[b], z[b]
+                flips ^= xa & xb & (za ^ zb)
+                za ^= xb
+                zb ^= xa
+            elif code == _H:
+                flips ^= xa & za
+                xa ^= za  # three XORs swap the rows' contents
+                za ^= xa
+                xa ^= za
+            elif code == _S:
+                flips ^= xa & za
+                za ^= xa
+            elif code == _SDG:
+                za ^= xa
+                flips ^= xa & za  # x & ~z before the update
+            elif code == _X:
+                flips ^= za
+            elif code == _Y:
+                flips ^= xa ^ za
+            elif code == _Z:
+                flips ^= xa
+            elif code == _CX:
+                xb, zb = x[b], z[b]
+                flips ^= xa & zb & ~(xb ^ za)
+                xb ^= xa
+                za ^= zb
+            else:  # SWAP
+                xb, zb = x[b], z[b]
+                xa ^= xb
+                xb ^= xa
+                xa ^= xb
+                za ^= zb
+                zb ^= za
+                za ^= zb
     phases ^= np.unpackbits(flips.view(np.uint8), count=len(phases), bitorder="little") << 1
 
 

@@ -165,6 +165,53 @@ def test_engine_and_oracle_agree_across_stacks():
             assert (oracle[0][:, j].tolist(), int(oracle[1][j])) == (list(one.letters), one.phase)
 
 
+def test_engine_matches_oracle_on_multi_word_batches():
+    # widths of 2 to 4 words with a partly used last word; raw op rows, so
+    # CZ and SWAP keep their targets in both orders, and H and SWAP come
+    # back to back on the same rows as well as at random
+    rng = random.Random(71)
+    codes = {}
+    for m, n in ((2, 65), (3, 130), (4, 193), (5, 130), (6, 193), (6, 65)):
+        for _ in range(4):
+            gates = []
+            for _ in range(40):
+                kind = rng.choice(SINGLE + PAIR)
+                if kind in PAIR:
+                    targets = tuple(rng.sample(range(1, m + 1), 2))
+                    if kind != "CX":
+                        gates.append((kind, targets[::-1]))
+                else:
+                    targets = (rng.randint(1, m),)
+                if kind in ("H", "SWAP"):
+                    gates.append((kind, targets))
+                gates.append((kind, targets))
+            ops = encode_gates(gates)
+            for code, a, b in ops.tolist():
+                codes.setdefault(code, set()).add(a < b)
+            letters, phases = _random_letters(rng, m, n)
+            phases[:] = [rng.randrange(4) for _ in range(n)]
+            planes, out_phases = pack_letters(letters), phases.copy()
+            want = _run(dense_conjugate, ops, letters, phases)
+            conjugate_inplace(planes, out_phases, ops)  # the caller's own arrays
+            assert planes.shape == (2 * m, -(-n // 64)) and _padding_clear(planes, n)
+            assert np.array_equal(unpack_planes(planes, n), want[0]), gates
+            assert np.array_equal(out_phases, want[1]), gates
+    assert sorted(codes) == list(range(9))
+    assert all(codes[c] == {True, False} for c in range(6, 9))  # both target orders
+
+
+@pytest.mark.parametrize("kind", PAIR)
+def test_pair_rows_with_equal_targets_refused(kind):
+    # raw rows skip Circuit's checks; a pair gate on one row would clear it
+    # (SWAP) or flip signs (CX), so the engine refuses before any gate acts
+    letters = np.array([[1, 2, 3], [3, 2, 1]], dtype=np.uint8)
+    planes, phases = pack_letters(letters), np.array([0, 1, 2], dtype=np.uint8)
+    ops = encode_gates([("H", (1,)), ("CZ", (1, 2)), (kind, (2, 2))])
+    with pytest.raises(ValueError, match=f"^op row 2: {kind} needs two distinct qubits, got qubit 2 twice$"):
+        conjugate_inplace(planes, phases, ops)
+    assert np.array_equal(unpack_planes(planes, 3), letters) and phases.tolist() == [0, 1, 2]
+
+
 def test_dense_conjugate_refuses_13_rows_before_allocating():
     planes = pack_letters(np.zeros((13, 3), dtype=np.uint8))
     phases = np.zeros(3, dtype=np.uint8)

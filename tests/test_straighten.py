@@ -683,9 +683,9 @@ def _traced_peak(run):
 def test_certification_memory_peak_at_full_ternary_6():
     # packed planes take two bits a letter: 0.58 MiB for these 1,093
     # qubits, whose byte letter matrix alone would be 2.28 MiB; the
-    # measured peaks are 1.02 and 0.86 MiB, with no renamed copy of the
+    # measured peaks are 1.05 and 0.97 MiB, with no renamed copy of the
     # planes, the emitted rows freed before certification and the engine
-    # holding one block of rows as Python ints
+    # holding one block of rows as Python ints and one view per plane row
     t = full_ternary(6)
     r, peak = _traced_peak(lambda: straighten(t))
     assert peak <= 5 << 18, peak

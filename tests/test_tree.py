@@ -125,6 +125,16 @@ def test_tree_validation():
         TernaryTree(0, 1, ())
     with pytest.raises(ValueError, match="^need 2 child records, got 1$"):
         TernaryTree(2, 1, ((0, 0, 0),))
+    # every child row is the three slots x, y, z: a short row would fail
+    # in str(), a long one would lose its extra slot
+    for rows, message in (
+        (((2, 0), (0, 0, 0)), "qubit 1 has 2 child slots, need 3 (x, y, z)"),
+        (((2, 0, 0), (0, 0, 0, 0)), "qubit 2 has 4 child slots, need 3 (x, y, z)"),
+        (((2, 0, 0, 0), (0, 0, 0)), "qubit 1 has 4 child slots, need 3 (x, y, z)"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            TernaryTree(2, 1, rows)
+        assert str(excinfo.value) == message
     # ids go through operator.index, as Gate's targets do: a float or text
     # id is refused with a worded error, and numpy ints are stored as ints
     for args, message in (
