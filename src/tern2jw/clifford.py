@@ -84,42 +84,59 @@ def _kind_targets(row) -> tuple[str, tuple[int, ...]]:
 
 def _raise_first_fault(ops: np.ndarray, num_qubits: int) -> None:
     """Raise for the first fault in the op rows, in this order: the first
-    row breaking a per-gate rule raises the ValueError of its Gate; a bad
-    qubit count raises ValueError; the first target beyond it IndexError.
-    Returns if there is none."""
-    code, a, b = ops.T
-    bad = (a < 0) | (b < 0) | _pair_rules(code, a, b)[0]
+    row holding a non-integer entry or a code outside the gate vocabulary,
+    or breaking a per-gate rule (with the ValueError of its Gate), raises
+    ValueError; a bad qubit count raises ValueError; the first target
+    beyond it IndexError. Row b of a single-qubit code is ignored. Returns
+    if there is none."""
+    ints = np.ones(ops.shape, dtype=bool)
+    if ops.dtype == object:  # rows of any Python values: compare only their integers
+        ints = np.vectorize(lambda v: hasattr(type(v), "__index__"), otypes=[bool])(ops)
+    code, a, b = np.where(ints, ops, 0).T
+    b = np.where(code < N_SINGLE, 0, b)
+    unknown = (code < 0) | (code >= len(_NAMES))
+    bad = ~ints.all(axis=1) | unknown | (a < 0) | (b < 0) | _pair_rules(code, a, b)[0]
     if np.count_nonzero(bad):
-        Gate(*_kind_targets(ops[bad.argmax()]))
+        i = bad.argmax()
+        if not ints[i].all():
+            raise ValueError(f"op rows must hold integers, got {ops[i][~ints[i]][0]!r}")
+        if unknown[i]:
+            raise ValueError(f"unknown gate code {code[i]}, not one of 0..{len(_NAMES) - 1}")
+        Gate(*_kind_targets((code[i], a[i], b[i])))
     if num_qubits < 1:
         raise ValueError(f"qubit count must be positive, got {num_qubits}")
     if num_qubits > _MAX_QUBITS:
         raise ValueError(f"qubit count {num_qubits} does not fit int32 rows")
     over = np.maximum(a, b) >= num_qubits
     if np.count_nonzero(over):
-        g = Gate(*_kind_targets(ops[over.argmax()]))
+        i = over.argmax()
+        g = Gate(*_kind_targets((code[i], a[i], b[i])))
         raise IndexError(f"gate {g} exceeds {num_qubits} qubits")
 
 
 def _checked_ops(ops, num_qubits: int) -> np.ndarray:
-    """A read-only int32 copy of the op rows, checked against every target
-    rule and against num_qubits, CZ and SWAP targets sorted. Both Circuit
-    constructors store their rows through it; rows may hold any Python
-    ints, and a target past int64 still gets its own worded error.
+    """A read-only int32 copy of the op rows, checked against every row
+    rule and against num_qubits, with row b stored as 0 for single-qubit
+    codes and CZ and SWAP targets sorted. Both Circuit constructors store
+    their rows through it; rows may hold any Python ints, and a target
+    past int64 still gets its own worded error.
 
     One combined guard passes good rows; only a fault runs
     _raise_first_fault, which words the error.
     """
     rows = np.array(ops).reshape(-1, 3)
-    if rows.dtype.kind != "i":  # an empty list's floats, or ints past int64 held exactly
+    if rows.dtype.kind != "i" and rows.size:  # non-integers, or ints past int64 held exactly
         rows = np.array(ops, dtype=object).reshape(-1, 3)
         _raise_first_fault(rows, num_qubits)
+        rows[rows[:, 0] < N_SINGLE, 2] = 0
         rows = rows.astype(np.int32)
     code, a, b = rows[:, 0], rows[:, 1], rows[:, 2]  # views, so they see the sort
+    b *= code >= N_SINGLE
     same, unsorted = _pair_rules(code, a, b)
-    unsigned = f"u{rows.itemsize}"  # a target below row 0 is then beyond any qubit count
+    unsigned = f"u{rows.itemsize}"  # a code or target below 0 is then past its bound
     if (
         not 0 < num_qubits <= _MAX_QUBITS
+        or np.count_nonzero(code.view(unsigned) >= len(_NAMES))
         or np.count_nonzero(np.maximum(a.view(unsigned), b.view(unsigned)) >= num_qubits)
         or np.count_nonzero(same)
     ):

@@ -16,9 +16,10 @@ on 64 strings per word and never set a padding bit, since every flip and
 every update ANDs or XORs rows whose padding is zero. One string
 (clifford.conjugate_circuit) is a one-column batch. The int32 (L, 3) op
 array it reads is the only stored form of a circuit (clifford.Circuit.ops);
-encode_gates builds one from (kind, targets) pairs, unchecked, so
-conjugate_inplace refuses a pair row whose two targets are equal (a SWAP
-of a row with itself would clear it) before any gate acts.
+encode_gates builds one from (kind, targets) pairs, checking only kinds
+and 1-based targets, so conjugate_inplace refuses a pair row whose two
+targets are equal (a SWAP of a row with itself would clear it) before any
+gate acts.
 
 single_qubit_classes derives the 24 single-qubit Clifford classes (up to
 phase) from the same rules, by conjugating a one-qubit batch of X, Y and
@@ -48,13 +49,20 @@ _BLOCK = 1024  # op rows conjugate_inplace turns into Python ints at once
 
 
 def encode_gates(gates) -> np.ndarray:
-    """Encode (kind, targets) gate pairs as the int32 (L, 3) op array, unchecked."""
+    """Encode (kind, targets) gate pairs as the int32 (L, 3) op array.
+
+    An unknown kind or a target below 1 raises ValueError; other rules,
+    such as distinct pair targets, are left to conjugate_inplace.
+    """
     ops = np.zeros((len(gates), 3), dtype=np.int32)
     for i, (kind, targets) in enumerate(gates):
-        code = GATE_CODES[kind]
-        ops[i, 0] = code
-        ops[i, 1] = targets[0] - 1
-        ops[i, 2] = targets[1] - 1 if code >= N_SINGLE else 0
+        code = GATE_CODES.get(kind)
+        if code is None:
+            raise ValueError(f"gate {i}: unknown gate kind {kind!r}")
+        a, b = targets[0] - 1, targets[1] - 1 if code >= N_SINGLE else 0
+        if a < 0 or b < 0:
+            raise ValueError(f"gate {i}: {kind} targets must be 1-based positive, got {targets}")
+        ops[i] = code, a, b
     return ops
 
 

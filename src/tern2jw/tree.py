@@ -20,7 +20,9 @@ Text grammar (whitespace-insensitive):
 
 DIGITS are ASCII 0-9. Omitted labels mean terminal; "_" is an explicit
 terminal. `#` starts a comment running to the end of the line. The
-canonical formatter omits terminals.
+canonical formatter omits terminals. tree_parse reads its tokens in one
+pass and names the first bad token in text order; TernaryTree checks its
+links in one walk from the root.
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ LeafPath = tuple[tuple[int, str], ...]
 
 @dataclass(frozen=True)
 class TernaryTree:
-    """Immutable rooted ternary tree; children[q-1] = (x, y, z), 0 = terminal."""
+    """Immutable rooted ternary tree; children[q-1] = (x, y, z), 0 = terminal.
+
+    One breadth-first walk from the root checks each node as it is
+    reached: its slot count, then each link (in range, not the root, not
+    reached before), so it ends; ids it never reaches are unreachable.
+    """
 
     num_qubits: int
     root: int
@@ -67,24 +74,24 @@ class TernaryTree:
             raise ValueError(f"need {m} child records, got {len(self.children)}")
         if not 1 <= self.root <= m:
             raise ValueError(f"root {self.root} out of range 1..{m}")
-        seen_child: dict[int, int] = {}
-        for qid, slots in enumerate(self.children, start=1):
+        parent, order = {root: 0}, [root]  # the root has no parent
+        for q in order:
+            slots = children[q - 1]
             if len(slots) != 3:
-                raise ValueError(f"qubit {qid} has {len(slots)} child slots, need 3 (x, y, z)")
+                raise ValueError(f"qubit {q} has {len(slots)} child slots, need 3 (x, y, z)")
             for c in slots:
                 if c == TERMINAL:
                     continue
                 if not 1 <= c <= m:
-                    raise ValueError(f"qubit {qid} links to unknown qubit {c}")
-                if c in seen_child:
-                    raise ValueError(f"qubit {c} is a child of both {seen_child[c]} and {qid}")
-                if c == self.root:
-                    raise ValueError(f"root {self.root} cannot be a child (of {qid})")
-                seen_child[c] = qid
-        # no node has two parents and the root has none, so the walk ends
-        reached = _walk(self.children, self.root)
-        if len(reached) != m:
-            missing = sorted(set(range(1, m + 1)) - set(reached))
+                    raise ValueError(f"qubit {q} links to unknown qubit {c}")
+                if c in parent:  # the root is in parent from the start
+                    if c == root:
+                        raise ValueError(f"root {root} cannot be a child (of {q})")
+                    raise ValueError(f"qubit {c} is a child of both {parent[c]} and {q}")
+                parent[c] = q
+                order.append(c)
+        if len(order) != m:
+            missing = sorted(set(range(1, m + 1)).difference(order))
             raise ValueError(f"unreachable qubit ids: {missing}")
 
     def __str__(self) -> str:
@@ -140,26 +147,6 @@ def _ints(values, what: str) -> tuple[int, ...]:
 # id, or any other non-space character (an error); re compiles it on first
 # use, not at import
 _TOKEN = r"#[^\n]*|[()_]|:[xyz]|q[0-9]+|\S"
-_MARKS = ("(", ")", "_", ":x", ":y", ":z")  # every other good token is q + digits
-
-
-def _tokenize(text: str) -> list[str]:
-    """The tokens of tree text, comments dropped; raises at the first
-    character no token starts with."""
-    tokens = re.findall(_TOKEN, text)
-    if "#" in text:
-        tokens = [tok for tok in tokens if tok[0] != "#"]
-    rest = set(tokens).difference(_MARKS)
-    if rest and min(map(len, rest)) == 1:  # a lone character no token starts with
-        i, ch = next(
-            (i, t) for i, t in zip(_positions(text), tokens) if len(t) == 1 and t not in "()_"
-        )
-        if ch == ":":
-            raise ValueError(f"expected :x, :y or :z at position {i + 1}")
-        if ch == "q":
-            raise ValueError(f"expected digits after 'q' at position {i + 1}")
-        raise ValueError(f"unexpected character {ch!r} at position {i + 1}")
-    return tokens
 
 
 def _positions(text: str) -> list[int]:
@@ -171,15 +158,18 @@ def tree_parse(text: str) -> TernaryTree:
     """Parse the tree grammar; errors carry 1-based character positions.
 
     `#` starts a comment running to the end of the line, as in circuit
-    text. Whitespace between tokens is free.
+    text. Whitespace between tokens is free. One pass reads the tokens in
+    text order, so an error names the first bad token; the check that the
+    ids are exactly 1..m follows it.
     """
-    tokens = _tokenize(text)
+    tokens = re.findall(_TOKEN, text)
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
     if not tokens:
         raise ValueError("empty tree text")
 
     kids: dict[int, list[int]] = {}
-    first_token: dict[int, int] = {}
-    used_labels: dict[int, set[str]] = {}
+    labeled: set[tuple[int, str]] = set()  # (qubit, label) pairs read so far
     stack: list[int] = []
     root = None
     attach: tuple[int, str] | None = None
@@ -189,53 +179,56 @@ def tree_parse(text: str) -> TernaryTree:
         return ValueError(f"{msg} at position {_positions(text)[token] + 1}")
 
     while i < len(tokens):
-        kind = tokens[i][0]
-        if kind == "(":
+        tok = tokens[i]
+        if tok == "(":
             if root is not None and not stack:
                 raise fail(i, "trailing content after the root tree")
             if stack and attach is None:
                 raise fail(i, "subtree needs a :x/:y/:z label")
-            if i + 1 >= len(tokens) or tokens[i + 1][0] != "q":
+            qtok = tokens[i + 1] if i + 1 < len(tokens) else ""
+            if qtok[:1] != "q":
                 raise fail(i, "expected qubit id after '('")
-            qid = int(tokens[i + 1][1:])
+            if qtok == "q":
+                raise fail(i + 1, "expected digits after 'q'")
+            qid = int(qtok[1:])
             if qid in kids:
                 raise fail(i + 1, f"duplicate qubit id q{qid}")
             kids[qid] = [TERMINAL, TERMINAL, TERMINAL]
-            first_token[qid] = i + 1
-            used_labels[qid] = set()
             if attach is None:
                 root = qid
             else:
-                parent, label = attach
-                kids[parent][XYZ.index(label)] = qid
+                kids[attach[0]][XYZ.index(attach[1])] = qid
                 attach = None
             stack.append(qid)
-            i += 2
-        elif kind == "_":
-            if attach is None:
-                raise fail(i, "terminal '_' needs a :x/:y/:z label")
-            attach = None
-            i += 1
-        elif kind == ":":
-            if attach is not None:
-                raise fail(i, "label is missing its subtree")
-            if not stack:
-                raise fail(i, "label outside a node")
-            parent, value = stack[-1], tokens[i][1]
-            if value in used_labels[parent]:
-                raise fail(i, f"duplicate label :{value} on q{parent}")
-            used_labels[parent].add(value)
-            attach = (parent, value)
-            i += 1
-        elif kind == "q":  # every id that follows '(' was read with it
-            raise fail(i, f"qubit id {tokens[i]} must follow '('")
-        else:  # ")"
+            i += 1  # the id was read with its '('
+        elif tok == ")":
             if attach is not None:
                 raise fail(i, "label is missing its subtree")
             if not stack:
                 raise fail(i, "unbalanced ')'")
             stack.pop()
-            i += 1
+        elif tok in (":x", ":y", ":z"):
+            if attach is not None:
+                raise fail(i, "label is missing its subtree")
+            if not stack:
+                raise fail(i, "label outside a node")
+            attach = (stack[-1], tok[1])
+            if attach in labeled:
+                raise fail(i, f"duplicate label {tok} on q{attach[0]}")
+            labeled.add(attach)
+        elif tok == "_":
+            if attach is None:
+                raise fail(i, "terminal '_' needs a :x/:y/:z label")
+            attach = None
+        elif tok == ":":
+            raise fail(i, "expected :x, :y or :z")
+        elif tok == "q":
+            raise fail(i, "expected digits after 'q'")
+        elif tok[0] == "q":  # every id that follows '(' was read with it
+            raise fail(i, f"qubit id {tok} must follow '('")
+        else:
+            raise fail(i, f"unexpected character {tok!r}")
+        i += 1
     if stack:
         raise ValueError(f"unclosed '(' for q{stack[-1]}")
 
@@ -243,7 +236,8 @@ def tree_parse(text: str) -> TernaryTree:
     bad = sorted(q for q in kids if not 1 <= q <= m)
     if bad:
         missing = sorted(set(range(1, m + 1)) - set(kids))
-        pos = _positions(text)[first_token[bad[0]]] + 1
+        first = next(j for j, tok in enumerate(tokens) if tok[0] == "q" and int(tok[1:]) == bad[0])
+        pos = _positions(text)[first] + 1
         raise ValueError(
             f"qubit ids must be exactly 1..{m}: unexpected {bad}, missing {missing}"
             + f" (first offender q{bad[0]} at position {pos})"

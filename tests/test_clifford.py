@@ -364,11 +364,28 @@ def test_circuit_rejects_out_of_range_targets():
             Circuit(2, [Gate("H", (t,))])
         assert str(excinfo.value) == f"gate H {t} exceeds 2 qubits"
     # op rows (code, row a, row b; CZ is code 6, H code 0) meet the same
-    # rules as Gate: distinct, 1-based targets
+    # rules as Gate: distinct, 1-based targets; their codes are the nine
+    # gates' and their entries integers, never truncated; the first faulty
+    # row is named
     for ops, message in (
         ([(6, 1, 1)], "CZ targets must be distinct, got (2, 2)"),
         ([(0, -1, 0)], "targets must be 1-based positive, got (0,)"),
+        ([(-1, 0, 1)], "unknown gate code -1, not one of 0..8"),
+        ([(-1, 0, 0)], "unknown gate code -1, not one of 0..8"),
+        ([(9, 0, 0)], "unknown gate code 9, not one of 0..8"),
+        ([(0, 1.5, 0)], "op rows must hold integers, got 1.5"),
+        ([(6, 0, "1")], "op rows must hold integers, got '1'"),
+        (np.array([[0.0, 1.0, 0.0]]), "op rows must hold integers, got 0.0"),
+        ([(0, 0, 0), (9, 0, 0), (0, 1.5, 0)], "unknown gate code 9, not one of 0..8"),
+        ([(0, 0, 0), (0, 1.5, 0), (9, 0, 0)], "op rows must hold integers, got 1.5"),
     ):
         with pytest.raises(ValueError) as excinfo:
             Circuit.from_ops(2, ops)
         assert str(excinfo.value) == message
+    # a single-qubit row's b is no target: it is stored as 0, so rows that
+    # differ only there make one circuit, and the pair cancels
+    h = Circuit.from_ops(2, [(0, 0, 0)])
+    for b in (1, 5, -1, 2**70):
+        assert Circuit.from_ops(2, [(0, 0, b)]) == h
+        assert Circuit.from_ops(2, [(0, 0, b)]).ops.tolist() == [[0, 0, 0]]
+    assert len(peephole_cancel(Circuit.from_ops(2, [(0, 0, 1), (0, 0, 0)]))) == 0

@@ -61,6 +61,18 @@ def test_encode_gates_layout():
     phases = np.array([0, 1, 2, 3], dtype=np.uint8)
     out_letters, out_phases = _run(conjugate_inplace, encode_gates([]), letters, phases)
     assert np.array_equal(out_letters, letters) and np.array_equal(out_phases, phases)
+    # a target below 1 would wrap to the last row, so it is refused, as is
+    # an unknown kind; equal pair targets are left to conjugate_inplace
+    for gates, message in (
+        ([("H", (0,))], "gate 0: H targets must be 1-based positive, got (0,)"),
+        ([("H", (1,)), ("CZ", (1, 0))], "gate 1: CZ targets must be 1-based positive, got (1, 0)"),
+        ([("SWAP", (-2, 1))], "gate 0: SWAP targets must be 1-based positive, got (-2, 1)"),
+        ([("T", (1,))], "gate 0: unknown gate kind 'T'"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            encode_gates(gates)
+        assert str(excinfo.value) == message
+    assert encode_gates([("CX", (2, 2))]).tolist() == [[7, 1, 1]]
 
 
 def _check_batch_against_oracle(g, m):

@@ -108,3 +108,53 @@ def test_straighten_imports_nothing_unused_but_probe_targets():
     probed = {p.attr for p in _load_layers().PROBES if p.module == "tern2jw.straighten"}
     stale = sorted(imported - used - probed - {"MAX_LETTER_CELLS"})  # re-exported
     assert not stale, f"tern2jw/straighten.py imports {stale} for no use and no probe: delete them"
+
+
+def _annotation_names(tree):
+    """Names read inside the string annotations of a module, such as
+    "TernaryTree | Mapping[int, Mapping[str, int]]"."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in filter(None, annotations):
+            for text in ast.walk(ann):
+                if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                    for name in ast.walk(ast.parse(text.value, mode="eval")):
+                        if isinstance(name, ast.Name):
+                            yield name.id
+
+
+def test_no_module_imports_anything_unused_but_probe_targets():
+    # every module of the package: a name it imports must be used (string
+    # annotations count), bound by a perfbench probe on that module, or
+    # re-exported (listed in its __all__, or straighten's MAX_LETTER_CELLS)
+    package = Path(importlib.import_module("tern2jw").__file__).parent
+    probes = _load_layers().PROBES
+    stale = {}
+    for path in sorted(package.glob("*.py")):
+        module = "tern2jw" if path.stem == "__init__" else f"tern2jw.{path.stem}"
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_annotation_names(tree))
+        exported = {"MAX_LETTER_CELLS"} if module == "tern2jw.straighten" else set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update(ast.literal_eval(node.value))
+        probed = {p.attr for p in probes if p.module == module}
+        names = sorted(imported - used - probed - exported)
+        if names:
+            stale[path.name] = names
+    assert not stale, f"tern2jw modules import names for no use and no probe: {stale}"

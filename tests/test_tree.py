@@ -104,6 +104,11 @@ def test_parse_errors():
         ("(q1 _)", "terminal '_' needs a :x/:y/:z label at position 5"),
         ("(q1 :x :y (q2))", "label is missing its subtree at position 8"),
         (":x (q1)", "label outside a node at position 1"),
+        # one pass over the tokens: with several faults the first in text
+        # order is named, not a lone character further on
+        ("(q1 :x (q1) ?)", "duplicate qubit id q1 at position 9"),
+        ("(q1 (q2) :w)", "subtree needs a :x/:y/:z label at position 5"),
+        ("(q1)(q", "trailing content after the root tree at position 5"),
     ):
         with pytest.raises(ValueError) as excinfo:
             tree_parse(text)
@@ -134,6 +139,16 @@ def test_tree_validation():
     ):
         with pytest.raises(ValueError) as excinfo:
             TernaryTree(2, 1, rows)
+        assert str(excinfo.value) == message
+    # one walk from the root checks each node as it is reached, so a row
+    # it never reaches is reported unreachable, whatever else is wrong with it
+    for rows, message in (
+        (((2, 0, 0), (0, 0, 0), (9, 0, 0)), "unreachable qubit ids: [3]"),
+        (((2, 0, 0), (0, 0, 0), (0, 0)), "unreachable qubit ids: [3]"),
+        (((3, 2, 0), (0, 0, 0), (2, 0, 0)), "qubit 2 is a child of both 1 and 3"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            TernaryTree(3, 1, rows)
         assert str(excinfo.value) == message
     # ids go through operator.index, as Gate's targets do: a float or text
     # id is refused with a worded error, and numpy ints are stored as ints
