@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 from .clifford import circuit_format, peephole_cancel
-from .pauli import LETTERS, letter_blocks
+from .pauli import LETTERS
 from .straighten import (
     TransformReport,
     certificate_format,
@@ -38,7 +38,15 @@ from .straighten import (
     straighten,
     verify_transform,
 )
-from .tree import TernaryTree, _leaf_runs, _planes_product, tree_format, tree_generators, tree_parse
+from .tree import (
+    TernaryTree,
+    _leaf_runs,
+    _rows_product,
+    _run_letters,
+    _run_masks,
+    tree_format,
+    tree_parse,
+)
 
 _LETTER_BYTES = bytes.maketrans(bytes(range(4)), LETTERS.encode())
 DEFAULT_CAP = 8  # verify's default --oracle-cap; the library's oracle has none
@@ -123,11 +131,14 @@ def _read_inputs(args: argparse.Namespace) -> list:
 
 
 def _cmd_generators(args: argparse.Namespace, t: TernaryTree) -> int:
-    gens = tree_generators(t)
-    strings = (s for block in letter_blocks(gens.planes, len(gens)) for s in block)
+    # each block of strings built from the leaf runs, so the tree's planes
+    # are never held whole
+    x_runs, z_runs = _leaf_runs(t)
+    strings = (s for block in _run_letters(x_runs, z_runs) for s in block)
     for j, letters in enumerate(strings, start=1):  # each of phase +1
         print(f"e{j} +{letters.tobytes().translate(_LETTER_BYTES).decode()}")
-    print(f"product {_planes_product(gens.planes, len(gens), 0)}")
+    rows = zip(_run_masks(x_runs), _run_masks(z_runs))
+    print(f"product {_rows_product(rows, 2 * t.num_qubits + 1, 0)}")
     return 0
 
 

@@ -16,10 +16,11 @@ on 64 strings per word and never set a padding bit, since every flip and
 every update ANDs or XORs rows whose padding is zero. One string
 (clifford.conjugate_circuit) is a one-column batch. The int32 (L, 3) op
 array it reads is the only stored form of a circuit (clifford.Circuit.ops);
-encode_gates builds one from (kind, targets) pairs, checking only kinds
-and 1-based targets, so conjugate_inplace refuses a pair row whose two
-targets are equal (a SWAP of a row with itself would clear it) before any
-gate acts.
+encode_gates builds one from (kind, targets) pairs, checking kinds and
+each gate's integer 1-based targets, so conjugate_inplace refuses a pair
+row of raw (writeable) rows whose two targets are equal (a SWAP of a row
+with itself would clear it) before any gate acts; a Circuit's rows are
+read-only and already checked, so they skip that scan.
 
 single_qubit_classes derives the 24 single-qubit Clifford classes (up to
 phase) from the same rules, by conjugating a one-qubit batch of X, Y and
@@ -35,6 +36,7 @@ test_clifford through one-gate circuits.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -51,15 +53,24 @@ _BLOCK = 1024  # op rows conjugate_inplace turns into Python ints at once
 def encode_gates(gates) -> np.ndarray:
     """Encode (kind, targets) gate pairs as the int32 (L, 3) op array.
 
-    An unknown kind or a target below 1 raises ValueError; other rules,
-    such as distinct pair targets, are left to conjugate_inplace.
+    An unknown kind, a target count other than the kind's, a target that
+    is not an integer or one below 1 raises ValueError naming the gate's
+    index; other rules, such as distinct pair targets, are left to
+    conjugate_inplace.
     """
     ops = np.zeros((len(gates), 3), dtype=np.int32)
     for i, (kind, targets) in enumerate(gates):
         code = GATE_CODES.get(kind)
         if code is None:
             raise ValueError(f"gate {i}: unknown gate kind {kind!r}")
-        a, b = targets[0] - 1, targets[1] - 1 if code >= N_SINGLE else 0
+        want = 1 if code < N_SINGLE else 2
+        if len(targets) != want:
+            raise ValueError(f"gate {i}: {kind} takes {want} target(s), got {targets}")
+        try:
+            rows = [operator.index(t) - 1 for t in targets]
+        except TypeError:
+            raise ValueError(f"gate {i}: {kind} targets must be integers, got {targets}") from None
+        a, b = rows[0], rows[1] if want == 2 else 0
         if a < 0 or b < 0:
             raise ValueError(f"gate {i}: {kind} targets must be 1-based positive, got {targets}")
         ops[i] = code, a, b
@@ -72,16 +83,21 @@ def conjugate_inplace(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -
     planes: uint64 (2m, W), the x plane over the z plane; phases: uint8
     (n,) with exponents mod 4; ops: int32 (L, 3) rows (gate code, row a,
     row b); b is ignored for single-qubit codes, and for CX a is the
-    control. Gates act in listed order. A pair row with a == b raises
-    ValueError before any gate acts.
+    control. Gates act in listed order. Writeable op rows, such as
+    encode_gates', are checked first: a pair row with a == b raises
+    ValueError before any gate acts. Read-only rows, as Circuit.ops is
+    stored once it has passed Circuit's row check, are taken as checked.
     """
     check_planes(planes, len(phases))
-    same = (ops[:, 0] >= N_SINGLE) & (ops[:, 1] == ops[:, 2])
-    if np.count_nonzero(same):
-        i = int(same.argmax())
-        code, a, _ = ops[i].tolist()
-        kind = PAIR_GATES[code - N_SINGLE]
-        raise ValueError(f"op row {i}: {kind} needs two distinct qubits, got qubit {a + 1} twice")
+    if ops.flags.writeable:  # raw rows; a Circuit's read-only rows passed its row check
+        same = (ops[:, 0] >= N_SINGLE) & (ops[:, 1] == ops[:, 2])
+        if np.count_nonzero(same):
+            i = int(same.argmax())
+            code, a, _ = ops[i].tolist()
+            kind = PAIR_GATES[code - N_SINGLE]
+            raise ValueError(
+                f"op row {i}: {kind} needs two distinct qubits, got qubit {a + 1} twice"
+            )
     rows = list(planes)  # one 1-D view per row, so every rule below writes into planes
     m = len(rows) // 2
     x, z = rows[:m], rows[m:]

@@ -15,9 +15,12 @@ a basis index): X flips the bit, Z adds 2 where it is set, and Y, whose
 rows hold -i and i, flips it and adds 3, plus 2 where it is set. So i^p
 times the string has source r ^ x and phase p + 3 |x & z| + 2 parity(r & z)
 in row r. dense_conjugate builds every column's form from the masks it
-reads off the packed planes, with popcounts from one table (_POPCOUNT; no
-numpy-2-only call). Phases are uint8 exponents, whose wraparound mod 256
-keeps them right mod 4.
+reads off the packed planes, with popcounts from one table (_POPCOUNT)
+and the basis indices and qubit bits sliced from two more (_ROWS, _BITS),
+so no call builds them; tests/test_numpy_floor.py keeps every numpy name
+here within the declared floor, 1.24. Phases are uint8 exponents, whose
+wraparound mod 256 keeps them right mod 4, so no step reduces them before
+_decode.
 
 Every gate but H is monomial too. Its form, written out per local row in
 _GATE_FORMS and embedded on the 2^m basis states, acts as
@@ -36,7 +39,9 @@ quant-ph/0304125), so row r of H M H meets only rows r and r ^ bit of M,
 and those reach at most two columns. _hadamard works out both sums per
 row and halves the one nonzero sum exactly; a row that would need more
 than one entry, or an entry that does not halve to a unit, raises
-OracleError.
+OracleError. Both conditions are counted over the whole batch at once,
+and the new forms take a dozen whole-array operations, none of them a
+reduction.
 
 dense_conjugate has engine.conjugate_inplace's batch contract (packed x
 and z planes and a phase row) and works in place, so
@@ -44,7 +49,14 @@ straighten.oracle_check differs from verify_transform only in the
 conjugator. oracle_conjugate is its one-column call. One decoder,
 _decode, reads forms back as x and z masks and phases, which go back into
 the planes in one write, and rejects any form that is not a signed Pauli
-matrix's.
+matrix's: it compares the whole forms with the decoded strings' first,
+and only a form that fails is examined again for the error to name.
+
+On perfbench's small trees (m 2..6, 2.55 H gates on average) a
+dense_conjugate call takes about 100 us on a 2-vCPU VM: some 18 us per H
+step, 21 us in _decode, 18 us from the planes to the forms and 11 us
+back, each the cost of a dozen or two numpy calls on arrays of a few
+hundred entries.
 
 Intended for small qubit counts (verify's --oracle-cap is 8); every entry
 point refuses m > MAX_ORACLE_QUBITS before any allocation. It imports
@@ -72,7 +84,14 @@ _H = _NAMES.index("H")
 _POPCOUNT = np.unpackbits(
     np.arange(1 << MAX_ORACLE_QUBITS, dtype=">u2")[:, None].view(np.uint8), axis=1
 ).sum(axis=1, dtype=np.uint8)
+# every basis index, and each qubit's bit, the last qubit's last: on m
+# qubits the 2^m indices are a prefix of _ROWS and qubit q's bit is
+# _BITS[-m:][q - 1], both views, so no call builds them
+_ROWS = np.arange(1 << MAX_ORACLE_QUBITS)
+_BITS = 1 << _ROWS[MAX_ORACLE_QUBITS - 1 :: -1]
 _POPCOUNT.setflags(write=False)
+_ROWS.setflags(write=False)
+_BITS.setflags(write=False)
 
 
 class OracleError(Exception):
@@ -134,11 +153,13 @@ def _check_cap(m: int) -> None:
 def _forms(xmask: np.ndarray, zmask: np.ndarray, phases, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The (k, 2^m) monomial forms, sources and phases, of the k strings
     i^phases[j] times the one with x mask xmask[j] and z mask zmask[j]:
-    row r's source is r ^ x, its phase p + 3 |x & z| + 2 |r & z| mod 4."""
-    rows = np.arange(1 << m)
+    row r's source is r ^ x, its phase p + 3 |x & z| + 2 |r & z| (uint8,
+    read mod 4)."""
+    rows = _ROWS[: 1 << m]
     source = rows ^ xmask[:, None]
-    phase = (phases + 3 * _POPCOUNT[xmask & zmask])[:, None] + 2 * _POPCOUNT[rows & zmask[:, None]]
-    return source, phase & 3
+    phase = (phases + 3 * _POPCOUNT.take(xmask & zmask))[:, None]
+    phase = phase + 2 * _POPCOUNT.take(rows & zmask[:, None])
+    return source, phase
 
 
 def _compile(ops: np.ndarray, m: int) -> list:
@@ -152,7 +173,7 @@ def _compile(ops: np.ndarray, m: int) -> list:
         elif steps and not isinstance(steps[-1], int):
             src, e = steps[-1]
             s, g = _gate_form(code, a, b, m)
-            steps[-1] = src.take(s), (g + e.take(s)) & 3
+            steps[-1] = src.take(s), g + e.take(s)
         else:
             steps.append(_gate_form(code, a, b, m))
     return [step if isinstance(step, int) else (*step, np.argsort(step[0])) for step in steps]
@@ -171,13 +192,14 @@ def _hadamard(source: np.ndarray, phase: np.ndarray, m: int, t: int) -> tuple[np
     shift = m - t
     partner, r_b = _gate_form(_H, t - 1, 0, m)
     turn = phase.take(partner, axis=1) - phase  # B = i^turn (-1)^(r_b) A
-    if (source.take(partner, axis=1) ^ source != 1 << shift).any() or (turn & 1).any():
+    moved = source.take(partner, axis=1) ^ source
+    if np.count_nonzero(moved != 1 << shift) or np.count_nonzero(turn & 1):
         raise OracleError(f"inexact rescale after H {t}")
     # B = (-1)^sign A: the nonzero sum sits at s when s_b == sign, as
-    # (-1)^(s_b) 2A, and at s ^ b otherwise, as 2A; only bit 0 counts
+    # (-1)^(s_b) 2A, and at s ^ b otherwise, as 2A (moved is b in every
+    # row); only bit 0 counts
     s_b, sign = (source >> shift).astype(np.uint8), (turn >> 1) ^ r_b
-    away = np.left_shift((s_b ^ sign) & 1, shift, dtype=source.dtype)
-    return source ^ away, (phase + ((r_b ^ (s_b & sign)) << 1)) & 3
+    return source ^ moved * ((s_b ^ sign) & 1), phase + ((r_b ^ (s_b & sign)) << 1)
 
 
 def _decode(source: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,24 +208,26 @@ def _decode(source: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, 
     one.
 
     Each x mask is row 0's source; z bits come from the sign ratio of the
-    single-bit rows, each of whose entries must sit at the row ^ x mask
-    and be +- row 0's; the phase is row 0's less 3 per Y. The decoded
-    strings are re-encoded and compared with the whole forms, every row's
-    source and phase, so any non-Pauli form is rejected.
+    single-bit rows, and the phase is row 0's less 3 per Y. The whole
+    forms, every row's source and phase, are then compared with the
+    decoded strings', r ^ x and row 0's phase plus 2 |r & z| in row r, so
+    any non-Pauli form is rejected. The error names a single-bit row whose
+    entry is not +- row 0's at the row ^ x mask if there is one, and the
+    first failing candidate otherwise.
     """
-    xmask = source[:, 0]
-    bits = 1 << np.arange(m - 1, -1, -1)  # qubit q's bit, at q - 1
-    turn = (phase[:, bits] - phase[:, :1]) & 3  # (k, m)
-    bad = (source[:, bits] != bits ^ xmask[:, None]) | (turn & 1 != 0)
-    if bad.any():
-        r = bits[bad.any(axis=0).argmax()]
-        raise OracleError(f"entry at row {r} is not +- the reference entry")
-    zmask = (turn >> 1) @ bits
-    phases = (phase[:, 0] + _POPCOUNT[xmask & zmask]) & 3
-    want_source, want_phase = _forms(xmask, zmask, phases, m)
-    wrong = (want_source != source) | (want_phase != phase)
-    if wrong.any():
-        j = wrong.any(axis=1).argmax()
+    rows, bits = _ROWS[: 1 << m], _BITS[-m:]  # qubit q's bit, at q - 1
+    xmask, lead = source[:, 0], phase[:, :1]
+    turn = phase.take(bits, axis=1) - lead  # (k, m)
+    zmask = ((turn >> 1) & 1) @ bits
+    phases = (lead[:, 0] + _POPCOUNT.take(xmask & zmask)) & 3
+    moved = source ^ rows ^ xmask[:, None]
+    turned = (phase - lead - 2 * _POPCOUNT.take(rows & zmask[:, None])) & 3
+    if np.count_nonzero(moved) or np.count_nonzero(turned):
+        bad = (moved.take(bits, axis=1) != 0) | (turn & 1 != 0)
+        if bad.any():
+            r = bits[bad.any(axis=0).argmax()]
+            raise OracleError(f"entry at row {r} is not +- the reference entry")
+        j = ((moved != 0) | (turned != 0)).any(axis=1).argmax()
         letters = unpack_planes(mask_planes(xmask[j : j + 1], zmask[j : j + 1], m), 1)[:, 0]
         candidate = PauliString(letters.tolist(), int(phases[j]))
         raise OracleError(f"decode self-check failed for candidate {candidate}")
@@ -225,7 +249,7 @@ def dense_conjugate(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> 
         else:
             src, e, inv = step
             source = inv.take(source.take(src, axis=1))
-            phase = (e + phase.take(src, axis=1) - e.take(source)) & 3
+            phase = e + phase.take(src, axis=1) - e.take(source)
     xmask, zmask, phases[:] = _decode(source, phase, m)
     planes[:] = mask_planes(xmask, zmask, m)
 

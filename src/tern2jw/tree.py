@@ -9,7 +9,8 @@ label the path leaves through. Any two distinct path products anticommute
 there, and act on disjoint qubits below it). _leaf_runs lays out their
 x and z bits, one run of leaf columns each per qubit; _planes packs the
 runs as one batch (the pauli module's x and z planes), which
-tree_generators holds and certification conjugates.
+tree_generators holds and certification conjugates, and _run_letters
+reads letters off them a bounded block of columns at a time.
 
 Canonical leaf order is depth-first with x < y < z. Qubit ids must be
 exactly 1..m; they double as tensor positions in the Pauli strings.
@@ -440,13 +441,32 @@ def _leaf_runs(t: TernaryTree) -> tuple[list[tuple[int, int]], list[tuple[int, i
     return x_runs, z_runs
 
 
+def _run_masks(runs):
+    """Each leaf run [lo, hi) as an int with bits lo..hi - 1 set."""
+    return (((1 << (hi - lo)) - 1) << lo for lo, hi in runs)
+
+
 def _planes(t: TernaryTree) -> np.ndarray:
     """The path products as one packed batch: (2m, W) x and z planes over
     the 2m+1 leaf columns, phases all 0; one run mask a row."""
     x_runs, z_runs = _leaf_runs(t)
-    return planes_from_rows(
-        (((1 << (hi - lo)) - 1) << lo for lo, hi in x_runs + z_runs), 2 * t.num_qubits + 1
-    )
+    return planes_from_rows(_run_masks(x_runs + z_runs), 2 * t.num_qubits + 1)
+
+
+def _run_letters(x_runs, z_runs):
+    """The letters of the path products with these leaf runs, one (k, m)
+    uint8 block of strings at a time, read off the runs (column c has
+    qubit q's x bit where x_runs[q - 1] holds c, and likewise z), so
+    neither planes nor the (m, 2m+1) letter matrix is built: k columns
+    of m letters make at most 2^18 cells, or k is 1."""
+    (x_lo, x_hi), (z_lo, z_hi) = np.array(x_runs).T, np.array(z_runs).T
+    m = len(x_runs)
+    k = max(1, (1 << 18) // m)
+    for start in range(0, 2 * m + 1, k):
+        cols = np.arange(start, min(start + k, 2 * m + 1))[:, None]
+        x = ((x_lo <= cols) & (cols < x_hi)).view(np.uint8)
+        z = ((z_lo <= cols) & (cols < z_hi)).view(np.uint8)
+        yield (x ^ z) | (z << 1)
 
 
 # Largest m tree_generators validates. The check's time grows with the
@@ -481,13 +501,14 @@ def _set_bits(mask: int):
         mask ^= low
 
 
-def _planes_product(planes: np.ndarray, n: int, phase: int) -> PauliString:
-    """Product in listed order of the n strings of a packed batch whose
-    phase exponents sum to phase. Per qubit, with x and z its rows and
-    Y = iXZ: i^(x.z) times the X^x_j Z^z_j in column order, a sign flip per
-    z bit before an x bit, and X^px Z^pz = i^(-px.pz) times (px, pz)."""
+def _rows_product(rows, n: int, phase: int) -> PauliString:
+    """Product in listed order of n strings whose phase exponents sum to
+    phase, given as each qubit's x and z rows as two ints (plane_rows'
+    form). Per qubit, with x and z its rows and Y = iXZ: i^(x.z) times
+    the X^x_j Z^z_j in column order, a sign flip per z bit before an x
+    bit, and X^px Z^pz = i^(-px.pz) times (px, pz)."""
     letters = []
-    for x, z in plane_rows(planes):
+    for x, z in rows:
         prefix, shift = z, 1  # inclusive XOR prefix of z along the columns
         while shift < n:
             prefix ^= prefix << shift
@@ -537,19 +558,19 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
         (a + 1, b + 1) for a, row in enumerate(odd) for b in _set_bits(~row & (1 << n) - (2 << a))
     )
     squares = tuple(j + 1 for j, phase in enumerate(phases) if phase & 1)
-    product = _planes_product(planes, n, sum(phases))
+    product = _rows_product(plane_rows(planes), n, sum(phases))
     return ValidationReport(not anti, anti, not squares, squares, product, not any(product.letters))
 
 
 # Letters allowed in the (m, 2m+1) batch of a tree's generators; 2**28
-# admits m up to 11584. No command builds it as a byte letter matrix: all
-# but stats (which reads the weights off the leaf runs) hold packed planes,
-# two bits a letter, 7.7 MiB at m=4000 and 64 MiB at the cap. Tracemalloc
-# peaks on random_tree(m, 42), m=4000 / cap, in MiB: straighten 9.7 / 73.2,
-# verify_transform 9.5 / 72.5 (both with the engine's 2m row views, about
-# 0.25 MiB at m=4000), fix_signs 10.4 / 75.4; whole commands, tree parse
-# included: generators 11.2 / 74.1 (one block of columns at a time), stats
-# 2.7 / 9.0.
+# admits m up to 11584. No command builds it as a byte letter matrix:
+# straighten, verify and map hold packed planes, two bits a letter, 7.7 MiB
+# at m=4000 and 64 MiB at the cap, while stats and generators read the leaf
+# runs. Tracemalloc peaks on random_tree(m, 42), m=4000 / cap, in MiB:
+# straighten 9.7 / 73.2, verify_transform 9.5 / 72.5 (both with the
+# engine's 2m row views, about 0.25 MiB at m=4000), fix_signs 10.4 / 75.4;
+# whole commands, tree parse included: generators 2.9 / 6.3 (one block of
+# columns at a time), stats 2.7 / 9.0.
 MAX_LETTER_CELLS = 1 << 28
 
 

@@ -68,6 +68,11 @@ def test_encode_gates_layout():
         ([("H", (1,)), ("CZ", (1, 0))], "gate 1: CZ targets must be 1-based positive, got (1, 0)"),
         ([("SWAP", (-2, 1))], "gate 0: SWAP targets must be 1-based positive, got (-2, 1)"),
         ([("T", (1,))], "gate 0: unknown gate kind 'T'"),
+        # a float target was truncated, a second single-qubit target
+        # dropped, and a missing pair target an IndexError
+        ([("H", (1.5,))], "gate 0: H targets must be integers, got (1.5,)"),
+        ([("S", (1,)), ("H", (1, 2))], "gate 1: H takes 1 target(s), got (1, 2)"),
+        ([("CZ", (1,))], "gate 0: CZ takes 2 target(s), got (1,)"),
     ):
         with pytest.raises(ValueError) as excinfo:
             encode_gates(gates)

@@ -3,6 +3,7 @@ import contextlib
 import functools
 import importlib
 import math
+import os
 import random
 import tracemalloc
 from dataclasses import replace
@@ -539,6 +540,30 @@ def test_certify_reports_ranks_signs_and_duplicates():
     assert flipped.signs == tuple(-s for s in report.signs) and not any(flipped.results)
 
 
+def test_certify_reports_plain_python_values():
+    # results, ranks and signs hold Python bools and ints, never numpy
+    # scalars, whatever sequence SIGNS comes as (fix_signs passes an int64
+    # array) and however far past 3 the phase exponents run, on a batch
+    # that fails some columns and on a sign-fixed certificate that passes
+    planes = pack_letters(np.array([[1, 3, 3, 1, 1, 0], [0, 2, 3, 0, 0, 1]], dtype=np.uint8))
+    mixed = planes, np.array([0, 2, 0, 0, 1, 0], dtype=np.uint8), (1, 2), (1, -1, 1, 1, 1, 1)
+    t = random_tree(3, 0)
+    r = fix_signs(straighten(t))
+    fixed = *_conjugated_images(t, r.circuit.ops, conjugate_inplace), r.permutation, r.signs
+    for planes, phases, order, signs in (mixed, fixed):
+        for shift in (0, 4, 6, 253):
+            shifted = phases + shift
+            reports = [certify(planes, shifted, order)] + [
+                certify(planes, shifted, order, form(signs))
+                for form in (tuple, list, lambda s: np.array(s, dtype=np.int64))
+            ]
+            assert reports[1] == reports[2] == reports[3], shift
+            for report in reports:
+                assert {type(v) for v in report.results} == {bool}, shift
+                assert {type(v) for v in report.ranks + report.signs} == {int}, shift
+    assert certify(*fixed).ok and not certify(*mixed).ok
+
+
 def test_verify_transform_size_mismatch(triple_fork):
     # a certificate whose PERM, circuit and SIGNS disagree on m cannot be
     # built; a well-formed one on another qubit count is refused by both
@@ -695,19 +720,26 @@ def test_certification_memory_peak_at_full_ternary_6():
 
 @pytest.mark.parametrize(
     "command, m, bound",  # bounds in MiB; the planes take 7.7 MiB at m=4000
-    [("stats", 4000, 6), ("stats", 11584, 16), ("generators", 4000, 24)],
+    [
+        ("stats", 4000, 6),
+        ("stats", 11584, 16),
+        ("generators", 4000, 24),
+        ("generators", 11584, 10),
+    ],
 )
 def test_generators_and_stats_memory_peaks(tmp_path, command, m, bound):
-    # the whole command, tree parse included, with its output sent to a
-    # file: stats reads the weights off the leaf runs, and generators
-    # prints from the planes one bounded block of columns at a time, so
-    # neither builds the (m, 2m+1) letter matrix (30.5 MiB at m=4000,
-    # 256 MiB at the MAX_LETTER_CELLS cap, m=11584)
+    # the whole command, tree parse included, with its output sent to the
+    # null device (256 MiB of text from generators at the cap): stats reads
+    # the weights off the leaf runs, and generators builds one bounded block
+    # of columns at a time from them, so neither builds the tree's planes
+    # (64 MiB at the MAX_LETTER_CELLS cap, m=11584) or its (m, 2m+1) letter
+    # matrix (30.5 MiB at m=4000, 256 MiB at the cap); generators measured
+    # 2.9 MiB at m=4000 and 6.3 MiB at the cap
     tree = tmp_path / "tree.txt"
     tree.write_text(tree_format(random_tree(m, 42)))
 
     def run():
-        with open(tmp_path / "out.txt", "w") as out, contextlib.redirect_stdout(out):
+        with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
             return run_cli([command, str(tree)])
 
     code, peak = _traced_peak(run)
