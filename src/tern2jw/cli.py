@@ -39,12 +39,14 @@ from .straighten import (
     verify_transform,
 )
 from .tree import (
+    VALIDATE_LIMIT,
     TernaryTree,
     _leaf_runs,
     _rows_product,
-    _run_letters,
+    _run_letter_blocks,
     _run_masks,
     tree_format,
+    tree_generators,
     tree_parse,
 )
 
@@ -131,14 +133,17 @@ def _read_inputs(args: argparse.Namespace) -> list:
 
 
 def _cmd_generators(args: argparse.Namespace, t: TernaryTree) -> int:
+    m = t.num_qubits
+    if m <= VALIDATE_LIMIT:
+        tree_generators(t)  # its self-check, which raises on a library bug
     # each block of strings built from the leaf runs, so the tree's planes
     # are never held whole
     x_runs, z_runs = _leaf_runs(t)
-    strings = (s for block in _run_letters(x_runs, z_runs) for s in block)
+    strings = (s for block in _run_letter_blocks(x_runs + z_runs, 2 * m + 1) for s in block)
     for j, letters in enumerate(strings, start=1):  # each of phase +1
         print(f"e{j} +{letters.tobytes().translate(_LETTER_BYTES).decode()}")
     rows = zip(_run_masks(x_runs), _run_masks(z_runs))
-    print(f"product {_rows_product(rows, 2 * t.num_qubits + 1, 0)}")
+    print(f"product {_rows_product(rows, 2 * m + 1, 0)}")
     return 0
 
 

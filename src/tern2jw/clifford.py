@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES, conjugate_inplace
+from .engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES, _conjugate_checked
 from .pauli import PauliString, pack_letters, unpack_planes
 
 _NAMES = SINGLE_GATES + PAIR_GATES  # indexed by gate code
@@ -207,7 +207,7 @@ def _one_column(conjugate, c: Circuit, p: PauliString) -> PauliString:
 
 def conjugate_circuit(c: Circuit, p: PauliString) -> PauliString:
     """Conjugate p through the circuit in listed order, as a one-column batch."""
-    return _one_column(conjugate_inplace, c, p)
+    return _one_column(_conjugate_checked, c, p)
 
 
 def invert_circuit(c: Circuit) -> Circuit:

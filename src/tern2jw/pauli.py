@@ -110,11 +110,17 @@ def unpack_planes(planes: np.ndarray, n: int) -> np.ndarray:
     return (x ^ z) | (z << 1)
 
 
+def block_words(rows: int) -> int:
+    """Words of columns per block of letter_blocks for planes of this many
+    rows: as many as unpack from 2^20 bits at most, or one word."""
+    return max(1, (1 << 20) // (64 * rows))
+
+
 def letter_blocks(planes: np.ndarray, n: int):
     """The letters of n-column planes, one (k, m) uint8 block of strings at
-    a time, so no (m, n) letter matrix is built: k is a whole number of
-    words, as many as unpack from 2^20 bits at most, or one word."""
-    words = max(1, (1 << 20) // (64 * len(planes)))
+    a time, so no (m, n) letter matrix is built: k is block_words' whole
+    number of words of columns."""
+    words = block_words(len(planes))
     for w in range(0, planes.shape[1], words):
         yield unpack_planes(planes[:, w : w + words], min(n - 64 * w, 64 * words)).T
 

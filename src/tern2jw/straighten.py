@@ -46,7 +46,7 @@ set with certify, which reads their rows in chain order. fix_signs appends
 a single-qubit Pauli layer that forces ranks 1..2m positive (rank 2m+1 is
 pinned by the conserved total product) and certifies the sign it puts on
 each JW generator the same way. verify_transform and oracle_check are one
-certificate check, _check, run with the engine's conjugate_inplace or the
+certificate check, _check, run with the engine's conjugator or the
 oracle's dense_conjugate.
 """
 
@@ -58,7 +58,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clifford import Circuit, Gate, invert_circuit
-from .engine import GATE_CODES, N_SINGLE, SINGLE_GATES, conjugate_inplace, single_qubit_classes
+from .engine import GATE_CODES, N_SINGLE, SINGLE_GATES, single_qubit_classes
+
+# Every op row conjugated here is a Circuit's, which passed its row check,
+# or fix_signs' layer of one-qubit gates, so the engine's equal-target scan
+# is skipped; perfbench's engine.conjugate_s probe wraps this name.
+from .engine import _conjugate_checked as conjugate_inplace
 from .engine import encode_gates  # noqa: F401 -- perfbench's engine.encode_s probe binds it
 from .oracle import dense_conjugate
 from .pauli import check_planes, plane_rows
@@ -588,13 +593,12 @@ def certify(
     and 2i+2 for Y; a lead I, or any letter in a row below the lead,
     fails the column. Columns that never lead are all Z, rank 2m+1.
     The verdicts are then read on Python ints and lists, with no numpy
-    call but the one that lists the phases: when every image decodes,
-    with n distinct ranks and the declared signs, all pass at once;
-    otherwise one pass keeps each rank's first passing image. results,
-    ranks and signs hold Python bools and ints whatever sequence signs
-    is. A call takes about 9 us on perfbench's small trees (m 2..6; it
-    was 24 us with a numpy tail) and 3.1 ms on full_ternary(6), on a
-    2-vCPU VM.
+    call but the one that lists the phases: one pass keeps each rank's
+    first image that decodes with its declared sign. results, ranks and
+    signs hold Python bools and ints whatever sequence signs is. A call
+    takes about 10 us on perfbench's small trees (m 2..6; it was 25 us
+    with a numpy tail), 3.3 ms on full_ternary(6) and 0.9 ms on the
+    m=400 caterpillar, as before, on a 2-vCPU VM.
     Raises ValueError unless planes are (2m, ceil(n/64)) uint64 words
     with every padding bit clear, order is a permutation of 1..m and
     signs, if given, has n entries.
@@ -626,18 +630,14 @@ def certify(
         low = bad & -bad
         decoded[low.bit_length() - 1] = 0
         bad ^= low
-    undecoded = 0 in decoded
-    if undecoded:
-        ranks = [r if d else 0 for r, d in zip(ranks, decoded)]
-    if not undecoded and len(set(ranks)) == n and (signs is None or list(signs) == decoded):
-        results = [True] * n  # every image passes, checked in C loops
-    else:  # d * d == 1 exactly when d is a sign; bool(), whatever ints signs holds
-        results = [bool(d * s == 1) for d, s in zip(decoded, decoded if signs is None else signs)]
-        seen = set()
-        for j, rank in enumerate(ranks):  # a repeated rank passes at its first passing image
-            if results[j]:
-                results[j] = rank not in seen
-                seen.add(rank)
+    results = [False] * n
+    seen = set()  # the ranks of the images passed so far
+    for j, d, s in zip(range(n), decoded, decoded if signs is None else signs):
+        if not d:
+            ranks[j] = 0
+        elif d * s == 1 and ranks[j] not in seen:  # s is the sign d decoded as
+            seen.add(ranks[j])
+            results[j] = True
     return TransformReport(tuple(results), tuple(ranks), tuple(decoded))
 
 

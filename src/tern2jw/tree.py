@@ -9,8 +9,8 @@ label the path leaves through. Any two distinct path products anticommute
 there, and act on disjoint qubits below it). _leaf_runs lays out their
 x and z bits, one run of leaf columns each per qubit; _planes packs the
 runs as one batch (the pauli module's x and z planes), which
-tree_generators holds and certification conjugates, and _run_letters
-reads letters off them a bounded block of columns at a time.
+tree_generators holds and certification conjugates, and
+_run_letter_blocks decodes a bounded block of columns at a time.
 
 Canonical leaf order is depth-first with x < y < z. Qubit ids must be
 exactly 1..m; they double as tensor positions in the Pauli strings.
@@ -37,7 +37,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .pauli import PauliString, letter_blocks, pack_letters, plane_rows, planes_from_rows
+from .pauli import (
+    WORD,
+    PauliString,
+    block_words,
+    letter_blocks,
+    pack_letters,
+    plane_rows,
+    planes_from_rows,
+    unpack_planes,
+)
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
@@ -453,20 +462,20 @@ def _planes(t: TernaryTree) -> np.ndarray:
     return planes_from_rows(_run_masks(x_runs + z_runs), 2 * t.num_qubits + 1)
 
 
-def _run_letters(x_runs, z_runs):
-    """The letters of the path products with these leaf runs, one (k, m)
-    uint8 block of strings at a time, read off the runs (column c has
-    qubit q's x bit where x_runs[q - 1] holds c, and likewise z), so
-    neither planes nor the (m, 2m+1) letter matrix is built: k columns
-    of m letters make at most 2^18 cells, or k is 1."""
-    (x_lo, x_hi), (z_lo, z_hi) = np.array(x_runs).T, np.array(z_runs).T
-    m = len(x_runs)
-    k = max(1, (1 << 18) // m)
-    for start in range(0, 2 * m + 1, k):
-        cols = np.arange(start, min(start + k, 2 * m + 1))[:, None]
-        x = ((x_lo <= cols) & (cols < x_hi)).view(np.uint8)
-        z = ((z_lo <= cols) & (cols < z_hi)).view(np.uint8)
-        yield (x ^ z) | (z << 1)
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=WORD)  # k low bits set
+
+
+def _run_letter_blocks(runs, n: int):
+    """letter_blocks of the n-column planes whose rows are these leaf runs
+    (the x runs, then the z runs), built a block of words at a time: each
+    word holds its row's run clipped to the word's 64 columns, so the
+    whole planes are never held."""
+    lo, hi = np.array(runs, dtype=np.int64).T[:, :, None]
+    words, width = block_words(len(runs)), -(-n // 64)
+    for w in range(0, width, words):
+        first = 64 * np.arange(w, min(w + words, width))  # each word's first column
+        planes = _LOW_BITS[np.clip(hi - first, 0, 64)] & ~_LOW_BITS[np.clip(lo - first, 0, 64)]
+        yield unpack_planes(planes, min(n - 64 * w, 64 * words)).T
 
 
 # Largest m tree_generators validates. The check's time grows with the
@@ -569,7 +578,7 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
 # runs. Tracemalloc peaks on random_tree(m, 42), m=4000 / cap, in MiB:
 # straighten 9.7 / 73.2, verify_transform 9.5 / 72.5 (both with the
 # engine's 2m row views, about 0.25 MiB at m=4000), fix_signs 10.4 / 75.4;
-# whole commands, tree parse included: generators 2.9 / 6.3 (one block of
+# whole commands, tree parse included: generators 4.2 / 8.0 (one block of
 # columns at a time), stats 2.7 / 9.0.
 MAX_LETTER_CELLS = 1 << 28
 

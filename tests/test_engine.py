@@ -229,6 +229,25 @@ def test_pair_rows_with_equal_targets_refused(kind):
     assert np.array_equal(unpack_planes(planes, 3), letters) and phases.tolist() == [0, 1, 2]
 
 
+@pytest.mark.parametrize("form", ["setflags", "broadcast_to", "frombuffer"])
+def test_read_only_raw_rows_with_equal_targets_refused(form):
+    # rows that no Circuit checked are refused however they are stored: a
+    # read-only array says nothing of where its rows came from
+    letters = np.array([[1, 2, 3], [3, 2, 1]], dtype=np.uint8)
+    planes, phases = pack_letters(letters), np.array([0, 1, 2], dtype=np.uint8)
+    ops = encode_gates([("H", (1,)), ("SWAP", (2, 2))])
+    if form == "setflags":
+        ops.setflags(write=False)
+    elif form == "broadcast_to":
+        ops = np.broadcast_to(ops, ops.shape)
+    else:
+        ops = np.frombuffer(ops.tobytes(), dtype=ops.dtype).reshape(ops.shape)
+    assert not ops.flags.writeable
+    with pytest.raises(ValueError, match="^op row 1: SWAP needs two distinct qubits, got qubit 2 twice$"):
+        conjugate_inplace(planes, phases, ops)
+    assert np.array_equal(unpack_planes(planes, 3), letters) and phases.tolist() == [0, 1, 2]
+
+
 def test_dense_conjugate_refuses_13_rows_before_allocating():
     planes = pack_letters(np.zeros((13, 3), dtype=np.uint8))
     phases = np.zeros(3, dtype=np.uint8)

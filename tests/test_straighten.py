@@ -542,9 +542,10 @@ def test_certify_reports_ranks_signs_and_duplicates():
 
 def test_certify_reports_plain_python_values():
     # results, ranks and signs hold Python bools and ints, never numpy
-    # scalars, whatever sequence SIGNS comes as (fix_signs passes an int64
-    # array) and however far past 3 the phase exponents run, on a batch
-    # that fails some columns and on a sign-fixed certificate that passes
+    # scalars, whatever sequence SIGNS comes as (a tuple, a list or an
+    # int64 array) and however far past 3 the phase exponents run, on a
+    # batch that fails some columns and on a sign-fixed certificate that
+    # passes
     planes = pack_letters(np.array([[1, 3, 3, 1, 1, 0], [0, 2, 3, 0, 0, 1]], dtype=np.uint8))
     mixed = planes, np.array([0, 2, 0, 0, 1, 0], dtype=np.uint8), (1, 2), (1, -1, 1, 1, 1, 1)
     t = random_tree(3, 0)
@@ -681,19 +682,34 @@ def test_oracle_catches_a_sign_the_engine_agrees_with(monkeypatch):
     assert oracle_check(t, r).failed_ranks == (1,)
 
 
-def test_tree_generators_self_check_fires(monkeypatch):
+def _duplicate_first_column(monkeypatch):
+    """Make the tree module's planes carry column 0 in column 1 too, so the
+    two generators commute."""
     tree_mod = importlib.import_module("tern2jw.tree")
     original = tree_mod._planes
 
-    def duplicated(t):  # column 1 a copy of column 0, so the two commute
+    def duplicated(t):
         planes = original(t)
         low = planes[:, 0] & np.uint64(1)
         planes[:, 0] = planes[:, 0] & ~np.uint64(2) | low << np.uint64(1)
         return planes
 
     monkeypatch.setattr(tree_mod, "_planes", duplicated)
+
+
+def test_tree_generators_self_check_fires(monkeypatch):
+    _duplicate_first_column(monkeypatch)
     with pytest.raises(RuntimeError, match="internal invariant violation"):
         tree_generators(random_tree(6, 3))
+
+
+def test_generators_command_self_check_fires(monkeypatch, capsys):
+    # the command prints blocks built from the leaf runs, and still runs
+    # tree_generators' self-check on trees it validates
+    _duplicate_first_column(monkeypatch)
+    with pytest.raises(RuntimeError, match="internal invariant violation"):
+        run_cli(["generators", "-e", tree_format(random_tree(6, 3))])
+    assert capsys.readouterr().out == ""
 
 
 def _traced_peak(run):
@@ -734,7 +750,7 @@ def test_generators_and_stats_memory_peaks(tmp_path, command, m, bound):
     # of columns at a time from them, so neither builds the tree's planes
     # (64 MiB at the MAX_LETTER_CELLS cap, m=11584) or its (m, 2m+1) letter
     # matrix (30.5 MiB at m=4000, 256 MiB at the cap); generators measured
-    # 2.9 MiB at m=4000 and 6.3 MiB at the cap
+    # 4.2 MiB at m=4000 and 8.0 MiB at the cap
     tree = tmp_path / "tree.txt"
     tree.write_text(tree_format(random_tree(m, 42)))
 
