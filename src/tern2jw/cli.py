@@ -5,7 +5,8 @@ outputs diff cleanly and pipe into each other (straighten's certificate
 feeds verify unchanged).
 
 Each subcommand is declared once, in _parser, which stores its handler and
-the names of its inputs on the subparser's defaults. Inputs come from
+the names of its inputs on the subparser's defaults; run_cli parses a
+command's arguments with its subparser alone. Inputs come from
 repeated -e flags or file paths; inline texts are consumed first (they are
 invariably tree snippets, and the tree slots come first in every
 subcommand). run_cli parses the TREE inputs and hands the handler the
@@ -55,8 +56,9 @@ DEFAULT_CAP = 8  # verify's default --oracle-cap; the library's oracle has none
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each subcommand's own parser, by name, built
+    on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="tern2jw",
         description="Synthesize and check Clifford circuits between "
@@ -104,7 +106,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     add("stats", _cmd_stats, ("TREE",), "print the generator weight histogram")
     add("augment", _cmd_augment, ("TREE",), "print the completed tree in canonical form")
-    return parser
+    return parser, sub.choices
 
 
 def _parsed(name: str, parse: Callable, text: str):
@@ -202,8 +204,16 @@ def _cmd_augment(args: argparse.Namespace, t: TernaryTree) -> int:
 
 
 def run_cli(argv: Sequence[str] | None = None) -> int:
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand's own parser reads the rest in one argparse pass;
+    # the full parser words the usage errors and the top-level help
+    command = argv[0] if argv and not argv[0].startswith("-") else None
     try:
-        args = _parser().parse_args(argv)
+        if command in commands:
+            args = commands[command].parse_args(argv[1:], argparse.Namespace(command=command))
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

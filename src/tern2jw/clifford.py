@@ -8,15 +8,16 @@ targets sorted; CX keeps its order (first target is the control). A Circuit
 is the engine's read-only int32 (L, 3) op array and nothing else; text,
 inversion and cancellation work on its rows, and Gate objects are built
 only when a caller asks for them. Both constructors store their rows
-through one row check. Circuit text is checked line by line as it is
-read, so each gate's error is worded on the line it enters.
+through one row check. Circuit text is read in one bulk pass whose rows
+go through that check too; only a text it refuses is read again line by
+line, to word the first fault on the line it is on.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -26,7 +27,13 @@ from .pauli import PauliString, pack_letters, unpack_planes
 _NAMES = SINGLE_GATES + PAIR_GATES  # indexed by gate code
 _INVERSE = np.array([GATE_CODES[{"S": "SDG", "SDG": "S"}.get(n, n)] for n in _NAMES])
 _CX = GATE_CODES["CX"]
-_TEXT = tuple(f"{n} {{1}}" if c < N_SINGLE else f"{n} {{1}} {{2}}" for c, n in enumerate(_NAMES))
+_HEADS = tuple(f"\n{n}" for n in _NAMES)  # a gate line's text before its targets
+# gate kind -> (its code + 1 as text, its line's token count, the text that
+# pads a single-qubit gate's targets to two), for circuit_parse
+_LINE = {
+    n: (str(c + 1), 2, ("1",)) if c < N_SINGLE else (str(c + 1), 3, ())
+    for c, n in enumerate(_NAMES)
+}
 _MAX_QUBITS = 2**31 - 1  # target rows are int32
 
 
@@ -247,44 +254,38 @@ def peephole_cancel(c: Circuit) -> Circuit:
 
 def circuit_format(c: Circuit) -> str:
     """Text form: a `QUBITS m` header, then one gate per line."""
-    lines = [f"QUBITS {c.num_qubits}"]
-    lines.extend(_TEXT[row[0]].format(*row) for row in (c.ops + (0, 1, 1)).tolist())
-    return "\n".join(lines) + "\n"
+    code, a, b = c.ops.T.tolist()
+    names = {q: f" {q + 1}" for q in {*a, *b}}  # each index's text, once a call
+    lines = [
+        _HEADS[k] + names[x] + names[y] if k >= N_SINGLE else _HEADS[k] + names[x]
+        for k, x, y in zip(code, a, b)
+    ]
+    return f"QUBITS {c.num_qubits}{''.join(lines)}\n"
 
 
-def _raise_gate_line(tokens: list[str], lineno: int) -> None:
-    """Raise the ValueError, naming its line, of a gate line that breaks
-    a rule: its kind, an index, or a rule of its Gate."""
+def _gate_line(tokens: list[str], lineno: int) -> Gate:
+    """The Gate of one gate line of circuit text; a ValueError naming the
+    line for an unknown kind, a bad index or a broken rule of its Gate."""
     kind = tokens[0]
     if kind not in GATE_CODES:
         raise ValueError(f"line {lineno}: unknown gate {kind!r}")
     if not all(map(_is_index, tokens[1:])):
         raise ValueError(f"line {lineno}: bad qubit index in {' '.join(tokens)!r}")
     try:
-        Gate(kind, tuple(map(int, tokens[1:])))
+        return Gate(kind, tuple(map(int, tokens[1:])))
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def circuit_parse(
-    text: str, num_qubits: int | None = None, directives: Iterable[str] = ()
-) -> tuple[Circuit, dict[str, list[str]]]:
-    """Parse circuit text; `#` comments, blank lines, and `QUBITS m` allowed.
-
-    Extra directive names (e.g. PERM, SIGNS) may be declared; their token
-    lists are collected and returned alongside the circuit. Numbers are
-    ASCII digits (a qubit index may carry a sign). Each line is checked
-    as it is read, so an error names the first bad line. Only a target
-    beyond the qubit count, which a later QUBITS header may set, is found
-    when the rows become the circuit; its error names its line too.
-    """
-    rows: list[tuple[int, int, int]] = []
-    where: list[int] = []  # the line number of each row
-    found: dict[str, list[str]] = {}
-    directives = frozenset(directives)  # once: a generator is used up by its first lookup
-    declared = num_qubits
-    for n, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0]
+def _raise_text_fault(lines: list[str], num_qubits: int | None, directives: frozenset) -> NoReturn:
+    """Raise the error of the first fault in comment-free circuit text
+    lines that circuit_parse's bulk pass refused, reading them one at a
+    time: the first bad line (a QUBITS header, a repeated directive or a
+    gate line) raises ValueError naming it; then a bad qubit count raises
+    the count's ValueError, and a target beyond the count a ValueError
+    naming the target's line."""
+    declared, seen, gates, where = num_qubits, set(), [], []
+    for n, line in enumerate(lines, 1):
         tokens = line.split()
         if not tokens:
             continue
@@ -297,24 +298,87 @@ def circuit_parse(
                 raise ValueError(f"line {n}: QUBITS {count} conflicts with expected {declared}")
             declared = count
         elif head in directives:
-            if head in found:
+            if head in seen:
                 raise ValueError(f"line {n}: duplicate {head} directive")
-            found[head] = args
+            seen.add(head)
         else:
-            code = GATE_CODES.get(head, -1)
-            pair = code >= N_SINGLE
-            plain = line.isascii() and all(map(str.isdigit, args))  # unsigned, no call per index
-            if code < 0 or len(args) != 1 + pair or not (plain or all(map(_is_index, args))):
-                _raise_gate_line(tokens, n)
-            a, b = int(args[0]) - 1, int(args[-1]) - 1 if pair else 0
-            if a < 0 or b < 0 or pair and a == b:
-                _raise_gate_line(tokens, n)
-            rows.append((code, a, b))
+            gates.append(_gate_line(tokens, n))
             where.append(n)
     if declared is None:
-        declared = max(max(r[1:]) for r in rows) + 1 if rows else 1
+        declared = max((max(g.targets) for g in gates), default=1)
     try:
-        return Circuit.from_ops(declared, rows), found
+        Circuit(declared, gates)
     except IndexError as exc:  # a target beyond the qubit count: name its line
-        r = next(r for r, (_, a, b) in enumerate(rows) if max(a, b) >= declared)
-        raise ValueError(f"line {where[r]}: {exc}") from None
+        i = next(i for i, g in enumerate(gates) if max(g.targets) > declared)
+        raise ValueError(f"line {where[i]}: {exc}") from None
+    raise AssertionError("circuit text refused without a fault")
+
+
+def circuit_parse(
+    text: str, num_qubits: int | None = None, directives: Iterable[str] = ()
+) -> tuple[Circuit, dict[str, list[str]]]:
+    """Parse circuit text; `#` comments, blank lines, and `QUBITS m` allowed.
+
+    Extra directive names (e.g. PERM, SIGNS) may be declared; their token
+    lists are collected and returned alongside the circuit; a directive
+    name may not be a gate kind or QUBITS. Numbers are ASCII digits (a
+    qubit index may carry a sign).
+
+    The text is read in one bulk pass. It is split into lines once, and
+    comments are stripped only when it holds a `#`. Each line gets only
+    its kind looked up and its token count checked; a QUBITS header and a
+    directive are taken as they come. Then one ASCII-digits check runs on
+    the gate numbers joined, one numpy call converts them all, and
+    Circuit.from_ops checks every row rule (positive and distinct targets,
+    the qubit count and the int32 fit) on the whole array. A text this
+    pass refuses, for any reason, is read again line by line by
+    _raise_text_fault, which raises the error of its first fault: it
+    names the first bad line, or, with every line sound, raises a bad
+    qubit count's error, or names the line of the first target beyond the
+    count, which a later QUBITS header may set.
+    """
+    directives = frozenset(directives)  # once: a generator is used up by its first lookup
+    if "QUBITS" in directives or not directives.isdisjoint(_LINE):
+        raise ValueError(f"directive names may not be gate kinds or QUBITS: {sorted(directives)}")
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    numbers: list[str] = []  # three a gate: its code + 1 and its (padded) targets
+    add = numbers.extend
+    found: dict[str, list[str]] = {}
+    declared = num_qubits
+    for tokens in map(str.split, lines):
+        if not tokens:
+            continue
+        head = tokens[0]
+        spec = _LINE.get(head)
+        if spec is not None and len(tokens) == spec[1]:
+            tokens[0] = spec[0]
+            add(tokens)
+            add(spec[2])
+        elif (
+            head == "QUBITS"
+            and len(tokens) == 2
+            and tokens[1].isascii()
+            and tokens[1].isdigit()
+            and (declared is None or declared == int(tokens[1]))
+        ):
+            declared = int(tokens[1])
+        elif head in directives and head not in found:
+            found[head] = tokens[1:]
+        else:
+            _raise_text_fault(lines, num_qubits, directives)
+    joined = " ".join(numbers)
+    # ASCII digits: bytes.isdigit takes no other digit, and is far quicker than str.isdigit
+    digits = joined.isascii() and joined.encode().translate(None, b" ").isdigit()
+    if digits or all(map(_is_index, numbers)):
+        # an index past int64 reads as an int64 bound, which every row check refuses
+        rows = np.fromstring(joined, dtype=np.int64, sep=" ").reshape(-1, 3)
+        if declared is None:
+            declared = int(rows[:, 1:].max(initial=1))
+        rows -= 1
+        try:
+            return Circuit.from_ops(declared, rows), found
+        except (ValueError, IndexError):
+            pass
+    _raise_text_fault(lines, num_qubits, directives)

@@ -48,13 +48,15 @@ GATE_CODES = {name: i for i, name in enumerate(SINGLE_GATES + PAIR_GATES)}
 N_SINGLE = len(SINGLE_GATES)
 _H, _S, _SDG, _X, _Y, _Z, _CZ, _CX, _SWAP = range(len(GATE_CODES))
 _BLOCK = 1024  # op rows conjugate_inplace turns into Python ints at once
+_MAX_ROW = np.iinfo(np.int32).max
 
 
 def encode_gates(gates) -> np.ndarray:
     """Encode (kind, targets) gate pairs as the int32 (L, 3) op array.
 
-    An unknown kind, a target count other than the kind's, a target that
-    is not an integer or one below 1 raises ValueError naming the gate's
+    An unknown kind, targets that are no sequence, a target count other
+    than the kind's, a target that is not an integer, one below 1 or one
+    whose row does not fit int32 raises ValueError naming the gate's
     index; other rules, such as distinct pair targets, are left to
     conjugate_inplace.
     """
@@ -64,7 +66,12 @@ def encode_gates(gates) -> np.ndarray:
         if code is None:
             raise ValueError(f"gate {i}: unknown gate kind {kind!r}")
         want = 1 if code < N_SINGLE else 2
-        if len(targets) != want:
+        try:
+            count = len(targets)
+        except TypeError:
+            message = f"gate {i}: {kind} targets must be a sequence, got {targets!r}"
+            raise ValueError(message) from None
+        if count != want:
             raise ValueError(f"gate {i}: {kind} takes {want} target(s), got {targets}")
         try:
             rows = [operator.index(t) - 1 for t in targets]
@@ -73,6 +80,8 @@ def encode_gates(gates) -> np.ndarray:
         a, b = rows[0], rows[1] if want == 2 else 0
         if a < 0 or b < 0:
             raise ValueError(f"gate {i}: {kind} targets must be 1-based positive, got {targets}")
+        if max(a, b) > _MAX_ROW:
+            raise ValueError(f"gate {i}: {kind} targets must fit int32 rows, got {targets}")
         ops[i] = code, a, b
     return ops
 

@@ -10,6 +10,10 @@ The dense matrices here are the exact oracle's independent ground truth:
 built from fixed 2x2 and 4x4 tables, a string's with np.kron and a gate's by
 comparing the bits off its targets, they share nothing with the oracle's
 monomial forms, and this module imports nothing from tern2jw.oracle.
+
+circuit_parse and certificate_parse are the line-by-line text readers the
+library's one bulk pass replaced, kept to check that pass against: the
+same Circuit and directives, or the same error text.
 """
 
 import re
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tern2jw import PauliString, tree_leaves
+from tern2jw import Certificate, Circuit, Gate, PauliString, tree_leaves
+from tern2jw.engine import GATE_CODES, N_SINGLE
 from tern2jw.tree import XYZ
 
 _SIGNS = ("+", "+i", "-", "-i")
@@ -201,3 +206,89 @@ def matmul(*factors):
             _part_product(out.re, f.im) + _part_product(out.im, f.re),
         )
     return out
+
+
+def _is_index(token):
+    """A qubit index in circuit text: ASCII digits after an optional sign."""
+    return token.isascii() and (token[1:] if token[0] in "+-" else token).isdigit()
+
+
+def _raise_gate_line(tokens, lineno):
+    kind = tokens[0]
+    if kind not in GATE_CODES:
+        raise ValueError(f"line {lineno}: unknown gate {kind!r}")
+    if not all(map(_is_index, tokens[1:])):
+        raise ValueError(f"line {lineno}: bad qubit index in {' '.join(tokens)!r}")
+    try:
+        Gate(kind, tuple(map(int, tokens[1:])))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def circuit_parse(text, num_qubits=None, directives=()):
+    """The line-by-line circuit text reader that the library's bulk pass
+    replaced: each line is checked as it is read, so an error names the
+    first bad line; only a target beyond the qubit count, which a later
+    QUBITS header may set, is found when the rows become the circuit."""
+    rows = []
+    where = []  # the line number of each row
+    found = {}
+    directives = frozenset(directives)
+    declared = num_qubits
+    for n, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
+            continue
+        head, args = tokens[0], tokens[1:]
+        if head == "QUBITS":
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()):
+                raise ValueError(f"line {n}: bad QUBITS header {line.strip()!r}")
+            count = int(args[0])
+            if declared is not None and count != declared:
+                raise ValueError(f"line {n}: QUBITS {count} conflicts with expected {declared}")
+            declared = count
+        elif head in directives:
+            if head in found:
+                raise ValueError(f"line {n}: duplicate {head} directive")
+            found[head] = args
+        else:
+            code = GATE_CODES.get(head, -1)
+            pair = code >= N_SINGLE
+            if code < 0 or len(args) != 1 + pair or not all(map(_is_index, args)):
+                _raise_gate_line(tokens, n)
+            a, b = int(args[0]) - 1, int(args[-1]) - 1 if pair else 0
+            if a < 0 or b < 0 or pair and a == b:
+                _raise_gate_line(tokens, n)
+            rows.append((code, a, b))
+            where.append(n)
+    if declared is None:
+        declared = max(max(r[1:]) for r in rows) + 1 if rows else 1
+    try:
+        return Circuit.from_ops(declared, rows), found
+    except IndexError as exc:  # a target beyond the qubit count: name its line
+        r = next(r for r, (_, a, b) in enumerate(rows) if max(a, b) >= declared)
+        raise ValueError(f"line {where[r]}: {exc}") from None
+
+
+def certificate_parse(text, num_qubits=None):
+    """The certificate reader on the line-by-line circuit reader."""
+    circuit, found = circuit_parse(text, num_qubits, directives=("PERM", "SIGNS"))
+    for name in ("PERM", "SIGNS"):
+        if name not in found:
+            raise ValueError(f"certificate is missing its {name} line")
+    if not all(map(_is_index, found["PERM"])):
+        raise ValueError(f"bad PERM entries: {' '.join(found['PERM'])!r}")
+    perm = tuple(map(int, found["PERM"]))
+    m = len(perm)
+    if num_qubits is not None and m != num_qubits:
+        raise ValueError(f"PERM lists {m} qubits, expected {num_qubits}")
+    if circuit.num_qubits > m:
+        raise ValueError(f"circuit touches qubit {circuit.num_qubits} but PERM lists only {m}")
+    bad = [tok for tok in found["SIGNS"] if tok not in ("+", "-")]
+    if bad:
+        raise ValueError(f"bad SIGNS entries: {' '.join(bad)!r}")
+    if circuit.num_qubits != m:
+        circuit = Circuit.from_ops(m, circuit.ops)
+    signs = tuple(1 if tok == "+" else -1 for tok in found["SIGNS"])
+    return Certificate(circuit, perm, signs)

@@ -356,6 +356,42 @@ def test_calls_in_one_process_match_fresh_interpreters(capsys):
     assert cli._parser.cache_info().misses == 1
 
 
+def test_subcommands_parse_in_one_pass(capsys, monkeypatch):
+    # run_cli reads a named subcommand's arguments with its own parser:
+    # the handler gets the Namespace the full parser gives, and usage
+    # errors still exit 2
+    parser, commands = cli._parser()
+    _, cert, _ = _run(capsys, "straighten", "-e", TRIPLE_FORK)
+    calls = [
+        ("generators", "-e", BINARY3),
+        ("straighten", "--fix-signs", "--swaps", "-e", TRIPLE_FORK),
+        ("map", "-e", "(q1 :z (q2 :z (q3)))", "-e", BINARY3),
+        ("verify", "--oracle-cap", "3", "-e", TRIPLE_FORK, "-e", cert),
+        ("stats", "-e", BINARY3),
+        ("augment", "-e", BINARY3),
+    ]
+    assert sorted(argv[0] for argv in calls) == sorted(commands)
+    seen = []
+    read_inputs = cli._read_inputs
+    monkeypatch.setattr(cli, "_read_inputs", lambda args: seen.append(args) or read_inputs(args))
+    for argv in calls:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and out and not err, argv
+        assert vars(seen.pop()) == vars(parser.parse_args(argv)), argv
+    for argv, message in (
+        (
+            ("straighten", "--bogus", "-e", TRIPLE_FORK),
+            "tern2jw straighten: error: unrecognized arguments: --bogus",
+        ),
+        ((), "tern2jw: error: the following arguments are required: subcommand"),
+        (("frob",), "tern2jw: error: argument subcommand: invalid choice: 'frob'"),
+        (("-e", BINARY3, "stats"), "tern2jw: error: argument subcommand: invalid choice"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and not out and message in err, (argv, err)
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_module_entry_point():
     proc = _fresh("-m", "tern2jw", "generators", "-e", BINARY3)
     assert proc.returncode == 0

@@ -73,11 +73,16 @@ def test_encode_gates_layout():
         ([("H", (1.5,))], "gate 0: H targets must be integers, got (1.5,)"),
         ([("S", (1,)), ("H", (1, 2))], "gate 1: H takes 1 target(s), got (1, 2)"),
         ([("CZ", (1,))], "gate 0: CZ takes 2 target(s), got (1,)"),
+        # targets that are no sequence, and a row past int32
+        ([("H", 1)], "gate 0: H targets must be a sequence, got 1"),
+        ([("H", (2**40,))], "gate 0: H targets must fit int32 rows, got (1099511627776,)"),
+        ([("CX", (1, 2**31 + 1))], "gate 0: CX targets must fit int32 rows, got (1, 2147483649)"),
     ):
         with pytest.raises(ValueError) as excinfo:
             encode_gates(gates)
         assert str(excinfo.value) == message
     assert encode_gates([("CX", (2, 2))]).tolist() == [[7, 1, 1]]
+    assert encode_gates([("H", [2**31])]).tolist() == [[0, 2**31 - 1, 0]]  # the last int32 row
 
 
 def _check_batch_against_oracle(g, m):

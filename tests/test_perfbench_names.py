@@ -92,6 +92,35 @@ def test_conjugate_probe_sees_verify_but_not_the_oracle(monkeypatch):
     assert layer["engine.matrix_bytes"] == 2 * t.num_qubits * width * 8 + 2 * t.num_qubits + 1
 
 
+def test_text_probes_see_the_certificate_codec(monkeypatch):
+    # perfbench's clifford.parse_s, clifford.gates_parsed and
+    # clifford.format_s probes wrap tern2jw.clifford.circuit_parse and
+    # circuit_format; a certificate codec that bound them at import, or
+    # called a private helper instead, would empty those layers
+    clifford = importlib.import_module("tern2jw.clifford")
+    from tern2jw import certificate_format, certificate_parse, random_tree, straighten
+
+    calls = []
+    for name in ("circuit_parse", "circuit_format"):
+        original = getattr(clifford, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((_name, result))
+            return result
+
+        monkeypatch.setattr(clifford, name, counting)
+    r = straighten(random_tree(6, seed=3))
+    text = certificate_format(r)
+    assert [name for name, _ in calls] == ["circuit_format"]
+    assert certificate_parse(text, 6).circuit == r.circuit
+    assert [name for name, _ in calls] == ["circuit_format", "circuit_parse"]
+    # the gates_parsed counter reads the parse's result
+    totals = collections.defaultdict(float)
+    _load_layers()._count_parsed(totals, (text,), calls[1][1])
+    assert totals["clifford.gates_parsed"] == len(r.circuit) > 0
+
+
 def test_straighten_imports_nothing_unused_but_probe_targets():
     # straighten.py imports encode_gates and tree_leaves only so that the
     # engine.encode_s and tree.leaves_s probes can wrap them there; once a

@@ -20,6 +20,7 @@ from tern2jw import (
     certificate_format,
     certificate_parse,
     certify,
+    circuit_parse,
     conjugate_circuit,
     fix_signs,
     fork_move,
@@ -45,6 +46,7 @@ from tern2jw.straighten import MAX_LETTER_CELLS, _conjugated_images, _jw_product
 from tern2jw.tree import _planes
 
 from conftest import comb, unfused
+import reference
 from reference import jw_generator, letters_matrix
 from shapes import realize, shapes
 
@@ -478,6 +480,93 @@ def test_certificate_parse_errors():
         certificate_parse("H 3\nPERM 1 2\nSIGNS + + + + +\n")
     with pytest.raises(ValueError, match="PERM lists 2 qubits, expected 3"):
         certificate_parse("CZ 1 2\nPERM 1 2\nSIGNS + + + + +\n", num_qubits=3)
+
+
+# one-token stand-ins for a gate target: out of range, signed, padded, or
+# taken by Python's and numpy's str-to-int conversions but not ASCII
+# digits (full-width 2, an underscore), or past int64
+_TARGET_TOKENS = ("0", "-1", "+3", "+1", "007", "\uff12", "1_000", "9" * 20)
+
+
+def _mutants(text, rng):
+    """One-token and one-line changes of certificate text, seeded by rng."""
+    lines = text.splitlines()
+    m = int(lines[0].split()[1])
+
+    def at(i, *new):
+        return "\n".join(lines[:i] + list(new) + lines[i + 1 :]) + "\n"
+
+    gates = [i for i, line in enumerate(lines) if line.split()[0] in GATE_CODES]
+    if gates:
+        i = rng.choice(gates)
+        kind, *targets = lines[i].split()
+        j = rng.randrange(len(targets))
+
+        def target(tok):
+            return at(i, " ".join([kind, *targets[:j], tok, *targets[j + 1 :]]))
+
+        yield at(i, " ".join(["T", *targets]))  # an unknown kind
+        yield at(i, f"{lines[i]} 1")  # an extra target
+        yield at(i, " ".join([kind, *targets[:-1]]))  # a missing target
+        yield from map(target, _TARGET_TOKENS)
+        yield target(str(m + 1))  # past QUBITS
+        yield target(str(rng.randint(1, m)))
+        pairs = [k for k in gates if len(lines[k].split()) == 3]
+        if pairs:
+            k = rng.choice(pairs)
+            pair_kind, a, _ = lines[k].split()
+            yield at(k, f"{pair_kind} {a} {a}")  # equal pair targets
+        yield at(i, f"\t{lines[i]}  # a trailing comment")
+        yield at(i, lines[i], "", "# a comment line", "  ")
+    yield text.replace("\n", "\r\n")
+    yield "# a leading comment\n\n" + text
+    yield at(0, "QUBITS x")
+    yield at(0)  # no QUBITS: the count is inferred
+    for name in ("QUBITS", "PERM", "SIGNS"):
+        k = next(i for i, line in enumerate(lines) if line.startswith(name))
+        rest = lines[:k] + lines[k + 1 :]
+        yield "\n".join([lines[k], *rest]) + "\n"  # moved first
+        yield "\n".join([*rest, lines[k]]) + "\n"  # moved last
+        yield "\n".join([*lines, lines[k]]) + "\n"  # repeated
+    yield f"QUBITS {m + 1}\n" + text  # a conflicting QUBITS
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_text_readers_match_the_line_by_line_reference():
+    # the bulk pass accepts what the line-by-line reader accepted, with the
+    # same Circuit, directives and Certificate, and refuses the rest with
+    # the same error text
+    certs = []
+    for m in range(1, 6):
+        for shape in shapes(m):
+            r = straighten(realize(shape))
+            certs += [r, straighten(realize(shape), swaps=True), fix_signs(r)]
+    certs += [straighten(random_tree(600, s)) for s in (0, 1, 2)]
+    readers = (
+        (certificate_parse, reference.certificate_parse),
+        (
+            functools.partial(circuit_parse, directives=("PERM", "SIGNS")),
+            functools.partial(reference.circuit_parse, directives=("PERM", "SIGNS")),
+        ),
+    )
+    rng = random.Random(32)
+    outcomes = collections.Counter()
+    for cert in certs:
+        text = certificate_format(cert)
+        assert certificate_parse(text) == Certificate(cert.circuit, cert.permutation, cert.signs)
+        for mutant in [text, *_mutants(text, rng)]:
+            for m in (None, cert.num_qubits):
+                for ours, theirs in readers:
+                    got = _outcome(ours, mutant, m)
+                    assert got == _outcome(theirs, mutant, m), (mutant[:200], m)
+                    outcomes[isinstance(got, str)] += 1
+    assert outcomes[False] > 2000 and outcomes[True] > 2000, outcomes
 
 
 def test_verify_transform_rejects_corruption(triple_fork):
