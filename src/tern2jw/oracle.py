@@ -5,93 +5,73 @@ dense matrix. Every matrix the oracle conjugates is a signed Pauli matrix,
 and Clifford gates take those to signed Pauli matrices (Aaronson and
 Gottesman, quant-ph/0406196), whether or not the certificate being checked
 is right. Such a matrix has one unit entry in each row, so its monomial
-form is the whole matrix: for each row r, a source column and a Z4 phase,
-the entry being i^phase[r] at [r, source[r]]. k matrices are a (k, 2^m)
-source array and a (k, 2^m) phase array, 2^m facts each in place of 4^m
-entries.
+form is the whole matrix: for each row r of the 2^m basis states, a
+source column and a Z4 phase, the entry being i^phase[r] at
+[r, source[r]]. Qubit q is bit m - q of a basis index.
 
-A string's form is closed in its x and z masks (qubit q at bit m - q of
-a basis index): X flips the bit, Z adds 2 where it is set, and Y, whose
-rows hold -i and i, flips it and adds 3, plus 2 where it is set. So i^p
-times the string has source r ^ x and phase p + 3 |x & z| + 2 parity(r & z)
-in row r. dense_conjugate builds every column's form from the masks it
-reads off the packed planes, with popcounts from one table (_POPCOUNT)
-and the basis indices and qubit bits sliced from two more (_ROWS, _BITS),
-so no call builds them; tests/test_numpy_floor.py keeps every numpy name
-here within the declared floor, 1.24. Phases are uint8 exponents, whose
-wraparound mod 256 keeps them right mod 4, so no step reduces them before
-_decode.
+A batch of k forms is held bit-sliced, as m + 2 Python ints: one plane
+per qubit q holding bit m - q of every source, then the phases' bit 0 and
+bit 1. Bit r k + j of a plane is row r of column j, so row 0 is a plane's
+low k bits, one int operation acts on every row of every form at once,
+and "row r takes row r + d" is a shift by d k bits. _layout builds, per
+call, each qubit's row plane (the rows whose basis index has its bit set)
+and the spread, sum over r of 2^(r k), whose product with a k-bit column
+mask copies it onto every row; the oracle keeps no cache.
+
+A string's form is closed in its x and z masks: X flips the bit, Z adds 2
+where it is set, and Y, whose rows hold -i and i, flips it and adds 3,
+plus 2 where it is set. So i^p times the string has source r ^ x and
+phase p + 3 |x & z| + 2 parity(r & z) in row r. _forms builds every
+column's form from the qubits' x and z rows of the packed planes, |x & z|
+counted mod 4 in two bit-sliced counter bits.
 
 Every gate but H is monomial too. Its form, written out per local row in
-_GATE_FORMS and embedded on the 2^m basis states, acts as
-(U M)[r] = i^e[r] M[src[r]], and a run of such gates composes into one
-such pair at two takes a gate. Row r of U M U-dagger then holds
-i^(e[r] + phase[src[r]] - e[c]) at column c = inv[source[src[r]]], where
-inv is the inverse permutation of src. _compile reads a circuit's int32
-op rows straight into its H gates and the composed pair (and its inverse)
-of each maximal run between them, and every string conjugated through
-them shares them. _gate_form caches each embedded gate, and each H's
-partner and bit arrays, read-only and bounded.
+_GATE_FORMS, acts on the 2^m basis states as (U M)[r] = i^e[r] M[src[r]],
+and row r of U M U-dagger holds i^(e[r] + phase[src[r]] - e[c]) at
+column c = inv[source[src[r]]], where inv is the inverse of src. _gate
+reads all three off _GATE_FORMS: every gate there swaps its local rows in
+pairs, so src is one masked delta swap of each plane per pair, inv flips
+the targets' source planes where their bits pick a flipping local row,
+and e[r] - e[c] is added to the phase planes with a two-bit carry.
 
 H is stored unnormalized as [[1,1],[1,-1]]. It mixes each basis state only
 with its partner across the target's bit (Dehaene and De Moor,
 quant-ph/0304125), so row r of H M H meets only rows r and r ^ bit of M,
-and those reach at most two columns. _hadamard works out both sums per
-row and halves the one nonzero sum exactly; a row that would need more
-than one entry, or an entry that does not halve to a unit, raises
-OracleError. Both conditions are counted over the whole batch at once,
-and the new forms take a dozen whole-array operations, none of them a
-reduction.
+and those reach at most two columns. _hadamard checks that every row's
+partner has the partner source and a phase that differs by a sign, the
+two conditions under which exactly one of the two sums is nonzero and
+halves to a unit; otherwise it raises OracleError. The new form then takes
+the target's source plane and one phase plane from a few plane
+operations.
 
 dense_conjugate has engine.conjugate_inplace's batch contract (packed x
 and z planes and a phase row) and works in place, so
 straighten.oracle_check differs from verify_transform only in the
 conjugator. oracle_conjugate is its one-column call. One decoder,
-_decode, reads forms back as x and z masks and phases, which go back into
-the planes in one write, and rejects any form that is not a signed Pauli
-matrix's: it compares the whole forms with the decoded strings' first,
-and only a form that fails is examined again for the error to name.
+_decode, reads forms back as each qubit's x and z rows and the phases,
+which go back into the planes in one write, and rejects any form that is
+not a signed Pauli matrix's: it compares the whole forms with the decoded
+strings' first, and only a form that fails is examined again for the error
+to name.
 
-On perfbench's small trees (m 2..6, 2.55 H gates on average) a
-dense_conjugate call takes about 100 us on a 2-vCPU VM: some 18 us per H
-step, 21 us in _decode, 18 us from the planes to the forms and 11 us
-back, each the cost of a dozen or two numpy calls on arrays of a few
-hundred entries.
+On perfbench's small trees (m 2..6) a dense_conjugate call takes about
+40 us on a 2-vCPU VM, most of it Python's per-operation cost on ints of a
+few hundred bits; at m = 12 a plane of 25 columns is 12.8 KB.
 
 Intended for small qubit counts (verify's --oracle-cap is 8); every entry
-point refuses m > MAX_ORACLE_QUBITS before any allocation. It imports
-neither engine nor straighten: the engine is certified against it, never
-the other way round, and the test suite checks it against dense matrices
-built apart from it in tests/reference.py."""
+point refuses m > MAX_ORACLE_QUBITS before any allocation. It imports no
+numpy, and neither engine nor straighten: the engine is certified against
+it, never the other way round, and the test suite checks it against dense
+matrices built apart from it in tests/reference.py."""
 
 from __future__ import annotations
 
-import functools
-
-import numpy as np
-
-from .clifford import _NAMES, Circuit, _kind_targets, _one_column
-from .pauli import PauliString, check_planes, mask_planes, plane_masks, unpack_planes
+from .clifford import _NAMES, Circuit, _one_column
+from .pauli import PauliString, check_planes, planes_from_rows
 
 # The largest m the test suite measures (oracle_check's tracemalloc peak is
-# 4.2 MiB there, the embedded gates included).
+# 0.7 MiB there).
 MAX_ORACLE_QUBITS = 12
-
-_H = _NAMES.index("H")
-
-# |v|, the set bits of every mask v below 2^MAX_ORACLE_QUBITS (<= 2^16:
-# two bytes a value), summed
-_POPCOUNT = np.unpackbits(
-    np.arange(1 << MAX_ORACLE_QUBITS, dtype=">u2")[:, None].view(np.uint8), axis=1
-).sum(axis=1, dtype=np.uint8)
-# every basis index, and each qubit's bit, the last qubit's last: on m
-# qubits the 2^m indices are a prefix of _ROWS and qubit q's bit is
-# _BITS[-m:][q - 1], both views, so no call builds them
-_ROWS = np.arange(1 << MAX_ORACLE_QUBITS)
-_BITS = 1 << _ROWS[MAX_ORACLE_QUBITS - 1 :: -1]
-_POPCOUNT.setflags(write=False)
-_ROWS.setflags(write=False)
-_BITS.setflags(write=False)
 
 
 class OracleError(Exception):
@@ -113,33 +93,28 @@ _GATE_FORMS = {
 }
 
 
-# 256 embedded gates: all 6m + 2m(m - 1) for m <= 10 (160, or 0.4 MiB, at
-# m = 8), at most 9 MiB of arrays at m = MAX_ORACLE_QUBITS
-@functools.lru_cache(maxsize=256)
-def _gate_form(code: int, a: int, b: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gate of op row (code, a, b) on the 2^m basis states, as two
-    read-only arrays, since every caller shares them: for H, each state's
-    partner across the target's bit and that bit; for any other gate its
-    monomial form, source and phase, embedded from _GATE_FORMS (qubit 1
-    the most significant bit of a basis index, the first target the most
-    significant bit of the gate's own index)."""
-    kind, targets = _kind_targets((code, a, b))
-    rows = np.arange(1 << m)
-    shifts = [m - t for t in targets]
-    local = (rows >> shifts[0]) & 1
-    for shift in shifts[1:]:
-        local = (local << 1) | ((rows >> shift) & 1)
-    if kind == "H":
-        form = rows ^ (1 << shifts[0]), local.astype(np.uint8)
-    else:
-        flips, phases = zip(*_GATE_FORMS[kind])
-        # each local flip moved onto the targets' bits of a basis index
-        k = len(targets)
-        spread = [sum(((f >> (k - 1 - j)) & 1) << s for j, s in enumerate(shifts)) for f in flips]
-        form = rows ^ np.array(spread).take(local), np.array(phases, dtype=np.uint8).take(local)
-    for array in form:
-        array.setflags(write=False)
-    return form
+def _actions(form) -> tuple:
+    """One gate's actions on the 2^m basis states from its _GATE_FORMS
+    rows: its target count; the pairs of local rows (l, l ^ flip) it swaps,
+    each with every target's bit in l ^ flip less its bit in l (every gate
+    there takes row l ^ flip back to l, so its inverse swaps the same
+    pairs); and the local rows whose phase has bit 0, and bit 1, set."""
+    flips, phases = zip(*form)
+    width = len(form).bit_length() - 1
+    pairs = tuple(
+        (l, l ^ f, tuple(((l ^ f) >> s & 1) - (l >> s & 1) for s in range(width - 1, -1, -1)))
+        for l, f in enumerate(flips)
+        if l < l ^ f
+    )
+    signs = tuple(tuple(l for l, e in enumerate(phases) if e >> bit & 1) for bit in (0, 1))
+    return width, pairs, signs if any(phases) else ()
+
+
+# a phase byte's bit 0, and its bit 1, as the ASCII digit of a numeral
+_PHASE_BITS = tuple(bytes(48 + (v >> bit & 1) for v in range(256)) for bit in (0, 1))
+
+# per gate code, its actions; None for H
+_ACTIONS = [_actions(_GATE_FORMS[n]) if n in _GATE_FORMS else None for n in _NAMES]
 
 
 def _check_cap(m: int) -> None:
@@ -150,37 +125,52 @@ def _check_cap(m: int) -> None:
         )
 
 
-def _forms(xmask: np.ndarray, zmask: np.ndarray, phases, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 2^m) monomial forms, sources and phases, of the k strings
-    i^phases[j] times the one with x mask xmask[j] and z mask zmask[j]:
-    row r's source is r ^ x, its phase p + 3 |x & z| + 2 |r & z| (uint8,
-    read mod 4)."""
-    rows = _ROWS[: 1 << m]
-    source = rows ^ xmask[:, None]
-    phase = (phases + 3 * _POPCOUNT.take(xmask & zmask))[:, None]
-    phase = phase + 2 * _POPCOUNT.take(rows & zmask[:, None])
-    return source, phase
+def _layout(m: int, k: int) -> tuple[list[int], int, int, int]:
+    """The planes every k-column batch on m qubits shares: each qubit's
+    row plane (every column of the rows whose basis index has the qubit's
+    bit set), the plane of all rows, the spread (bit r k for every row r)
+    and k."""
+    rep = 1  # a bit at the start of every run of rows, 2^m rows long
+    bit_rows = [0] * m
+    for q in range(1, m + 1):
+        size = k << (m - q)  # bits in the 2^(m - q) rows below q's bit
+        bit_rows[q - 1] = ((rep << size) - rep) << size
+        rep |= rep << size
+    return bit_rows, (1 << (k << m)) - 1, rep, k
 
 
-def _compile(ops: np.ndarray, m: int) -> list:
-    """Op rows on m qubits as conjugation steps in order: each H's target,
-    and per maximal run of other gates its composed monomial form and the
-    form's inverse permutation."""
-    steps: list = []
-    for code, a, b in ops.tolist():
-        if code == _H:
-            steps.append(a + 1)
-        elif steps and not isinstance(steps[-1], int):
-            src, e = steps[-1]
-            s, g = _gate_form(code, a, b, m)
-            steps[-1] = src.take(s), g + e.take(s)
-        else:
-            steps.append(_gate_form(code, a, b, m))
-    return [step if isinstance(step, int) else (*step, np.argsort(step[0])) for step in steps]
+def _form(x: list[int], z: list[int], lead0: int, lead1: int, layout) -> list[int]:
+    """The forms of the strings whose qubit q has x row x[q - 1] and z row
+    z[q - 1], with row 0's phase bits lead0 and lead1 (k-bit column masks):
+    source r ^ x and phase lead + 2 parity(r & z) in row r."""
+    bit_rows, _, spread, _ = layout
+    parity = 0
+    for r, zq in zip(bit_rows, z):
+        parity ^= r & zq * spread
+    sources = [r ^ xq * spread for r, xq in zip(bit_rows, x)]
+    return sources + [lead0 * spread, lead1 * spread ^ parity]
 
 
-def _hadamard(source: np.ndarray, phase: np.ndarray, m: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The forms of H M H / 2 for H on qubit t, from those of the matrices M.
+def _y_count(x: list[int], z: list[int]) -> tuple[int, int]:
+    """Each column's Y count mod 4, |x & z|, as two bit masks."""
+    c0 = c1 = 0
+    for xq, zq in zip(x, z):
+        y = xq & zq
+        c1 ^= c0 & y
+        c0 ^= y
+    return c0, c1
+
+
+def _forms(x: list[int], z: list[int], p0: int, p1: int, layout) -> list[int]:
+    """The forms of the strings i^p times the ones with x rows x and z rows
+    z (qubit q at q - 1, a bit per column), p's bits given as the column
+    masks p0 and p1: row 0's phase is p + 3 |x & z|, p - |x & z| mod 4."""
+    c0, c1 = _y_count(x, z)
+    return _form(x, z, p0 ^ c0, p1 ^ c1 ^ (c0 & ~p0), layout)
+
+
+def _hadamard(form: list[int], layout, t: int) -> None:
+    """The forms of H M H / 2 for H on qubit t, in place of those of M.
 
     With b the target's bit and s = source[r], row r of H M H is the sum
     of A = (-1)^(r_b) i^phase[r], at columns s and s ^ b with signs
@@ -189,69 +179,140 @@ def _hadamard(source: np.ndarray, phase: np.ndarray, m: int, t: int) -> tuple[np
     A + B (-1)^(1 - s_b) at s ^ b, are exact: exactly one is nonzero, and
     it is twice a unit, when B = +-A. Otherwise the row raises OracleError.
     """
-    shift = m - t
-    partner, r_b = _gate_form(_H, t - 1, 0, m)
-    turn = phase.take(partner, axis=1) - phase  # B = i^turn (-1)^(r_b) A
-    moved = source.take(partner, axis=1) ^ source
-    if np.count_nonzero(moved != 1 << shift) or np.count_nonzero(turn & 1):
-        raise OracleError(f"inexact rescale after H {t}")
-    # B = (-1)^sign A: the nonzero sum sits at s when s_b == sign, as
-    # (-1)^(s_b) 2A, and at s ^ b otherwise, as 2A (moved is b in every
-    # row); only bit 0 counts
-    s_b, sign = (source >> shift).astype(np.uint8), (turn >> 1) ^ r_b
-    return source ^ moved * ((s_b ^ sign) & 1), phase + ((r_b ^ (s_b & sign)) << 1)
+    bit_rows, full, _, k = layout
+    m = len(bit_rows)
+    shift = k << (m - t)  # row r + b is shift bits above row r
+    high = bit_rows[t - 1]
+    low = full ^ high
+    # every row r with bit b clear against r + b: equal sources but for
+    # bit b, and phases of one parity
+    apart = form[t - 1] ^ full
+    for i, plane in enumerate(form[:-1]):
+        if ((plane >> shift) ^ (apart if i == t - 1 else plane)) & low:
+            raise OracleError(f"inexact rescale after H {t}")
+    # B = (-1)^sign A in row r, the same for r and r ^ b: the nonzero sum
+    # sits at s when s_b == sign, as (-1)^(s_b) 2A, and at s ^ b otherwise,
+    # as 2A, so the new bit b of the source is sign
+    turn = ((form[-1] >> shift) ^ form[-1]) & low
+    sign = turn ^ turn << shift ^ high
+    form[-1] ^= high ^ (form[t - 1] & sign)
+    form[t - 1] = sign
 
 
-def _decode(source: np.ndarray, phase: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x masks, z masks and phases of k signed Pauli matrices, given
-    as their (k, 2^m) monomial forms; raise OracleError if any form is not
-    one.
+def _minterms(planes: list[int], full: int) -> list[int]:
+    """For one or two planes, first the most significant, the planes of
+    each local index l: the positions whose bits in them spell l."""
+    a = planes[0]
+    if len(planes) == 1:
+        return [full ^ a, a]
+    b = planes[1]
+    na, nb = full ^ a, full ^ b
+    return [na & nb, na & b, a & nb, a & b]
 
-    Each x mask is row 0's source; z bits come from the sign ratio of the
-    single-bit rows, and the phase is row 0's less 3 per Y. The whole
+
+def _gate(form: list[int], layout, code: int, a: int, b: int) -> None:
+    """The forms of U M U-dagger for the gate of op row (code, a, b), in
+    place of those of M, with src, inv and e read off _GATE_FORMS."""
+    bit_rows, full, _, k = layout
+    m = len(bit_rows)
+    width, pairs, signs = _ACTIONS[code]
+    targets = (a, b)[:width]
+    local = _minterms([bit_rows[i] for i in targets], full)
+    for l, l2, steps in pairs:
+        # rows in local row l trade places with those in l2, offset by
+        # d rows: one masked delta swap per plane
+        d = sum(s * (k << (m - 1 - i)) for s, i in zip(steps, targets))
+        mask = local[l] if d > 0 else local[l2]
+        d = abs(d)
+        form[:] = [p ^ (t := ((p >> d) ^ p) & mask) ^ t << d for p in form]
+    if pairs:
+        # inv swaps sources in local rows l and l2 the same way: flip the
+        # targets' bits where the two differ
+        sources = _minterms([form[i] for i in targets], full)
+        for l, l2, steps in pairs:
+            moved = sources[l] | sources[l2]
+            for i, s in zip(targets, steps):
+                if s:
+                    form[i] ^= moved
+    if signs:
+        # e[r] - e[c] mod 4, r the row and c its new source, added in
+        sources = _minterms([form[i] for i in targets], full)
+        e0 = e1 = c0 = c1 = 0
+        for l in signs[0]:
+            e0, c0 = e0 | local[l], c0 | sources[l]
+        for l in signs[1]:
+            e1, c1 = e1 | local[l], c1 | sources[l]
+        d0, d1 = e0 ^ c0, e1 ^ c1 ^ (c0 & ~e0)
+        form[-1] ^= d1 ^ (form[-2] & d0)
+        form[-2] ^= d0
+
+
+def _decode(form: list[int], layout) -> tuple[list[int], list[int], int, int]:
+    """Each qubit's x and z rows of k signed Pauli matrices, given as their
+    monomial forms, and the two bit masks of their phases; raise
+    OracleError if any form is not one.
+
+    Each x row is row 0's source bits; z bits come from the sign ratio of
+    the single-bit rows, and the phase is row 0's less 3 per Y. The whole
     forms, every row's source and phase, are then compared with the
     decoded strings', r ^ x and row 0's phase plus 2 |r & z| in row r, so
     any non-Pauli form is rejected. The error names a single-bit row whose
     entry is not +- row 0's at the row ^ x mask if there is one, and the
     first failing candidate otherwise.
     """
-    rows, bits = _ROWS[: 1 << m], _BITS[-m:]  # qubit q's bit, at q - 1
-    xmask, lead = source[:, 0], phase[:, :1]
-    turn = phase.take(bits, axis=1) - lead  # (k, m)
-    zmask = ((turn >> 1) & 1) @ bits
-    phases = (lead[:, 0] + _POPCOUNT.take(xmask & zmask)) & 3
-    moved = source ^ rows ^ xmask[:, None]
-    turned = (phase - lead - 2 * _POPCOUNT.take(rows & zmask[:, None])) & 3
-    if np.count_nonzero(moved) or np.count_nonzero(turned):
-        bad = (moved.take(bits, axis=1) != 0) | (turn & 1 != 0)
-        if bad.any():
-            r = bits[bad.any(axis=0).argmax()]
-            raise OracleError(f"entry at row {r} is not +- the reference entry")
-        j = ((moved != 0) | (turned != 0)).any(axis=1).argmax()
-        letters = unpack_planes(mask_planes(xmask[j : j + 1], zmask[j : j + 1], m), 1)[:, 0]
-        candidate = PauliString(letters.tolist(), int(phases[j]))
+    bit_rows, _, _, k = layout
+    m, cols = len(bit_rows), (1 << k) - 1
+    x = [plane & cols for plane in form[:m]]
+    lead0, lead1 = form[-2] & cols, form[-1] & cols
+    z = [((form[-1] >> (k << (m - q))) ^ lead1) & cols for q in range(1, m + 1)]
+    c0, c1 = _y_count(x, z)
+    p0, p1 = lead0 ^ c0, lead1 ^ c1 ^ (lead0 & c0)
+    bad = 0
+    for plane, want in zip(form, _form(x, z, lead0, lead1, layout)):
+        bad |= plane ^ want
+    if bad:
+        # z was read off the single-bit rows, so such a row fails only by a
+        # moved entry or an odd turn
+        for q in range(1, m + 1):
+            if bad >> (k << (m - q)) & cols:
+                raise OracleError(f"entry at row {1 << (m - q)} is not +- the reference entry")
+        width = k << m  # fold the rows onto row 0, halving each time
+        while width > k:
+            width >>= 1
+            bad = (bad | bad >> width) & ((1 << width) - 1)
+        j = (bad & -bad).bit_length() - 1
+        letters = [(xi >> j & 1 ^ zi >> j & 1) | (zi >> j & 1) << 1 for xi, zi in zip(x, z)]
+        candidate = PauliString(letters, (p0 >> j & 1) | (p1 >> j & 1) << 1)
         raise OracleError(f"decode self-check failed for candidate {candidate}")
-    return xmask, zmask, phases
+    return x, z, p0, p1
 
 
-def dense_conjugate(planes: np.ndarray, phases: np.ndarray, ops: np.ndarray) -> None:
+def dense_conjugate(planes, phases, ops) -> None:
     """engine.conjugate_inplace with exact matrices: the batch's columns
-    become monomial forms, conjugated through the compiled circuit and
-    decoded back."""
+    become bit-sliced monomial forms, conjugated through the op rows one
+    gate at a time and decoded back."""
     n = len(phases)
     check_planes(planes, n)
     m = len(planes) // 2
     _check_cap(m)
-    source, phase = _forms(*plane_masks(planes, n), phases, m)
-    for step in _compile(ops, m):
-        if isinstance(step, int):
-            source, phase = _hadamard(source, phase, m, step)
+    # every plane row off one int of the planes' bytes, its padding bits
+    # dropped
+    bits, stride = int.from_bytes(planes.tobytes(), "little"), 64 * planes.shape[1]
+    cols = (1 << n) - 1
+    xz = [bits >> stride * i & cols for i in range(2 * m)]
+    # each phase's bit 0 and bit 1 as a binary numeral, column 0 last
+    text = phases.tobytes()[::-1]
+    p0, p1 = (int(text.translate(table) or b"0", 2) for table in _PHASE_BITS)
+    layout = _layout(m, n)
+    form = _forms(xz[:m], xz[m:], p0, p1, layout)
+    for code, a, b in ops.tolist():
+        if _ACTIONS[code] is None:
+            _hadamard(form, layout, a + 1)
         else:
-            src, e, inv = step
-            source = inv.take(source.take(src, axis=1))
-            phase = e + phase.take(src, axis=1) - e.take(source)
-    xmask, zmask, phases[:] = _decode(source, phase, m)
-    planes[:] = mask_planes(xmask, zmask, m)
+            _gate(form, layout, code, a, b)
+    x, z, p0, p1 = _decode(form, layout)
+    planes[:] = planes_from_rows(x + z, n)
+    phases[:] = [(p0 >> j & 1) | (p1 >> j & 1) << 1 for j in range(n)]
 
 
 def oracle_conjugate(c: Circuit, p: PauliString) -> PauliString:

@@ -17,10 +17,11 @@ x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
 q - 1, its z bits in row m + q - 1, column j at bit j % 64 of word j // 64,
 and the padding bits past column n - 1 zero. The helpers below are the
 only place that converts between letters and planes (letter_blocks a
-bounded block of columns at a time), between planes and each qubit's x and
-z rows as two ints (plane_rows, read in place), and between planes and
-each column's x and z bits as two int masks, qubit q at bit m - q (the
-oracle's basis-index order). A PauliString is one column with its phase.
+bounded block of columns at a time). plane_rows (read in place) and
+planes_from_rows convert between planes and each qubit's x and z rows as
+two ints; the exact oracle, whose batches are small, reads its rows off
+one int of the planes' bytes instead. A PauliString is one column with its
+phase.
 """
 
 from __future__ import annotations
@@ -123,21 +124,6 @@ def letter_blocks(planes: np.ndarray, n: int):
     words = block_words(len(planes))
     for w in range(0, planes.shape[1], words):
         yield unpack_planes(planes[:, w : w + words], min(n - 64 * w, 64 * words)).T
-
-
-def plane_masks(planes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each of the n columns' x bits and z bits as two (n,) int64 masks,
-    qubit q at bit m - q; for m <= 62."""
-    bits = np.unpackbits(planes.view(np.uint8), axis=1, count=n, bitorder="little")
-    m = len(bits) // 2
-    x, z = (1 << np.arange(m - 1, -1, -1)) @ bits.reshape(2, m, n)
-    return x, z
-
-
-def mask_planes(xmask: np.ndarray, zmask: np.ndarray, m: int) -> np.ndarray:
-    """The (2m, W) planes of plane_masks' x and z masks."""
-    shifts = np.arange(m - 1, -1, -1)[:, None]  # qubit q's bit, at row q - 1
-    return _pack_bits((xmask >> shifts) & 1, (zmask >> shifts) & 1)
 
 
 def planes_from_rows(rows, n: int) -> np.ndarray:

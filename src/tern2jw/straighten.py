@@ -117,6 +117,21 @@ class Certificate:
         perm = _ints(self.permutation, "PERM entries must be integers")
         object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "signs", _ints(self.signs, "SIGNS entries must be +1 or -1"))
+        self._check_shape()
+
+    @classmethod
+    def _of_ints(cls, circuit: Circuit, permutation: tuple[int, ...], signs: tuple[int, ...]):
+        """A certificate whose PERM and SIGNS are already tuples of plain
+        ints, as certificate_parse reads them: checked like any other,
+        without converting the entries again."""
+        cert = cls.__new__(cls)
+        for name, value in (("circuit", circuit), ("permutation", permutation), ("signs", signs)):
+            object.__setattr__(cert, name, value)
+        cert._check_shape()
+        return cert
+
+    def _check_shape(self) -> None:
+        perm = self.permutation
         m = len(perm)
         if sorted(perm) != list(range(1, m + 1)):
             raise ValueError(f"PERM is not a permutation of 1..{m}")
@@ -549,7 +564,7 @@ def certificate_parse(text: str, num_qubits: int | None = None) -> Certificate:
         raise ValueError(f"bad SIGNS entries: {' '.join(bad)!r}") from None
     if circuit.num_qubits != m:
         circuit = Circuit.from_ops(m, circuit.ops)
-    return Certificate(circuit, perm, signs)
+    return Certificate._of_ints(circuit, perm, signs)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from tern2jw import (
 )
 from tern2jw import cli
 from tern2jw.cli import run_cli
+from tern2jw.engine import GATE_CODES
 from tern2jw.oracle import MAX_ORACLE_QUBITS
 from tern2jw.pauli import PauliString
 from tern2jw.straighten import MAX_LETTER_CELLS
@@ -166,6 +167,33 @@ def test_verify_oracle_skip(tmp_path, capsys):
     )
     assert code == 0
     assert out == "engine pass\noracle skip m=7 cap=5\n"
+
+
+def test_verify_at_the_oracles_widest(capsys):
+    # sign-fixed certificates of random trees on 12 qubits, the most the
+    # oracle takes, pass both checks; one deleted gate or one flipped SIGNS
+    # entry fails both, on the same generators
+    assert MAX_ORACLE_QUBITS == 12
+    for seed in (3, 4):
+        tree = tree_format(random_tree(12, seed))
+        code, cert, _ = _run(capsys, "straighten", "--fix-signs", "-e", tree)
+        assert code == 0
+        verify = ("verify", "--oracle-cap", "12", "-e", tree, "-e")
+        assert _run(capsys, *verify, cert) == (0, "engine pass\noracle pass\n", "")
+        lines = cert.splitlines(keepends=True)
+        gates = [i for i, line in enumerate(lines) if line.split()[0] in GATE_CODES]
+        deleted = (gates[0], gates[len(gates) // 2], gates[-1])
+        tampered = ["".join(lines[:i] + lines[i + 1 :]) for i in deleted]
+        signs = next(i for i, line in enumerate(lines) if line.startswith("SIGNS"))
+        for j in (1, 13, 25):
+            tokens = lines[signs].split()
+            tokens[j] = "-" if tokens[j] == "+" else "+"
+            tampered.append("".join(lines[:signs] + [" ".join(tokens) + "\n"] + lines[signs + 1 :]))
+        for bad in tampered:
+            code, out, err = _run(capsys, *verify, bad)
+            engine, oracle = out.splitlines()
+            assert (code, err) == (1, "") and engine.startswith("engine fail e"), out
+            assert oracle == "oracle fail" + engine[len("engine fail") :], out
 
 
 def test_verify_refuses_oracle_over_dense_limit(tmp_path, capsys):

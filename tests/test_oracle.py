@@ -19,17 +19,18 @@ from tern2jw import (
     straighten,
     verify_transform,
 )
-from tern2jw.engine import GATE_CODES, N_SINGLE, PAIR_GATES, SINGLE_GATES
+from tern2jw.engine import PAIR_GATES, SINGLE_GATES
 from tern2jw.oracle import (
+    _GATE_FORMS,
     OracleError,
     _decode,
     _forms,
-    _gate_form,
     _hadamard,
+    _layout,
     dense_conjugate,
     oracle_conjugate,
 )
-from tern2jw.pauli import pack_letters, plane_masks, unpack_planes
+from tern2jw.pauli import pack_letters, plane_rows, unpack_planes
 
 from conftest import rename
 from reference import (
@@ -85,18 +86,47 @@ def test_dense_pauli_is_multiplicative():
 
 def _scattered(source, phase):
     """One monomial form's own matrix: i^phase[r] at [r, source[r]]."""
-    rows, phase = np.arange(len(source)), phase.astype(np.int64)  # uint8 would wrap below 0
+    rows, phase = np.arange(len(source)), np.array(phase)
     a = np.zeros((2, len(rows), len(rows)), dtype=np.int64)
     a[phase & 1, rows, source] = 1 - (phase & 2)
     return ExactMatrix(*a)
 
 
+def _columns(form, m, k):
+    """Each of k bit-sliced forms on m qubits as (sources, phases) over
+    the 2^m rows: bit r k + j of a plane is row r of column j, qubit q's
+    plane holds bit m - q of each source, and the last two planes the
+    phases' bit 0 and bit 1."""
+    columns = []
+    for j in range(k):
+        at = [r * k + j for r in range(1 << m)]
+        source = [sum((form[q] >> b & 1) << (m - 1 - q) for q in range(m)) for b in at]
+        phase = [(form[m] >> b & 1) | (form[m + 1] >> b & 1) << 1 for b in at]
+        columns.append((source, phase))
+    return columns
+
+
+def _sliced(columns, m):
+    """The bit-sliced planes of (sources, phases) forms, as _columns reads them."""
+    k, form = len(columns), [0] * (m + 2)
+    for j, (source, phase) in enumerate(columns):
+        for r, (s, p) in enumerate(zip(source, phase)):
+            bits = [s >> (m - 1 - q) & 1 for q in range(m)] + [p & 1, p >> 1 & 1]
+            for i, bit in enumerate(bits):
+                form[i] |= bit << (r * k + j)
+    return form
+
+
 def _planes_forms(letters, phases):
-    """The oracle's monomial forms of an (m, n) letter block times
-    i^phases, built as dense_conjugate builds them: from the masks read
-    off the packed planes."""
+    """The oracle's bit-sliced monomial forms of an (m, n) letter block
+    times i^phases, built as dense_conjugate builds them: from each
+    qubit's x and z rows of the packed planes."""
     m, n = letters.shape
-    return _forms(*plane_masks(pack_letters(letters), n), np.asarray(phases, dtype=np.uint8), m)
+    x, z = zip(*plane_rows(pack_letters(letters)))
+    phases = [int(p) for p in phases]
+    p0 = sum((p & 1) << j for j, p in enumerate(phases))
+    p1 = sum((p >> 1 & 1) << j for j, p in enumerate(phases))
+    return _forms(list(x), list(z), p0, p1, _layout(m, n))
 
 
 def test_dense_pauli_kron_consistency():
@@ -110,8 +140,8 @@ def test_dense_pauli_kron_consistency():
             for phase in range(4)
         ]
         letters = np.array([p.letters for p in strings], dtype=np.uint8).T
-        source, phase = _planes_forms(letters, [p.phase for p in strings])
-        for p, s, e in zip(strings, source, phase):
+        form = _planes_forms(letters, [p.phase for p in strings])
+        for p, (s, e) in zip(strings, _columns(form, m, len(strings))):
             assert _scattered(s, e) == dense_pauli(p), p
 
 
@@ -267,16 +297,39 @@ def test_dense_conjugate_is_the_same_at_every_batch_width():
         assert oracle_conjugate(c, p) == want, (gates, p)
 
 
-def test_cached_gate_forms_are_read_only_and_bounded():
-    # every compiled circuit shares the cached embedded gates and H arrays,
-    # so none may be written through, and the cache holds a bounded number
-    for code in GATE_CODES.values():
-        b = 0 if code < N_SINGLE else 2
-        for array in _gate_form(code, 1, b, 3):
-            assert not array.flags.writeable, code
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
-    assert _gate_form.cache_info().maxsize is not None
+def test_the_oracle_holds_no_memory_between_calls_at_12_qubits():
+    # no cache grows with the gates or widths an oracle has seen: after
+    # batches of 1, 25 and 70 columns through circuits on 12 qubits with
+    # every gate on 40 target pairs each, the oracle still holds under
+    # 64 KiB, where one plane of 25 columns alone takes 12.5 KiB
+    import tern2jw.oracle as oracle
+
+    for value in vars(oracle).values():
+        if hasattr(value, "cache_info"):
+            assert value.cache_info().maxsize is not None, value
+    rng = random.Random(53)
+    m = 12
+    gates = [Gate("H", (q,)) for q in range(1, m + 1)]
+    for kind in SINGLE_GATES:
+        gates += [Gate(kind, (q,)) for q in range(1, m + 1)]
+    for kind in PAIR_GATES:
+        gates += [Gate(kind, tuple(rng.sample(range(1, m + 1), 2))) for _ in range(40)]
+    rng.shuffle(gates)
+    circuits = [Circuit(m, gates[i : i + 60]) for i in range(0, len(gates), 60)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in (1, 25, 70):
+            letters = np.array(rng.choices(range(4), k=m * n), dtype=np.uint8).reshape(m, n)
+            phases = np.zeros(n, dtype=np.uint8)
+            for c in circuits:
+                planes = pack_letters(letters)
+                dense_conjugate(planes, phases, c.ops)
+            del letters, phases, planes
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 << 10
 
 
 def test_oracle_conjugate_empty_circuit():
@@ -351,10 +404,10 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
     letters = rng.integers(0, 4, size=(3, 5), dtype=np.uint8)
     letters[:, 2] = (1, 2, 3)  # X, Y and Z in one string
     phases = np.arange(5) % 4
-    source, phase = _planes_forms(letters, phases)
-    *masks, got_phases = _decode(source.copy(), phase.copy(), 3)
-    assert np.array_equal(masks, plane_masks(pack_letters(letters), 5))
-    assert np.array_equal(got_phases, phases)
+    form = _planes_forms(letters, phases)
+    x, z, p0, p1 = _decode(list(form), _layout(3, 5))
+    assert list(zip(x, z)) == list(plane_rows(pack_letters(letters)))
+    assert [(p0 >> j & 1) | (p1 >> j & 1) << 1 for j in range(5)] == phases.tolist()
 
     # a form has one unit entry in every row, so it can break a Pauli
     # matrix only by a wrong phase or a moved entry, in a single-bit row
@@ -379,28 +432,34 @@ def test_non_pauli_matrix_anywhere_in_a_stack_is_rejected():
     )
     for j in (0, 2, 4):
         for corrupt, message in forms:
-            bad_source, bad_phase = source.copy(), phase.copy()
-            corrupt(bad_source[j], bad_phase[j])
+            columns = _columns(form, 3, 5)
+            corrupt(*columns[j])
             with pytest.raises(OracleError, match=message):
-                _decode(bad_source, bad_phase, 3)
+                _decode(_sliced(columns, 3), _layout(3, 5))
+
+
+def _own_form(kind):
+    """A gate's own matrix, as _GATE_FORMS writes it, as a one-column form."""
+    flips, phases = zip(*_GATE_FORMS[kind])
+    return [l ^ f for l, f in enumerate(flips)], list(phases)
 
 
 def test_hadamard_step_rejects_forms_that_are_not_pauli():
     # S's own matrix diag(1, i) is monomial, but H S H is not: row 0 meets
     # 1 and i, whose sums 1 + i and 1 - i do not halve
-    s_source, s_phase = _gate_form(GATE_CODES["S"], 0, 0, 1)
     with pytest.raises(OracleError, match="inexact rescale after H 1"):
-        _hadamard(s_source[None], s_phase[None], 1, 1)
+        _hadamard(_sliced([_own_form("S")], 1), _layout(1, 1), 1)
     # SWAP's own matrix has all phases 0, but rows 0 and 2, partners on
     # qubit 1's bit, take columns 0 and 1, which are not
-    swap_source, swap_phase = _gate_form(GATE_CODES["SWAP"], 0, 1, 2)
-    assert swap_source.tolist() == [0, 2, 1, 3] and not swap_phase.any()
+    swap = _own_form("SWAP")
+    assert swap == ([0, 2, 1, 3], [0, 0, 0, 0])
     with pytest.raises(OracleError, match="inexact rescale after H 1"):
-        _hadamard(swap_source[None], swap_phase[None], 2, 1)
-    # a Pauli form passes through: H on qubit 2 takes -iXX (x mask 11,
-    # z mask 00) to -iXZ (x mask 10, z mask 01)
-    source, phase = _hadamard(*_planes_forms(np.array([[1], [1]], dtype=np.uint8), [3]), 2, 2)
-    assert [s.tolist() for s in _decode(source, phase, 2)] == [[2], [1], [3]]
+        _hadamard(_sliced([swap], 2), _layout(2, 1), 1)
+    # a Pauli form passes through: H on qubit 2 takes -iXX (x rows 1 and
+    # 1, z rows 0 and 0) to -iXZ (x rows 1 and 0, z rows 0 and 1)
+    form = _planes_forms(np.array([[1], [1]], dtype=np.uint8), [3])
+    _hadamard(form, _layout(2, 1), 2)
+    assert _decode(form, _layout(2, 1)) == ([1, 0], [0, 1], 1, 1)
 
 
 def test_decode_pauli_round_trip():
@@ -507,12 +566,13 @@ def test_failing_ranks_stay_with_their_columns():
 
 
 def test_oracle_check_memory_peak_at_8_qubits():
-    # the README's figure: 0.18 MiB, all (2m+1) x 2^m monomial forms and
-    # their temporaries, under a quarter of the 16 * 4^m = 1 MiB one dense
-    # int64 matrix would take
+    # the README's figure: 0.02 MiB, all 2m + 2 bit-sliced planes of the
+    # (2m+1) x 2^m monomial forms and their temporaries, well under the
+    # quarter of the 16 * 4^m = 1 MiB one dense int64 matrix would take
+    # that this test allows
     t = random_tree(8, seed=5)
     r = fix_signs(straighten(t))
-    assert oracle_check(t, r).ok  # gate tables are built on first use
+    assert oracle_check(t, r).ok  # any lazy set-up is paid here
     tracemalloc.start()
     try:
         assert oracle_check(t, r).ok
@@ -523,9 +583,8 @@ def test_oracle_check_memory_peak_at_8_qubits():
 
 
 def test_oracle_check_at_12_qubits_agrees_with_the_engine_in_6_mib():
-    # the largest m the oracle takes, with its embedded gates built inside
-    # the measurement unless an earlier test built them: the README's
-    # figure is 4.2 MiB
+    # the largest m the oracle takes, from a cold start: the README's
+    # figure is 0.6 MiB
     t = random_tree(12, seed=1)
     r = fix_signs(straighten(t))
     want = verify_transform(t, r)
@@ -554,12 +613,23 @@ def _imports(path):
     return imported
 
 
+ORACLE_SOURCE = Path(__file__).resolve().parents[1] / "src" / "tern2jw" / "oracle.py"
+
+
 def test_oracle_imports_neither_engine_nor_straighten():
     # the ground truth stays independent of what it checks
-    imported = _imports(Path(__file__).resolve().parents[1] / "src" / "tern2jw" / "oracle.py")
+    imported = _imports(ORACLE_SOURCE)
     assert ".clifford" in imported  # the walk sees the module's imports
     banned = {".engine", ".straighten", "tern2jw.engine", "tern2jw.straighten"}
     assert not imported & banned
+
+
+def test_oracle_imports_no_numpy():
+    # the oracle's forms are Python ints, so a call pays no numpy set-up;
+    # the arrays it is handed are read and written through their methods
+    imported = _imports(ORACLE_SOURCE)
+    assert ".pauli" in imported  # the walk sees the module's imports
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
 
 
 def test_reference_imports_nothing_from_the_oracle():
@@ -577,7 +647,7 @@ def test_reference_imports_nothing_from_the_oracle():
 
 
 def test_oracle_check_memory_peak_at_6_qubits():
-    # the README's figure: 0.04 MiB
+    # the README's figure: 0.006 MiB
     t = random_tree(6, seed=1)
     r = fix_signs(straighten(t))
     assert oracle_check(t, r).ok
