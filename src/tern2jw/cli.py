@@ -10,7 +10,8 @@ command's arguments with its subparser alone. Inputs come from
 repeated -e flags or file paths; inline texts are consumed first (they are
 invariably tree snippets, and the tree slots come first in every
 subcommand). run_cli parses the TREE inputs and hands the handler the
-trees and the raw text of any other input.
+trees and the raw text of any other input. generators and stats read the
+tree's one generator set (tree_generators), so both run its self-check.
 
 Exit codes: 0 success, 1 verification failed, 2 parse or usage error, a
 tree too large to certify (over MAX_LETTER_CELLS generator letters), or a
@@ -39,17 +40,7 @@ from .straighten import (
     straighten,
     verify_transform,
 )
-from .tree import (
-    VALIDATE_LIMIT,
-    TernaryTree,
-    _leaf_runs,
-    _rows_product,
-    _run_letter_blocks,
-    _run_masks,
-    tree_format,
-    tree_generators,
-    tree_parse,
-)
+from .tree import TernaryTree, _rows_product, tree_format, tree_generators, tree_parse
 
 _LETTER_BYTES = bytes.maketrans(bytes(range(4)), LETTERS.encode())
 DEFAULT_CAP = 8  # verify's default --oracle-cap; the library's oracle has none
@@ -135,17 +126,10 @@ def _read_inputs(args: argparse.Namespace) -> list:
 
 
 def _cmd_generators(args: argparse.Namespace, t: TernaryTree) -> int:
-    m = t.num_qubits
-    if m <= VALIDATE_LIMIT:
-        tree_generators(t)  # its self-check, which raises on a library bug
-    # each block of strings built from the leaf runs, so the tree's planes
-    # are never held whole
-    x_runs, z_runs = _leaf_runs(t)
-    strings = (s for block in _run_letter_blocks(x_runs + z_runs, 2 * m + 1) for s in block)
-    for j, letters in enumerate(strings, start=1):  # each of phase +1
-        print(f"e{j} +{letters.tobytes().translate(_LETTER_BYTES).decode()}")
-    rows = zip(_run_masks(x_runs), _run_masks(z_runs))
-    print(f"product {_rows_product(rows, 2 * m + 1, 0)}")
+    gens = tree_generators(t)  # its self-check raises on a library bug
+    for j, letters in enumerate(gens.letters(), start=1):  # each of phase +1
+        print(f"e{j} +{letters.translate(_LETTER_BYTES).decode()}")
+    print(f"product {_rows_product(gens.rows(), len(gens), 0)}")
     return 0
 
 
@@ -183,10 +167,10 @@ def _print_report(check: str, report: TransformReport) -> bool:
 
 
 def _cmd_stats(args: argparse.Namespace, t: TernaryTree) -> int:
+    gens, m = tree_generators(t), t.num_qubits
     # qubit q is not I on its subtree's columns, x run start to z run end
-    x_runs, z_runs = _leaf_runs(t)
-    cover = [0] * (2 * t.num_qubits + 2)  # differences of the counts
-    for (lo, _), (_, hi) in zip(x_runs, z_runs):
+    cover = [0] * (len(gens) + 1)  # differences of the counts
+    for (lo, _), (_, hi) in zip(gens.runs[:m], gens.runs[m:]):
         cover[lo] += 1
         cover[hi] -= 1
     weights = list(accumulate(cover[:-1]))

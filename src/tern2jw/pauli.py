@@ -16,12 +16,12 @@ x = (code ^ z) & 1, so X = (x 1, z 0), Y = (1, 1), Z = (0, 1), and
 2m rows of W = ceil(n / 64) little-endian words: qubit q's x bits in row
 q - 1, its z bits in row m + q - 1, column j at bit j % 64 of word j // 64,
 and the padding bits past column n - 1 zero. The helpers below are the
-only place that converts between letters and planes (letter_blocks a
-bounded block of columns at a time). plane_rows (read in place) and
-planes_from_rows convert between planes and each qubit's x and z rows as
-two ints; the exact oracle, whose batches are small, reads its rows off
-one int of the planes' bytes instead. A PauliString is one column with its
-phase.
+only place that converts between letters and planes; a tree's generator
+set reads its letters off its leaf runs instead (the tree module).
+plane_rows (read in place) and planes_from_rows convert between planes
+and each qubit's x and z rows as two ints; the exact oracle, whose
+batches are small, reads its rows off one int of the planes' bytes
+instead. A PauliString is one column with its phase.
 """
 
 from __future__ import annotations
@@ -109,21 +109,6 @@ def unpack_planes(planes: np.ndarray, n: int) -> np.ndarray:
     m = len(bits) // 2
     x, z = bits[:m], bits[m:]
     return (x ^ z) | (z << 1)
-
-
-def block_words(rows: int) -> int:
-    """Words of columns per block of letter_blocks for planes of this many
-    rows: as many as unpack from 2^20 bits at most, or one word."""
-    return max(1, (1 << 20) // (64 * rows))
-
-
-def letter_blocks(planes: np.ndarray, n: int):
-    """The letters of n-column planes, one (k, m) uint8 block of strings at
-    a time, so no (m, n) letter matrix is built: k is block_words' whole
-    number of words of columns."""
-    words = block_words(len(planes))
-    for w in range(0, planes.shape[1], words):
-        yield unpack_planes(planes[:, w : w + words], min(n - 64 * w, 64 * words)).T
 
 
 def planes_from_rows(rows, n: int) -> np.ndarray:

@@ -7,10 +7,10 @@ product of one Pauli letter per node on the path, the letter being the slot
 label the path leaves through. Any two distinct path products anticommute
 (they first differ at their fork node, with different non-identity letters
 there, and act on disjoint qubits below it). _leaf_runs lays out their
-x and z bits, one run of leaf columns each per qubit; _planes packs the
-runs as one batch (the pauli module's x and z planes), which
-tree_generators holds and certification conjugates, and
-_run_letter_blocks decodes a bounded block of columns at a time.
+x and z bits, one run of leaf columns each per qubit. tree_generators
+holds these runs, and one sweep over the columns reads every string's
+letters off them; _planes packs them as one batch (the pauli module's x
+and z planes), which certification conjugates.
 
 Canonical leaf order is depth-first with x < y < z. Qubit ids must be
 exactly 1..m; they double as tensor positions in the Pauli strings.
@@ -32,21 +32,13 @@ import operator
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .pauli import (
-    WORD,
-    PauliString,
-    block_words,
-    letter_blocks,
-    pack_letters,
-    plane_rows,
-    planes_from_rows,
-    unpack_planes,
-)
+from .pauli import PauliString, pack_letters, plane_rows, planes_from_rows
 
 TERMINAL = 0
 XYZ = ("x", "y", "z")
@@ -108,19 +100,41 @@ class TernaryTree:
         return tree_format(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeneratorSet:
-    """The 2m+1 path products in leaf order, phase +1, as read-only planes."""
+    """The 2m+1 path products in leaf order, phase +1, as the tree's leaf
+    runs: each qubit's x run, then each qubit's z run, as (lo, hi) columns."""
 
-    planes: np.ndarray
+    runs: tuple[tuple[int, int], ...]
 
     @property
     def strings(self) -> tuple[PauliString, ...]:
-        blocks = letter_blocks(self.planes, len(self))
-        return tuple(PauliString(tuple(s)) for block in blocks for s in block.tolist())
+        return tuple(PauliString(tuple(s)) for s in self.letters())
+
+    def letters(self):
+        """Each string's letter codes as m bytes, qubit 1 first, in one
+        sweep over the columns. As code = (x ^ z) | z << 1, a qubit's code
+        flips by XOR 1 where its x run starts or ends and by XOR 3 where
+        its z run does: 4m flips and one m-byte copy a string."""
+        runs = self.runs
+        m, width = len(runs) // 2, len(runs)
+        # each flip as column * width + run index, the last column first
+        flips = sorted((col * width + k for k, run in enumerate(runs) for col in run), reverse=True)
+        code = bytearray(m)
+        for col in range(len(self)):
+            while flips and flips[-1] < (col + 1) * width:  # the flips at col
+                k = flips.pop() % width
+                code[k % m] ^= 1 if k < m else 3
+            yield bytes(code)
+
+    def rows(self):
+        """Each qubit's x and z rows as two ints, bit j for column j
+        (plane_rows' form): its two runs as masks."""
+        m = len(self.runs) // 2
+        return zip(_run_masks(self.runs[:m]), _run_masks(self.runs[m:]))
 
     def __len__(self) -> int:
-        return len(self.planes) + 1
+        return len(self.runs) + 1
 
 
 @dataclass(frozen=True)
@@ -462,22 +476,6 @@ def _planes(t: TernaryTree) -> np.ndarray:
     return planes_from_rows(_run_masks(x_runs + z_runs), 2 * t.num_qubits + 1)
 
 
-_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=WORD)  # k low bits set
-
-
-def _run_letter_blocks(runs, n: int):
-    """letter_blocks of the n-column planes whose rows are these leaf runs
-    (the x runs, then the z runs), built a block of words at a time: each
-    word holds its row's run clipped to the word's 64 columns, so the
-    whole planes are never held."""
-    lo, hi = np.array(runs, dtype=np.int64).T[:, :, None]
-    words, width = block_words(len(runs)), -(-n // 64)
-    for w in range(0, width, words):
-        first = 64 * np.arange(w, min(w + words, width))  # each word's first column
-        planes = _LOW_BITS[np.clip(hi - first, 0, 64)] & ~_LOW_BITS[np.clip(lo - first, 0, 64)]
-        yield unpack_planes(planes, min(n - 64 * w, 64 * words)).T
-
-
 # Largest m tree_generators validates. The check's time grows with the
 # generators' total weight times n: at m=64 and 600 it takes 0.7 and 11 ms
 # on random trees, 1.1 and 90 ms on the JW chain, whose weight is quadratic
@@ -486,15 +484,16 @@ VALIDATE_LIMIT = 64
 
 
 def tree_generators(t: TernaryTree) -> GeneratorSet:
-    """All 2m+1 path products in canonical leaf order, as one packed batch.
+    """All 2m+1 path products in canonical leaf order, as the tree's leaf
+    runs.
 
     Validation (pairwise anticommutation, unit squares, total product a
     phase times identity) runs for m <= VALIDATE_LIMIT only; a failure is
     a library bug and raises RuntimeError. Trees over MAX_LETTER_CELLS
-    raise ValueError before the planes are allocated.
+    raise ValueError before the runs are built.
     """
-    gens = GeneratorSet(_planes(t))
-    gens.planes.setflags(write=False)
+    x_runs, z_runs = _leaf_runs(t)
+    gens = GeneratorSet((*x_runs, *z_runs))
     if t.num_qubits <= VALIDATE_LIMIT:
         report = check_generator_set(gens)
         if not report.ok:
@@ -538,48 +537,56 @@ def check_generator_set(gens: "GeneratorSet | Iterable[PauliString]") -> Validat
     and Gottesman): bit b of the XOR of the z rows where a has an x bit
     and the x rows where it has a z bit.
 
-    That is one n-bit XOR per set plane bit, so the time grows as the
-    total weight of the strings times their number n: 11 ms for the 1,201
+    That is one n-bit XOR per set bit, so the time grows as the total
+    weight of the strings times their number n: 11 ms for the 1,201
     generators of random_tree(600, 42), but 90 ms at m = 600 and 1.7 s at
-    m = 2000 on the JW chain, whose total weight is quadratic in m. Only
-    tree_generators bounds it, by running it up to VALIDATE_LIMIT qubits;
-    a caller's own list has no bound.
+    m = 2000 on the JW chain, whose total weight is quadratic in m.
+    tree_generators bounds it by running it up to VALIDATE_LIMIT qubits.
+    A caller's own list is packed as planes, and one of over
+    MAX_LETTER_CELLS letters raises ValueError before they are built:
+    that bounds its memory, not its time.
     """
     if isinstance(gens, GeneratorSet):
-        planes, phases = gens.planes, [0] * len(gens)
+        rows, phases = gens.rows, [0] * len(gens)
     else:
         strings = tuple(gens)
         if not strings:
             raise ValueError("empty generator list")
-        m = strings[0].num_qubits
+        m, n = strings[0].num_qubits, len(strings)
+        if m * n > MAX_LETTER_CELLS:
+            raise ValueError(
+                f"{n} strings on {m} qubits give {m * n} letters, over the cap of"
+                f" {MAX_LETTER_CELLS} cells (MAX_LETTER_CELLS)"
+            )
         for p in strings:
             if p.num_qubits != m:
                 raise ValueError(f"size mismatch: {m} vs {p.num_qubits}")
         planes = pack_letters(np.array([p.letters for p in strings], dtype=np.uint8).T)
-        phases = [p.phase for p in strings]
+        rows, phases = partial(plane_rows, planes), [p.phase for p in strings]
     n = len(phases)
     odd = [0] * n  # bit b of odd[a]: x_a.z_b + z_a.x_b is odd
-    for x, z in plane_rows(planes):
-        for bits, rows in ((x, z), (z, x)):
+    for x, z in rows():
+        for bits, other in ((x, z), (z, x)):
             for a in _set_bits(bits):
-                odd[a] ^= rows
+                odd[a] ^= other
     anti = tuple(  # the pairs a < b whose bit is clear
         (a + 1, b + 1) for a, row in enumerate(odd) for b in _set_bits(~row & (1 << n) - (2 << a))
     )
     squares = tuple(j + 1 for j, phase in enumerate(phases) if phase & 1)
-    product = _rows_product(plane_rows(planes), n, sum(phases))
+    product = _rows_product(rows(), n, sum(phases))
     return ValidationReport(not anti, anti, not squares, squares, product, not any(product.letters))
 
 
-# Letters allowed in the (m, 2m+1) batch of a tree's generators; 2**28
-# admits m up to 11584. No command builds it as a byte letter matrix:
-# straighten, verify and map hold packed planes, two bits a letter, 7.7 MiB
-# at m=4000 and 64 MiB at the cap, while stats and generators read the leaf
-# runs. Tracemalloc peaks on random_tree(m, 42), m=4000 / cap, in MiB:
-# straighten 9.7 / 73.2, verify_transform 9.5 / 72.5 (both with the
-# engine's 2m row views, about 0.25 MiB at m=4000), fix_signs 10.4 / 75.4;
-# whole commands, tree parse included: generators 4.2 / 8.0 (one block of
-# columns at a time), stats 2.7 / 9.0.
+# Letters allowed in the (m, 2m+1) batch of a tree's generators, and in
+# a list check_generator_set packs; 2**28 admits m up to 11584. No command
+# builds it as a byte letter matrix: straighten, verify and map hold packed
+# planes, two bits a letter, 7.7 MiB at m=4000 and 64 MiB at the cap, while
+# stats and generators read the set's leaf runs. Tracemalloc peaks on
+# random_tree(m, 42), m=4000 / cap, in MiB: straighten 9.7 / 73.2,
+# verify_transform 9.5 / 72.5 (both with the engine's 2m row views, about
+# 0.25 MiB at m=4000), fix_signs 10.4 / 75.4, tree_generators 0.9 / 2.7;
+# whole commands, tree parse included: generators 1.7 / 6.2 (one sweep over
+# the runs), stats 1.7 / 6.0.
 MAX_LETTER_CELLS = 1 << 28
 
 

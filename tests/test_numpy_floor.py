@@ -1,9 +1,13 @@
-"""The package must run on its declared numpy floor, 1.24.
+"""The package must run on its declared floors, Python 3.10 and numpy 1.24.
 
 CI lists a numpy 1.24 entry, but a run on the newest numpy never meets a
 name that 1.24 lacks. So the source is read here, not run: no module under
 src/tern2jw may reach a numpy name added after 1.24, through `np.name`, a
-deeper `np.sub.name` or `from numpy import name`.
+deeper `np.sub.name` or `from numpy import name`. Likewise a run on a newer
+Python accepts grammar that 3.10 rejects, so every module under src/tern2jw
+and perfbench/ must parse with the 3.10 grammar (ast.parse's
+feature_version, which rejects newer forms such as `except*` and type
+parameter lists on a best-effort basis).
 """
 
 import ast
@@ -14,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "tern2jw").glob("*.py"))
+PYTHON_FLOOR = (3, 10)
 
 # numpy namespace names that numpy 1.24 does not have (added in 1.25 or
 # 2.x, or, like bool, long and ulong, removed before 1.24 and added back in
@@ -79,7 +84,29 @@ def _numpy_uses(tree):
 
 
 def test_declared_floor_is_the_one_checked():
-    assert re.search(r'"numpy>=1\.24"', (ROOT / "pyproject.toml").read_text())
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'"numpy>=1\.24"', pyproject)
+    assert re.search(r'requires-python = ">=3\.10"', pyproject)
+
+
+def _floor_grammar_errors(source: str, name: str) -> list[str]:
+    try:
+        ast.parse(source, name, feature_version=PYTHON_FLOOR)
+    except SyntaxError as exc:
+        return [f"{name}:{exc.lineno} {exc.msg}"]
+    return []
+
+
+def test_sources_parse_with_the_python_floor_grammar():
+    paths = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+    assert len(paths) > len(SOURCES)
+    errors = [e for p in paths for e in _floor_grammar_errors(p.read_text(), p.name)]
+    assert not errors, errors
+    # the check itself: grammar from 3.11 (exception groups) and 3.12
+    # (type parameter lists) is refused, 3.10's own match statement is not
+    newer = ["try:\n    pass\nexcept* ValueError:\n    pass\n", "def f[T](x: T) -> T:\n    return x\n"]
+    assert all(_floor_grammar_errors(source, "newer") for source in newer)
+    assert not _floor_grammar_errors("match x:\n    case 1:\n        pass\n", "match")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

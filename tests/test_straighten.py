@@ -771,34 +771,37 @@ def test_oracle_catches_a_sign_the_engine_agrees_with(monkeypatch):
     assert oracle_check(t, r).failed_ranks == (1,)
 
 
-def _duplicate_first_column(monkeypatch):
-    """Make the tree module's planes carry column 0 in column 1 too, so the
-    two generators commute."""
+def _widen_root_z_run(monkeypatch):
+    """Make the tree module's leaf runs give the root a z bit on its x
+    branch too, so the strings there carry Y at the root, as those on its
+    y branch do, and commute with them: below the root they act on
+    disjoint qubits."""
     tree_mod = importlib.import_module("tern2jw.tree")
-    original = tree_mod._planes
+    original = tree_mod._leaf_runs
 
-    def duplicated(t):
-        planes = original(t)
-        low = planes[:, 0] & np.uint64(1)
-        planes[:, 0] = planes[:, 0] & ~np.uint64(2) | low << np.uint64(1)
-        return planes
+    def widened(t):
+        x_runs, z_runs = original(t)
+        z_runs[t.root - 1] = (0, z_runs[t.root - 1][1])
+        return x_runs, z_runs
 
-    monkeypatch.setattr(tree_mod, "_planes", duplicated)
+    monkeypatch.setattr(tree_mod, "_leaf_runs", widened)
 
 
 def test_tree_generators_self_check_fires(monkeypatch):
-    _duplicate_first_column(monkeypatch)
-    with pytest.raises(RuntimeError, match="internal invariant violation"):
+    _widen_root_z_run(monkeypatch)
+    with pytest.raises(RuntimeError, match="internal invariant violation") as excinfo:
         tree_generators(random_tree(6, 3))
+    assert "anticommuting=False" in str(excinfo.value)
 
 
 def test_generators_command_self_check_fires(monkeypatch, capsys):
-    # the command prints blocks built from the leaf runs, and still runs
-    # tree_generators' self-check on trees it validates
-    _duplicate_first_column(monkeypatch)
-    with pytest.raises(RuntimeError, match="internal invariant violation"):
-        run_cli(["generators", "-e", tree_format(random_tree(6, 3))])
-    assert capsys.readouterr().out == ""
+    # generators and stats both read tree_generators' set, self-checked on
+    # trees it validates, before they print a line
+    _widen_root_z_run(monkeypatch)
+    for command in ("generators", "stats"):
+        with pytest.raises(RuntimeError, match="internal invariant violation"):
+            run_cli([command, "-e", tree_format(random_tree(6, 3))])
+        assert capsys.readouterr().out == "", command
 
 
 def _traced_peak(run):
@@ -823,23 +826,31 @@ def test_certification_memory_peak_at_full_ternary_6():
     assert report.ok and peak <= 1 << 20, peak
 
 
+def test_tree_generators_memory_peak_at_the_cap():
+    # the set holds the tree's 2m leaf runs, 2.6 MiB at the MAX_LETTER_CELLS
+    # cap (m=11584), not its planes (64 MiB); measured 2.7 MiB in all
+    t = random_tree(11584, 42)
+    gens, peak = _traced_peak(lambda: tree_generators(t))
+    assert len(gens) == 23169 and peak <= 4 << 20, peak
+
+
 @pytest.mark.parametrize(
     "command, m, bound",  # bounds in MiB; the planes take 7.7 MiB at m=4000
     [
         ("stats", 4000, 6),
         ("stats", 11584, 16),
-        ("generators", 4000, 24),
-        ("generators", 11584, 10),
+        ("generators", 4000, 3),
+        ("generators", 11584, 7),
     ],
 )
 def test_generators_and_stats_memory_peaks(tmp_path, command, m, bound):
     # the whole command, tree parse included, with its output sent to the
-    # null device (256 MiB of text from generators at the cap): stats reads
-    # the weights off the leaf runs, and generators builds one bounded block
-    # of columns at a time from them, so neither builds the tree's planes
-    # (64 MiB at the MAX_LETTER_CELLS cap, m=11584) or its (m, 2m+1) letter
-    # matrix (30.5 MiB at m=4000, 256 MiB at the cap); generators measured
-    # 4.2 MiB at m=4000 and 8.0 MiB at the cap
+    # null device (256 MiB of text from generators at the cap): both read
+    # the tree's leaf runs, stats its weights and generators each string's
+    # letters in one sweep, so neither builds the tree's planes (64 MiB at
+    # the MAX_LETTER_CELLS cap, m=11584) or its (m, 2m+1) letter matrix
+    # (30.5 MiB at m=4000, 256 MiB at the cap); generators measured 1.7 MiB
+    # at m=4000 and 6.2 MiB at the cap, stats 1.7 and 6.0 MiB
     tree = tmp_path / "tree.txt"
     tree.write_text(tree_format(random_tree(m, 42)))
 

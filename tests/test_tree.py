@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from tern2jw import certify
 from tern2jw.engine import conjugate_inplace
 from tern2jw.oracle import dense_conjugate
 from tern2jw.pauli import pack_letters, unpack_planes
-from tern2jw.tree import MAX_QUBITS, _planes
+from tern2jw.tree import MAX_LETTER_CELLS, MAX_QUBITS, _planes
 
 from reference import (
     certify_columns,
@@ -244,7 +246,16 @@ def test_generators_of_augmented_binary_tree(binary3):
         "+ZII",
     ]
     assert len(gens) == 7
-    assert not gens.planes.flags.writeable
+    # each qubit's x run, then each qubit's z run: q1 is X on columns 0-2,
+    # Y on 3-5 and Z on 6; q2 and q3 are X, Y, Z on 0-2 and 3-5
+    assert gens.runs == ((0, 6), (0, 2), (3, 5), (3, 7), (1, 3), (4, 6))
+    assert list(gens.rows()) == [(0b0111111, 0b1111000), (0b011, 0b110), (0b011000, 0b110000)]
+    assert [s.hex() for s in gens.letters()] == [
+        "010100", "010200", "010300", "020001", "020002", "020003", "030000"
+    ]
+    assert gens == tree_generators(binary3) and hash(gens) == hash(tree_generators(binary3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gens.runs = ()
 
 
 def test_jw_chain_generators_match_construction():
@@ -347,6 +358,29 @@ def test_check_generator_set_rejects_unequal_lengths():
         check_generator_set([pauli_parse("+XI"), pauli_parse("+IX"), pauli_parse("+XYZ")])
     with pytest.raises(ValueError, match="^empty generator list$"):
         check_generator_set([])
+
+
+def test_check_generator_set_refuses_lists_over_the_cap(monkeypatch):
+    # a caller's list is packed as an (m, n) letter matrix, so one over
+    # MAX_LETTER_CELLS letters is refused before anything is built
+    with monkeypatch.context() as patch:
+        patch.setattr("tern2jw.tree.MAX_LETTER_CELLS", 4)
+        assert check_generator_set([pauli_parse("+XI"), pauli_parse("+ZI")]).anticommuting
+        over = r"^3 strings on 2 qubits give 6 letters, over the cap of 4 cells \(MAX_LETTER_CELLS\)$"
+        with pytest.raises(ValueError, match=over):
+            check_generator_set([pauli_parse("+XI")] * 3)
+    # at the real cap, one string held n times: the matrix would take 256 MiB
+    m = 1 << 14
+    n = MAX_LETTER_CELLS // m + 1
+    strings = [PauliString((1,) * m)] * n
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{n} strings on {m} qubits give {m * n} letters"):
+            check_generator_set(strings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 def _pairwise_report(strings):
